@@ -15,7 +15,6 @@ from .builtin import (
     expsum_x0,
     shortlex_ac_structure,
     thompson_alphabet,
-    thompson_f_direct,
     thompson_f_in_C,
 )
 from .cayley import (
@@ -61,9 +60,7 @@ from .stacking import (
     FlowFunction,
     FlowReport,
     GeodesicReport,
-    SPhiTriple,
     StackingStructure,
-    flow_from_stacking,
     s_phi_membership,
     stacking_reduce,
     stacking_reduce_steps,
@@ -89,8 +86,6 @@ from .words import (
     Presentation,
     Word,
     cyclic_rotations,
-    formal_inverse,
-    free_reduce,
     load_presentation,
     parse_sections,
     symmetrize,

@@ -44,7 +44,6 @@ __all__ = [
     "PdaState",
     "expsum_x0",
     "thompson_f_in_C",
-    "thompson_f_direct",
 ]
 
 
@@ -191,23 +190,23 @@ class _ShortlexBall:
         self.alphabet = oracle.alphabet
         self.radius = radius
         self.oracle = oracle
-        self.slex: dict[tuple[int, ...], Word] = {}  # oracle key -> shortlex word
-        self.dist: dict[tuple[int, ...], int] = {}  # shortlex letters -> distance
-        root_key = oracle.normal_form(self.alphabet.empty()).letters
-        self.slex[root_key] = self.alphabet.empty()
-        self.dist[()] = 0
-        frontier = [self.alphabet.empty()]
-        for n in range(1, radius + 1):
-            nxt = []
-            for y in frontier:
-                for a in range(len(self.alphabet)):
-                    key = oracle.normal_form(y.append(a)).letters
-                    if key not in self.slex:
-                        z = y.append(a)
-                        self.slex[key] = z
-                        self.dist[z.letters] = n
-                        nxt.append(z)
-            frontier = nxt
+        ball = build_ball(oracle, radius)
+        # slex maps an oracle key to its shortlex word.  The shortlex word of
+        # h is the least slex(g) a over the edges g -a-> h that step one
+        # sphere out; sources are taken sphere by sphere, so slex(g) is
+        # final before its out-edges are read.
+        self.slex: dict[tuple[int, ...], Word] = {(): self.alphabet.empty()}
+        for e in sorted(ball.edges, key=lambda e: e.source.distance):
+            g, h = e.source, e.target
+            if h.distance != g.distance + 1:
+                continue
+            z = self.slex[g.canonical.letters].append(e.label)
+            best = self.slex.get(h.canonical.letters)
+            if best is None or z.letters < best.letters:
+                self.slex[h.canonical.letters] = z
+        self.dist: dict[tuple[int, ...], int] = {  # shortlex letters -> distance
+            z.letters: ball.elements[key].distance for key, z in self.slex.items()
+        }
 
     def canonical(self, w: Word) -> Word:
         key = self.oracle.normal_form(w).letters
@@ -471,25 +470,3 @@ def thompson_f_in_C(w: Word) -> bool:
         prev2, prev1 = prev1, c
     return regular_ok and pda.accepting
 
-
-def thompson_f_direct(w: Word) -> bool:
-    """The two-clause predicate evaluated directly: no forbidden subword,
-    and every prefix has x0-exponent-sum <= 0."""
-    x0, X0, x1, X1 = _require_f_alphabet(w)
-    letters = w.letters
-    forbidden2 = {(x0, X0), (X0, x0), (x1, X1), (X1, x1)}
-    for i in range(len(letters) - 1):
-        if (letters[i], letters[i + 1]) in forbidden2:
-            return False
-    for i in range(len(letters) - 2):
-        if letters[i] == x0 and letters[i + 1] == x0 and letters[i + 2] in (x1, X1):
-            return False
-    s = 0
-    for c in letters:
-        if c == x0:
-            s += 1
-        elif c == X0:
-            s -= 1
-        if s > 0:
-            return False
-    return True

@@ -23,7 +23,7 @@ from .builtin import (
     thompson_alphabet,
     thompson_f_in_C,
 )
-from .cayley import FunctionOracle, NormalFormOracle, ball_to_json, build_ball
+from .cayley import ball_to_json, build_ball
 from .errors import (
     AlmostConvexityError,
     BudgetExceededError,
@@ -33,9 +33,8 @@ from .errors import (
     StackingsError,
     StructureError,
 )
-from .rewriting import load_rewriting_system, reduce_to_irreducible
+from .rewriting import DEFAULT_BUDGET, load_rewriting_system
 from .stacking import (
-    DEFAULT_BUDGET,
     FlowFunction,
     StackingStructure,
     stacking_reduce_steps,
@@ -62,8 +61,7 @@ def resolve_structure(spec: str, budget: int = DEFAULT_BUDGET) -> StackingStruct
             raise FormatError(f"bad structure spec {spec!r}") from None
         return bs1p_structure(p)
     if spec.startswith("crs:"):
-        path = spec.split(":", 1)[1]
-        return crs_structure(load_rewriting_system(Path(path).read_text()), budget)
+        return _crs_from_file(spec.split(":", 1)[1], budget)
     if spec.startswith("shortlex-ac:"):
         parts = spec.split(":")
         if len(parts) != 4:
@@ -75,22 +73,12 @@ def resolve_structure(spec: str, budget: int = DEFAULT_BUDGET) -> StackingStruct
             radius_i, k_i = int(radius), int(k)
         except ValueError:
             raise FormatError(f"bad structure spec {spec!r}") from None
-        return shortlex_ac_structure(_oracle_from_file(path), radius_i, k_i)
+        return shortlex_ac_structure(_crs_from_file(path, budget), radius_i, k_i)
     raise FormatError(f"unknown structure spec {spec!r}")
 
 
-def _oracle_from_file(path: str) -> NormalFormOracle:
-    S = load_rewriting_system(Path(path).read_text())
-    return FunctionOracle(S.alphabet, lambda w: reduce_to_irreducible(S, w))
-
-
-def resolve_oracle(spec: str, budget: int = DEFAULT_BUDGET) -> NormalFormOracle:
-    """Word-problem oracle named by a CLI spec string (for ac-check and
-    export-ball)."""
-    if spec.startswith("crs:"):
-        return _oracle_from_file(spec.split(":", 1)[1])
-    s = resolve_structure(spec, budget)
-    return FunctionOracle(s.alphabet, s.normal_form)
+def _crs_from_file(path: str, budget: int) -> StackingStructure:
+    return crs_structure(load_rewriting_system(Path(path).read_text()), budget)
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -150,9 +138,8 @@ def cmd_vkd(args) -> int:
 def cmd_verify(args) -> int:
     s = resolve_structure(args.structure, args.budget)
     flow = FlowFunction(s)
-    oracle = FunctionOracle(s.alphabet, s.normal_form)
-    region = build_ball(oracle, args.radius + 1)
-    ball = build_ball(oracle, args.radius)
+    region = build_ball(s, args.radius + 1)
+    ball = build_ball(s, args.radius)
     report = verify_flow_properties(flow, ball, region)
     print(report.summary())
     _write_report(report.to_json(), args.report)
@@ -165,8 +152,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ac_check(args) -> int:
-    oracle = resolve_oracle(args.structure, args.budget)
-    report = almost_convexity_check(oracle, args.radius, args.k)
+    s = resolve_structure(args.structure, args.budget)
+    report = almost_convexity_check(s, args.radius, args.k)
     print(report.summary())
     _write_report(report.to_json(), args.report)
     return EXIT_OK if report.passed else EXIT_FALSE
@@ -182,8 +169,7 @@ def cmd_thompson_nf(args) -> int:
 
 
 def cmd_export_ball(args) -> int:
-    oracle = resolve_oracle(args.structure, args.budget)
-    ball = build_ball(oracle, args.radius)
+    ball = build_ball(resolve_structure(args.structure, args.budget), args.radius)
     _write_output((ball_to_json(ball) + "\n").encode(), args.out)
     return EXIT_OK
 

@@ -21,13 +21,12 @@ from typing import Callable, Iterable
 
 from .cayley import Ball, DirectedEdge, EdgeKind, alpha, classify
 from .errors import BudgetExceededError, StructureError
+from .rewriting import DEFAULT_BUDGET
 from .words import Alphabet, Word, symmetrized_closure
 
 __all__ = [
     "StackingStructure",
     "FlowFunction",
-    "SPhiTriple",
-    "flow_from_stacking",
     "stacking_reduce",
     "stacking_reduce_steps",
     "stacking_relation_set",
@@ -37,10 +36,7 @@ __all__ = [
     "GeodesicReport",
     "verify_flow_properties",
     "verify_geodesic_stacking",
-    "DEFAULT_BUDGET",
 ]
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass
@@ -90,15 +86,6 @@ class StackingStructure:
         return img
 
 
-@dataclass(frozen=True)
-class SPhiTriple:
-    """A candidate member (w, a, x) of the decision set for the flow labels."""
-
-    w: Word
-    a: int
-    x: Word
-
-
 @dataclass
 class FlowFunction:
     """Total extension of the stacking map: identity on tree edges."""
@@ -125,13 +112,6 @@ class FlowFunction:
             out.append((y, b))
             y = s.normal_form(y.append(b))
         return out
-
-    def evaluate(self, e: DirectedEdge) -> list[tuple[Word, int]]:
-        return self.path(e.source.canonical, e.label)
-
-
-def flow_from_stacking(s: StackingStructure) -> FlowFunction:
-    return FlowFunction(s)
 
 
 def stacking_reduce(
@@ -213,10 +193,7 @@ def stacking_relation_set(
 def s_phi_membership(s: StackingStructure, w: Word, a: int, x: Word) -> bool:
     """Membership in the decision set: x is the flow label of the edge from
     rep(w) by a (the letter itself on degenerate edges, phi otherwise)."""
-    y = s.normal_form(w)
-    if s.is_degenerate(y, a):
-        return x.letters == (a,)
-    return x == s.phi(y, a)
+    return x == FlowFunction(s).label(w, a)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +255,12 @@ class FlowReport:
         )
 
 
-def _region_path(
-    flow: FlowFunction, region: Ball, src: Word, a: int
-) -> list[DirectedEdge] | None:
-    """Flow path as region edges, or None if it leaves the region."""
+def _region_path(region: Ball, src: Word, label: Word) -> list[DirectedEdge] | None:
+    """The path from ``src`` spelling ``label`` as region edges, or None if
+    it leaves the region."""
     edges: list[DirectedEdge] = []
     y = src
-    for b in flow.label(src, a):
+    for b in label:
         e = region.edge(y, b)
         if e is None:
             return None
@@ -307,12 +283,21 @@ def verify_flow_properties(
     s = flow.structure
     region = region or ball
     report = FlowReport(radius=ball.radius, k=s.bound_k)
+    # Each edge's flow label and region path, computed once for both passes.
+    flow_paths: dict[tuple[tuple[int, ...], int], tuple[Word, list[DirectedEdge] | None]] = {}
+
+    def label_and_path(src: Word, a: int) -> tuple[Word, list[DirectedEdge] | None]:
+        key = (src.letters, a)
+        if key not in flow_paths:
+            label = flow.label(src, a)
+            flow_paths[key] = label, _region_path(region, src, label)
+        return flow_paths[key]
 
     for e in ball.edges:
         report.edges_checked += 1
         src, a = e.source.canonical, e.label
         name = _edge_name(s.alphabet, src, a)
-        label = flow.label(src, a)
+        label, path = label_and_path(src, a)
         if e.classification is EdgeKind.DEGENERATE:
             if label.letters != (a,):
                 report.f2d_failures.append(name)
@@ -326,7 +311,7 @@ def verify_flow_properties(
         end = s.normal_form(src * label)
         if end != e.target.canonical:
             report.f1_failures.append(name)
-        if _region_path(flow, region, src, a) is None:
+        if path is None:
             report.inconclusive += 1
 
     # Flow relation restricted to recursive edges explored in the region.
@@ -335,7 +320,7 @@ def verify_flow_properties(
         if e.classification is not EdgeKind.RECURSIVE:
             continue
         key = (e.source.canonical.letters, e.label)
-        path = _region_path(flow, region, e.source.canonical, e.label)
+        _, path = label_and_path(e.source.canonical, e.label)
         if path is None:
             successors[key] = []
             continue
@@ -435,7 +420,8 @@ def verify_geodesic_stacking(
         if e.classification is not EdgeKind.RECURSIVE:
             continue
         report.edges_checked += 1
-        path = _region_path(flow, region, e.source.canonical, e.label)
+        src = e.source.canonical
+        path = _region_path(region, src, flow.label(src, e.label))
         if path is None:
             report.inconclusive += 1
             continue

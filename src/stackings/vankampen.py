@@ -156,8 +156,11 @@ def recursive_diagram(
     s = f.structure
     if memo is None:
         memo = {}
-    state = {"budget": budget, "in_progress": set()}
-    return _recursive_diagram(_edge_pair(e, s), f, memo, state)
+    return _recursive_diagram(_edge_pair(e, s), s, memo, _fresh_state(budget))
+
+
+def _fresh_state(budget: int) -> dict:
+    return {"budget": budget, "in_progress": set()}
 
 
 def _undirected_key(s: StackingStructure, y_g: Word, a: int) -> tuple:
@@ -167,10 +170,27 @@ def _undirected_key(s: StackingStructure, y_g: Word, a: int) -> tuple:
     return min(fwd, bwd), max(fwd, bwd)
 
 
+def _seashell_walk(
+    s: StackingStructure, d: VanKampenDiagram | None, start: Word, word: Word, piece
+) -> VanKampenDiagram | None:
+    """Glue one normal-form diagram per letter of ``word`` onto ``d`` (or
+    start from the first one), each at the normal form of the prefix read
+    so far from ``start``; ``piece`` builds the diagram of a recursive edge."""
+    cur = start
+    for x in word:
+        nxt = s.normal_form(cur.append(x))
+        if s.is_degenerate(cur, x):
+            p = degenerate_diagram((cur, x), s)
+        else:
+            p = piece((cur, x))
+        d = p if d is None else seashell_glue(d, p, cur)
+        cur = nxt
+    return d
+
+
 def _recursive_diagram(
-    pair: tuple[Word, int], f: FlowFunction, memo: dict, state: dict
+    pair: tuple[Word, int], s: StackingStructure, memo: dict, state: dict
 ) -> VanKampenDiagram:
-    s = f.structure
     y_g, a = pair
     if s.is_degenerate(y_g, a):
         raise DiagramError(f"edge ({y_g}, {s.alphabet.tokens[a]}) is not recursive")
@@ -189,18 +209,10 @@ def _recursive_diagram(
     state["in_progress"].add(key)
 
     phi = s.phi(y_g, a)
-    d: VanKampenDiagram | None = None
-    cur = y_g
-    for x in phi:
-        nxt = s.normal_form(cur.append(x))
-        if s.is_degenerate(cur, x):
-            piece = degenerate_diagram((cur, x), s)
-        else:
-            piece = _recursive_diagram((cur, x), f, memo, state)
-        d = piece if d is None else seashell_glue(d, piece, cur)
-        cur = nxt
+    d = _seashell_walk(
+        s, None, y_g, phi, lambda e: _recursive_diagram(e, s, memo, state)
+    )
     assert d is not None  # phi represents a nontrivial element, so phi != empty
-    y_ga = cur
 
     # The glued boundary is [out y_g][one entry per phi letter][back y_{ga}^-1].
     # Cap the phi arc with a new a-edge; the enclosed region is the 2-cell
@@ -303,29 +315,24 @@ def seashell_glue(
 def build_filling_diagram(
     s: StackingStructure,
     w: Word,
-    flow: FlowFunction | None = None,
     memo: dict | None = None,
     budget: int = 10**5,
 ) -> VanKampenDiagram:
     """Van Kampen diagram with boundary word exactly ``w`` (seashell
     filling): one normal-form diagram per letter of w, glued in sequence
-    along the normal forms of the prefixes."""
+    along the normal forms of the prefixes.  Each letter's recursive piece
+    gets its own ``budget``."""
     if len(stacking_reduce(s, w)) != 0:
         raise DiagramError(f"word {w} is not trivial in the group")
-    if flow is None:
-        flow = FlowFunction(s)
     if memo is None:
         memo = {}
-    d = _empty_diagram(s.alphabet)
-    cur = s.alphabet.empty()
-    for a in w:
-        nxt = s.normal_form(cur.append(a))
-        if s.is_degenerate(cur, a):
-            piece = degenerate_diagram((cur, a), s)
-        else:
-            piece = recursive_diagram((cur, a), flow, memo=memo, budget=budget)
-        d = seashell_glue(d, piece, cur)
-        cur = nxt
+    d = _seashell_walk(
+        s,
+        _empty_diagram(s.alphabet),
+        s.alphabet.empty(),
+        w,
+        lambda e: _recursive_diagram(e, s, memo, _fresh_state(budget)),
+    )
     # close up: the final back path spells the normal form of w, which is empty
     return d
 
@@ -389,19 +396,17 @@ def _is_closed_walk_at(d: VanKampenDiagram, walk: tuple[int, ...], start: int) -
     return cur == start
 
 
-def _path_from_basepoint(d: VanKampenDiagram, target: int, word: Word) -> bool:
-    """Is there a path in the 1-skeleton from the basepoint to ``target``
+def _path_from(
+    outgoing: dict[int, list[tuple[int, int]]], start: int, target: int, word: Word
+) -> bool:
+    """Is there a path in the 1-skeleton from ``start`` to ``target``
     spelling ``word``?"""
-    outgoing: dict[int, list[tuple[int, int]]] = {}
-    for eid, src, dst, label in d.edges:
-        outgoing.setdefault(src, []).append((label, dst))
-        outgoing.setdefault(dst, []).append((d.alphabet.inv(label), src))
-    frontier = {d.basepoint}
+    frontier = {start}
     for letter in word:
         frontier = {
             dst
             for v in frontier
-            for lab, dst in outgoing.get(v, ())
+            for lab, dst in outgoing[v]
             if lab == letter
         }
         if not frontier:
@@ -453,19 +458,20 @@ def validate_diagram(
                 faces_ok = False
                 details.append(f"face {fid} label {fw} is not a relator")
 
-    # (iii) Euler characteristic and connectivity
+    # (iii) Euler characteristic and connectivity; the labelled adjacency
+    # (vertex -> (letter read, end vertex)) built here also serves (iv)
     euler_ok = consistent and d.euler_characteristic() == 1
     if consistent and not euler_ok:
         details.append(f"V - E + F = {d.euler_characteristic()} != 1")
     if consistent:
-        adjacency: dict[int, set[int]] = {vid: set() for vid in vids}
-        for _, src, dst, _ in d.edges:
-            adjacency[src].add(dst)
-            adjacency[dst].add(src)
+        outgoing: dict[int, list[tuple[int, int]]] = {vid: [] for vid in vids}
+        for _, src, dst, label in d.edges:
+            outgoing[src].append((label, dst))
+            outgoing[dst].append((d.alphabet.inv(label), src))
         seen = {d.basepoint}
         stack = [d.basepoint]
         while stack:
-            for u in adjacency[stack.pop()]:
+            for _, u in outgoing[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -480,7 +486,7 @@ def validate_diagram(
             if not s.in_normal_forms(word):
                 paths_ok = False
                 details.append(f"vertex {vid} word {word} is not a normal form")
-            elif not _path_from_basepoint(d, vid, word):
+            elif not _path_from(outgoing, d.basepoint, vid, word):
                 paths_ok = False
                 details.append(f"vertex {vid} word {word} labels no basepoint path")
 

@@ -18,8 +18,6 @@ __all__ = [
     "Alphabet",
     "Word",
     "Presentation",
-    "free_reduce",
-    "formal_inverse",
     "symmetrize",
     "cyclic_rotations",
     "parse_sections",
@@ -134,10 +132,13 @@ class Word:
         return Word(self.alphabet, self.letters + (letter,))
 
     def inverse(self) -> "Word":
+        """Reverse the word and invert each letter; an involution."""
         inv = self.alphabet.inverse
         return Word(self.alphabet, tuple(inv[i] for i in reversed(self.letters)))
 
     def free_reduce(self) -> "Word":
+        """The unique freely reduced word obtained by cancelling adjacent
+        inverse pairs; idempotent."""
         inv = self.alphabet.inverse
         out: list[int] = []
         for i in self.letters:
@@ -153,17 +154,6 @@ class Word:
 
     def shortlex_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), self.letters)
-
-
-def free_reduce(w: Word) -> Word:
-    """The unique freely reduced word obtained by cancelling adjacent
-    inverse pairs; idempotent."""
-    return w.free_reduce()
-
-
-def formal_inverse(w: Word) -> Word:
-    """Reverse ``w`` and invert each letter; an involution."""
-    return w.inverse()
 
 
 def cyclic_rotations(w: Word) -> list[Word]:

@@ -4,8 +4,10 @@ Everything here is deliberately naive and written against definitions, not
 against the library's algorithms: affine-map evaluation for BS(1,2) and its
 companion rewriting system, brute-force free reduction by trying all
 cancellation orders, pseudo-random trivial-word generation by relator and
-cancellation insertion, and an exhaustive minimal-area search by bounded
-relator application.
+cancellation insertion, an exhaustive minimal-area search by bounded
+relator application, shortlex representatives by enumerating all words,
+and the two clauses of the Thompson's F normal form language evaluated
+directly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from stackings import Word, free_reduce
+from stackings import Word
 from stackings.words import Alphabet, symmetrized_closure
 
 
@@ -119,7 +121,7 @@ def min_area_at_most(w: Word, relators: list[Word], max_faces: int) -> int | Non
             s = r.letters[:cut]
             s_prime = Word(r.alphabet, r.letters[cut:]).inverse().letters
             swaps.append((s, s_prime))
-    level = {free_reduce(w).letters}
+    level = {w.free_reduce().letters}
     if () in level:
         return 0
     seen = set(level)
@@ -147,3 +149,45 @@ def all_words(alphabet: Alphabet, max_len: int):
     for n in range(max_len + 1):
         for combo in product(range(len(alphabet)), repeat=n):
             yield Word(alphabet, combo)
+
+
+# ---------------------------------------------------------------------------
+# Shortlex representatives: enumerate every word of length <= radius in
+# shortlex order and keep the first one per element.
+
+
+def shortlex_representatives(
+    alphabet: Alphabet, key, radius: int
+) -> dict[tuple[int, ...], Word]:
+    """Element key (``key(w)``, hashable) -> shortlex least word of length
+    <= radius representing it."""
+    first: dict = {}
+    for w in all_words(alphabet, radius):
+        first.setdefault(key(w), w)
+    return first
+
+
+# ---------------------------------------------------------------------------
+# Thompson's F normal form language, by its definition: no forbidden
+# subword, and every prefix has x0-exponent-sum <= 0.
+
+
+def thompson_f_direct(w: Word) -> bool:
+    x0, X0, x1, X1 = (w.alphabet.index(t) for t in ("x0", "X0", "x1", "X1"))
+    letters = w.letters
+    forbidden2 = {(x0, X0), (X0, x0), (x1, X1), (X1, x1)}
+    for i in range(len(letters) - 1):
+        if (letters[i], letters[i + 1]) in forbidden2:
+            return False
+    for i in range(len(letters) - 2):
+        if letters[i] == x0 and letters[i + 1] == x0 and letters[i + 2] in (x1, X1):
+            return False
+    s = 0
+    for c in letters:
+        if c == x0:
+            s += 1
+        elif c == X0:
+            s -= 1
+        if s > 0:
+            return False
+    return True

@@ -7,7 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import affine_trivial, all_words, min_area_at_most, random_trivial_words
+from oracles import (
+    affine_trivial,
+    all_words,
+    min_area_at_most,
+    random_trivial_words,
+    thompson_f_direct,
+)
 from stackings import (
     Alphabet,
     FlowFunction,
@@ -27,7 +33,6 @@ from stackings import (
     stacking_reduce,
     stacking_relation_set,
     thompson_alphabet,
-    thompson_f_direct,
     thompson_f_in_C,
     validate_diagram,
     verify_flow_properties,
@@ -159,10 +164,9 @@ def test_fillings_of_random_trivial_words_validate(bs2):
     al = bs2.alphabet
     relator = al.word("t a T A A")
     words = random_trivial_words(al, [relator], count=500, max_len=12, seed=20260825)
-    flow = FlowFunction(bs2)
     memo: dict = {}
     for w in words:
-        d = build_filling_diagram(bs2, w, flow=flow, memo=memo)
+        d = build_filling_diagram(bs2, w, memo=memo)
         relators = stacking_relation_set(
             bs2, [(Word(al, src), a) for (src, a), _ in memo.values()]
         )

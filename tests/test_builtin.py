@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import affine_eval, all_words
+from oracles import affine_eval, all_words, shortlex_representatives, thompson_f_direct
 from stackings import (
     AlmostConvexityError,
     Alphabet,
@@ -17,10 +17,9 @@ from stackings import (
     reduce_to_irreducible,
     shortlex_ac_structure,
     thompson_alphabet,
-    thompson_f_direct,
     thompson_f_in_C,
 )
-from stackings.builtin import BS1pElement, _bs_normalize
+from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexBall
 
 
 class TestBS1p:
@@ -87,6 +86,17 @@ class TestCrsStructure:
 
 
 class TestShortlexAC:
+    @pytest.mark.parametrize("group, radius", [("z2", 6), ("bs12", 5), ("f2", 6)])
+    def test_shortlex_ball_matches_enumeration(self, group, radius, z2oracle, bs2):
+        f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+        oracle = {"z2": z2oracle, "bs12": bs2, "f2": free_group_oracle(f2)}[group]
+        box = _ShortlexBall(oracle, radius)
+        expected = shortlex_representatives(
+            oracle.alphabet, lambda w: oracle.normal_form(w).letters, radius
+        )
+        assert box.slex == expected
+        assert box.dist == {w.letters: len(w) for w in expected.values()}
+
     def test_normal_forms_are_shortlex_least(self, z2oracle):
         st = shortlex_ac_structure(z2oracle, ball_radius=3, k_ac=2)
         al = st.alphabet

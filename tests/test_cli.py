@@ -97,6 +97,31 @@ class TestAcCheck:
         assert code == 1 and "FAIL" in out and "witness" in out
 
 
+class TestBudgetReachesOracle:
+    """--budget bounds the rewriting done by every command's oracle."""
+
+    def test_ac_check(self, capsys, z2_rules_file):
+        code, _, err = run(
+            capsys, "ac-check", "--structure", f"crs:{z2_rules_file}",
+            "--radius", "6", "--k", "2", "--budget", "3",
+        )
+        assert code == 3 and "budget" in err
+
+    def test_export_ball(self, capsys, z2_rules_file):
+        code, _, err = run(
+            capsys, "export-ball", "--structure", f"crs:{z2_rules_file}",
+            "--radius", "6", "--budget", "3",
+        )
+        assert code == 3 and "budget" in err
+
+    def test_verify(self, capsys, z2_rules_file):
+        code, _, _ = run(
+            capsys, "verify", "--structure", f"crs:{z2_rules_file}",
+            "--radius", "6", "--budget", "3",
+        )
+        assert code == 3
+
+
 class TestThompsonNf:
     def test_accept(self, capsys):
         code, out, _ = run(capsys, "thompson-nf", "--word", "X0 x1 x0")

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,14 +10,16 @@ from stackings import (
     StackingStructure,
     StructureError,
     Word,
+    bs1p_structure,
     build_ball,
-    flow_from_stacking,
+    crs_structure,
     s_phi_membership,
     stacking_reduce,
     stacking_relation_set,
     verify_flow_properties,
     verify_geodesic_stacking,
     word_problem_via_stacking,
+    z2_system,
 )
 from stackings.stacking import stacking_reduce_steps
 
@@ -92,7 +95,7 @@ class TestPhiAndMembership:
 class TestFlowFunction:
     def test_degenerate_edges_fixed(self, bs2):
         al = bs2.alphabet
-        flow = flow_from_stacking(bs2)
+        flow = FlowFunction(bs2)
         assert str(flow.label(al.word("a"), al.index("t"))) == "t"
 
     def test_path_endpoints(self, bs2):
@@ -181,6 +184,28 @@ class TestVerification:
         report = verify_flow_properties(FlowFunction(bs2), ball, region=ball)
         # flow paths from radius-3 sources leave B(3)
         assert report.inconclusive > 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: bs1p_structure(2), lambda: crs_structure(z2_system())],
+        ids=["bs12", "z2"],
+    )
+    def test_phi_called_once_per_region_edge(self, make):
+        s = make()
+        calls: Counter = Counter()
+        phi = s.phi_fn
+
+        def counted(y, a):
+            calls[(y.letters, a)] += 1
+            return phi(y, a)
+
+        s.phi_fn = counted
+        region = build_ball(s, 4)
+        ball = build_ball(s, 3)
+        report = verify_flow_properties(FlowFunction(s), ball, region)
+        assert report.passed and calls
+        assert max(calls.values()) == 1
+        assert set(calls) <= {(e.source.canonical.letters, e.label) for e in region.edges}
 
 
 class TestGeodesicVerification:

@@ -184,6 +184,40 @@ class TestValidation:
         report = validate_diagram(d, {al.word("t a T A")}, w, bs2)
         assert not report.faces_are_relators
 
+    def test_swapped_vertex_words_fail_basepoint_paths(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t t a T T A A A A")
+        d = build_filling_diagram(bs2, w)
+        (i, wi), (j, wj) = d.vertices[1], d.vertices[2]
+        assert wi != wj
+        swapped = tuple((vid, {i: wj, j: wi}.get(vid, word)) for vid, word in d.vertices)
+        bad = VanKampenDiagram(al, swapped, d.edges, d.faces, d.basepoint, d.boundary)
+        rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(bad, rels, w, bs2)
+        assert not report.basepoint_paths and not report.passed
+        assert report.incidence_consistent and report.euler_and_connected
+        assert report.boundary_matches and report.faces_are_relators
+        assert sum("labels no basepoint path" in x for x in report.details) == 2
+
+    def test_detached_vertex_fails_connectivity(self, bs2):
+        # an extra vertex with a loop edge keeps V - E + F = 1
+        al = bs2.alphabet
+        w = al.word("t a T A A")
+        d = build_filling_diagram(bs2, w)
+        v = max(vid for vid, _ in d.vertices) + 1
+        e = max(eid for eid, *_ in d.edges) + 1
+        bad = VanKampenDiagram(
+            al, d.vertices + ((v, al.word("a")),), d.edges + ((e, v, v, al.index("a")),),
+            d.faces, d.basepoint, d.boundary,
+        )
+        assert bad.euler_characteristic() == 1
+        rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(bad, rels, w, bs2)
+        assert not report.euler_and_connected and not report.passed
+        assert report.incidence_consistent and report.boundary_matches
+        assert "1-skeleton is not connected" in report.details
+        assert not any(x.startswith("V - E + F") for x in report.details)
+
     def test_report_serializes(self, bs2):
         al = bs2.alphabet
         w = al.word("a A")
