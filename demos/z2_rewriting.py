@@ -22,12 +22,12 @@ def main() -> None:
     al = S.alphabet
     s = crs_structure(S)
 
-    print("== leftmost rewriting vs stacking reduction ==")
+    print("== prefix rewriting vs stacking reduction ==")
     for text in ["b a", "b b a a", "B a A b"]:
         w = al.word(text)
-        left = reduce_to_irreducible(S, w)
+        irreducible = reduce_to_irreducible(S, w)
         stack = stacking_reduce(s, w)
-        print(f"  {text!r:12} -> {str(left)!r:10} (stacking agrees: {left == stack})")
+        print(f"  {text!r:12} -> {str(irreducible)!r:10} (stacking agrees: {irreducible == stack})")
 
     print("\n== prl decreases along the flow ==")
     flow = FlowFunction(s)

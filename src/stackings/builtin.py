@@ -28,7 +28,7 @@ from .errors import (
     OutsideExploredRegionError,
     StructureError,
 )
-from .rewriting import DEFAULT_BUDGET, RewritingSystem, reduce_to_irreducible
+from .rewriting import DEFAULT_BUDGET, RewritingSystem, _rules_ending_at, reduce_to_irreducible
 from .stacking import StackingStructure
 from .words import Alphabet, Word
 
@@ -158,20 +158,14 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
         return reduce_to_irreducible(S, w, budget)
 
     def phi(y: Word, a: int) -> Word:
-        word = y.append(a).letters
-        match = None
-        for rule in S.rules:
-            l = rule.lhs.letters
-            if len(l) <= len(word) and word[len(word) - len(l) :] == l:
-                if match is not None:
-                    raise StructureError("two rules apply: system not minimal")
-                match = rule
-        if match is None:
-            raise StructureError(
-                f"no rule factors {Word(alphabet, word)}: system not minimal/complete"
-            )
-        u_tilde = Word(alphabet, match.lhs.letters[:-1])
-        return u_tilde.inverse() * match.rhs
+        word = y.append(a)
+        matches = list(_rules_ending_at(S, list(word.letters), len(word)))
+        if len(matches) > 1:
+            raise StructureError("two rules apply: system not minimal")
+        if not matches:
+            raise StructureError(f"no rule factors {word}: system not minimal/complete")
+        rule = matches[0]
+        return rule.lhs[:-1].inverse() * rule.rhs
 
     bound_k = max((len(r.lhs) + len(r.rhs) for r in S.rules), default=1)
     return StackingStructure(alphabet, normal_form, phi, bound_k=bound_k, name="crs")

@@ -1,16 +1,19 @@
 """Finite complete rewriting systems over symmetric alphabets.
 
-Rewriting to irreducibles uses a fixed deterministic strategy (leftmost
-occurrence, lowest rule index on ties); for a complete system the result is
-strategy-independent, which ``check_complete`` confirms at desk scale by
-brute force.  Prefix rewriting always rewrites the shortest reducible
-prefix, and ``prl`` counts the steps of that canonical sequence.
+Rewriting to irreducibles uses prefix rewriting: each step rewrites the
+shortest reducible prefix, by the lowest-index rule whose lhs ends there, and
+``prl`` counts the steps.  For a complete system the irreducible word does
+not depend on the strategy, which ``check_complete`` confirms at desk scale
+by brute force.  Every redex search looks up the rules by the last letter of
+their lhs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, FormatError, StructureError
 from .words import Alphabet, Word, parse_sections, alphabet_from_sections
@@ -68,43 +71,67 @@ class RewritingSystem:
     def empty(self) -> Word:
         return self.alphabet.empty()
 
+    @cached_property
+    def _by_last_letter(self) -> dict[int, list[tuple[list[int], RewriteRule]]]:
+        """Last letter of an lhs -> (lhs as a list, rule), in rule order."""
+        index: dict[int, list[tuple[list[int], RewriteRule]]] = {}
+        for rule in self.rules:
+            index.setdefault(rule.lhs.letters[-1], []).append((list(rule.lhs.letters), rule))
+        return index
 
-def _match_at(w: tuple[int, ...], lhs: tuple[int, ...], pos: int) -> bool:
-    return w[pos : pos + len(lhs)] == lhs
+
+def _rules_ending_at(S: RewritingSystem, letters: list[int], end: int) -> Iterator[RewriteRule]:
+    """The rules whose lhs is ``letters[end - len(lhs):end]``, for
+    ``end >= 1``, lowest rule index first."""
+    for lhs, rule in S._by_last_letter.get(letters[end - 1], ()):
+        if len(lhs) <= end and letters[end - len(lhs) : end] == lhs:
+            yield rule
 
 
-def _leftmost_redex(S: RewritingSystem, letters: tuple[int, ...]) -> tuple[int, int] | None:
-    """(position, rule index) of the leftmost occurrence of any lhs,
-    lowest rule index on ties; None if irreducible."""
-    n = len(letters)
-    for pos in range(n):
-        for ri, rule in enumerate(S.rules):
-            l = rule.lhs.letters
-            if len(l) <= n - pos and _match_at(letters, l, pos):
-                return pos, ri
-    return None
+def _redexes(S: RewritingSystem, letters: Sequence[int]) -> Iterator[tuple[int, RewriteRule]]:
+    """Every (end, rule) with the rule's lhs ending at ``end``, by end, then
+    by rule index."""
+    letters = list(letters)
+    for end in range(1, len(letters) + 1):
+        for rule in _rules_ending_at(S, letters, end):
+            yield end, rule
+
+
+def _prefix_rewrite(S: RewritingSystem, w: Word, budget: int) -> tuple[Word, int]:
+    """The irreducible form of ``w`` and the number of prefix rewriting
+    steps to it; more than ``budget`` steps raise.
+
+    ``stack`` always holds an irreducible word, so a rule ending at its top
+    rewrites the shortest reducible prefix; its rhs goes back in front of
+    the unread letters.
+    """
+    stack: list[int] = []
+    unread = list(reversed(w.letters))
+    steps = 0
+    while unread:
+        stack.append(unread.pop())
+        rule = next(_rules_ending_at(S, stack, len(stack)), None)
+        if rule is not None:
+            if steps >= budget:
+                raise BudgetExceededError(f"system not terminating within budget on {w!r}")
+            steps += 1
+            del stack[len(stack) - len(rule.lhs) :]
+            unread.extend(reversed(rule.rhs.letters))
+    return Word(S.alphabet, tuple(stack)), steps
 
 
 def is_irreducible(S: RewritingSystem, w: Word) -> bool:
     """True iff no rule lhs occurs as a subword of ``w``."""
-    return _leftmost_redex(S, w.letters) is None
+    return next(_redexes(S, w.letters), None) is None
 
 
 def reduce_to_irreducible(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUDGET) -> Word:
-    """Rewrite ``w`` to its irreducible form (leftmost, lowest rule index).
+    """Rewrite ``w`` to its irreducible form by prefix rewriting.
 
-    Raises :class:`BudgetExceededError` if the system does not terminate
-    within ``budget`` rewriting steps.
+    Raises :class:`BudgetExceededError` if ``w`` needs more than ``budget``
+    rewriting steps.
     """
-    letters = w.letters
-    for _ in range(budget):
-        hit = _leftmost_redex(S, letters)
-        if hit is None:
-            return Word(S.alphabet, letters)
-        pos, ri = hit
-        rule = S.rules[ri]
-        letters = letters[:pos] + rule.rhs.letters + letters[pos + len(rule.lhs) :]
-    raise BudgetExceededError(f"system not terminating within budget on {w!r}")
+    return _prefix_rewrite(S, w, budget)[0]
 
 
 def prefix_rewrite_step(S: RewritingSystem, w: Word) -> Word:
@@ -113,28 +140,17 @@ def prefix_rewrite_step(S: RewritingSystem, w: Word) -> Word:
     The minimality of the prefix forces the rule lhs to occur as a suffix
     of that prefix.  Raises :class:`StructureError` if ``w`` is irreducible.
     """
+    hit = next(_redexes(S, w.letters), None)
+    if hit is None:
+        raise StructureError("nothing to rewrite: word is irreducible")
+    end, rule = hit
     letters = w.letters
-    n = len(letters)
-    for end in range(1, n + 1):
-        for ri, rule in enumerate(S.rules):
-            l = rule.lhs.letters
-            if len(l) <= end and letters[end - len(l) : end] == l:
-                return Word(
-                    S.alphabet,
-                    letters[: end - len(l)] + rule.rhs.letters + letters[end:],
-                )
-    raise StructureError("nothing to rewrite: word is irreducible")
+    return Word(S.alphabet, letters[: end - len(rule.lhs)] + rule.rhs.letters + letters[end:])
 
 
 def prefix_rewrite_length(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUDGET) -> int:
     """Number of prefix rewriting steps from ``w`` to an irreducible word."""
-    steps = 0
-    while not is_irreducible(S, w):
-        w = prefix_rewrite_step(S, w)
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError("prefix rewriting exceeded budget")
-    return steps
+    return _prefix_rewrite(S, w, budget)[1]
 
 
 def word_problem(S: RewritingSystem, u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> bool:
@@ -147,15 +163,8 @@ def word_problem(S: RewritingSystem, u: Word, v: Word, budget: int = DEFAULT_BUD
 
 
 def _proper_subword_reducible(S: RewritingSystem, u: Word) -> bool:
-    letters = u.letters
-    n = len(letters)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            if j - i == n:
-                continue
-            if _leftmost_redex(S, letters[i:j]) is not None:
-                return True
-    return False
+    # Every proper subword of u lies inside u minus its first or last letter.
+    return not (is_irreducible(S, u[1:]) and is_irreducible(S, u[:-1]))
 
 
 def _remap_word(w: Word, target: Alphabet) -> Word:
@@ -185,13 +194,10 @@ def minimize(
             changed = False
             out: list[RewriteRule] = []
             seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-            for i, rule in enumerate(rules):
-                others = RewritingSystem(
-                    alphabet, tuple(rules[:i] + rules[i + 1 :]), claimed_complete=True
-                )
+            for rule in rules:
                 # A rule whose lhs properly contains another lhs is redundant:
                 # completeness makes both routes reach the same irreducible.
-                if _proper_subword_reducible(others, rule.lhs):
+                if _proper_subword_reducible(sys, rule.lhs):
                     changed = True
                     continue
                 rhs = reduce_to_irreducible(sys, rule.rhs, budget)
@@ -316,14 +322,10 @@ class CompletenessReport:
 
 
 def _single_step_rewrites(S: RewritingSystem, letters: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    n = len(letters)
-    for pos in range(n):
-        for rule in S.rules:
-            l = rule.lhs.letters
-            if len(l) <= n - pos and _match_at(letters, l, pos):
-                out.append(letters[:pos] + rule.rhs.letters + letters[pos + len(l) :])
-    return out
+    return [
+        letters[: end - len(rule.lhs)] + rule.rhs.letters + letters[end:]
+        for end, rule in _redexes(S, letters)
+    ]
 
 
 def _all_irreducibles(
@@ -389,21 +391,20 @@ def check_complete(
                     report.critical_pair_failures.append(
                         f"overlap {Word(S.alphabet, w)}: {a} != {b}"
                     )
-        # containment: u2 occurs properly inside u1
-        if r1 != r2 or len(u2) < len(u1):
-            for pos in range(len(u1) - len(u2) + 1):
-                if (pos, len(u2)) == (0, len(u1)):
+        # containment: u2 occurs properly (so is shorter) inside u1
+        if len(u2) < len(u1):
+            for end, rule in _redexes(S, u1):
+                if rule is not r2:
                     continue
-                if _match_at(u1, u2, pos):
-                    left = r1.rhs.letters
-                    right = u1[:pos] + r2.rhs.letters + u1[pos + len(u2) :]
-                    a = reduce_to_irreducible(S, Word(S.alphabet, left), budget)
-                    b = reduce_to_irreducible(S, Word(S.alphabet, right), budget)
-                    if a != b:
-                        report.locally_confluent = False
-                        report.critical_pair_failures.append(
-                            f"containment {Word(S.alphabet, u1)}: {a} != {b}"
-                        )
+                left = r1.rhs.letters
+                right = u1[: end - len(u2)] + r2.rhs.letters + u1[end:]
+                a = reduce_to_irreducible(S, Word(S.alphabet, left), budget)
+                b = reduce_to_irreducible(S, Word(S.alphabet, right), budget)
+                if a != b:
+                    report.locally_confluent = False
+                    report.critical_pair_failures.append(
+                        f"containment {Word(S.alphabet, u1)}: {a} != {b}"
+                    )
 
     memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
     for n in range(max_len + 1):

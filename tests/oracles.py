@@ -6,8 +6,8 @@ companion rewriting system, brute-force free reduction by trying all
 cancellation orders, pseudo-random trivial-word generation by relator and
 cancellation insertion, an exhaustive minimal-area search by bounded
 relator application, shortlex representatives by enumerating all words,
-and the two clauses of the Thompson's F normal form language evaluated
-directly.
+leftmost-occurrence rewriting with a brute-force subword search, and the two
+clauses of the Thompson's F normal form language evaluated directly.
 """
 
 from __future__ import annotations
@@ -149,6 +149,40 @@ def all_words(alphabet: Alphabet, max_len: int):
     for n in range(max_len + 1):
         for combo in product(range(len(alphabet)), repeat=n):
             yield Word(alphabet, combo)
+
+
+# ---------------------------------------------------------------------------
+# Rewriting by leftmost occurrence: rewrite the leftmost occurrence of any
+# lhs (lowest rule index on ties) until none is left.  For a complete system
+# every strategy reaches the same irreducible word.
+
+
+def has_lhs_subword(S, w: Word) -> bool:
+    """True iff some rule lhs occurs as a subword, by trying every subword."""
+    lhss = {r.lhs.letters for r in S.rules}
+    letters, n = w.letters, len(w)
+    return any(letters[i:j] in lhss for i in range(n) for j in range(i + 1, n + 1))
+
+
+def leftmost_reduce(S, w: Word, budget: int = 10**6) -> Word:
+    """Irreducible form of ``w`` by leftmost-occurrence rewriting; raises
+    RuntimeError if it needs more than ``budget`` rewrites."""
+    letters = w.letters
+    for _ in range(budget + 1):
+        hit = next(
+            (
+                (pos, rule)
+                for pos in range(len(letters))
+                for rule in S.rules
+                if letters[pos : pos + len(rule.lhs)] == rule.lhs.letters
+            ),
+            None,
+        )
+        if hit is None:
+            return Word(w.alphabet, letters)
+        pos, rule = hit
+        letters = letters[:pos] + rule.rhs.letters + letters[pos + len(rule.lhs) :]
+    raise RuntimeError(f"more than {budget} rewrites on {w}")
 
 
 # ---------------------------------------------------------------------------

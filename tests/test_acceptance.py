@@ -120,7 +120,7 @@ def test_flow_axioms_z2_radius_6(z2struct):
 
 
 # ---------------------------------------------------------------------------
-# 3. Oracle equivalence: stacking reduction equals leftmost rewriting on
+# 3. Oracle equivalence: stacking reduction equals prefix rewriting on
 #    every word of length <= 8 over the Z^2 system.
 
 

@@ -7,6 +7,8 @@ from stackings import (
     FormatError,
     FunctionOracle,
     OutsideExploredRegionError,
+    RewriteRule,
+    RewritingSystem,
     StructureError,
     almost_convexity_check,
     bs1p_structure,
@@ -73,8 +75,6 @@ class TestBS1p:
 
 class TestCrsStructure:
     def test_requires_claimed_complete(self, z2S):
-        from stackings import RewritingSystem
-
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)
         with pytest.raises(StructureError):
             crs_structure(S)
@@ -83,6 +83,17 @@ class TestCrsStructure:
         # y_g = b, a: rule "b a -> a b" factors as u~ a with u~ = b
         al = z2struct.alphabet
         assert str(z2struct.phi(al.word("b"), al.index("a"))) == "B a b"
+
+    def test_phi_rejects_non_minimal_system(self, z2S):
+        # "b b a" ends in the lhs of both "b a -> a b" and "b b a -> a b b"
+        al = z2S.alphabet
+        S = RewritingSystem(
+            al,
+            z2S.rules + (RewriteRule(al.word("b b a"), al.word("a b b")),),
+            claimed_complete=True,
+        )
+        with pytest.raises(StructureError, match="not minimal"):
+            crs_structure(S).phi(al.word("b b"), al.index("a"))
 
 
 class TestShortlexAC:

@@ -168,6 +168,13 @@ class TestErrors:
         )
         assert code == 3 and "budget" in err
 
+    def test_non_minimal_crs_is_validation_error(self, capsys, z2_rules_file):
+        z2_rules_file.write_text(z2_rules_file.read_text() + "b b a -> a b b\n")
+        code, _, err = run(
+            capsys, "nf", "--structure", f"crs:{z2_rules_file}", "--word", "b b a"
+        )
+        assert code == 4 and "not minimal" in err
+
     def test_bs1p_bad_p(self, capsys):
         code, _, _ = run(capsys, "nf", "--structure", "bs1p:x", "--word", "a")
         assert code == 2

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from oracles import affine_eval, all_words
+from oracles import affine_eval, all_words, has_lhs_subword, leftmost_reduce
 from stackings import (
     BudgetExceededError,
     FormatError,
@@ -18,7 +20,7 @@ from stackings import (
     word_problem,
     z2_system,
 )
-from stackings.words import Alphabet
+from stackings.words import Alphabet, Word
 
 
 class TestBasics:
@@ -38,7 +40,8 @@ class TestBasics:
         assert not is_irreducible(z2S, al.word("b a"))
 
     def test_leftmost_lowest_index_strategy(self, z2S):
-        # "b a A b": leftmost redex is "b a" (position 0), not "a A"
+        # "b a A b": the shortest reducible prefix is "b a", so its rule
+        # rewrites first, not "a A"
         al = z2S.alphabet
         assert str(reduce_to_irreducible(z2S, al.word("b a A b"))) == "b b"
 
@@ -56,6 +59,15 @@ class TestBasics:
         )
         with pytest.raises(BudgetExceededError):
             reduce_to_irreducible(S, al.word("a A"), budget=100)
+
+    def test_budget_allows_exactly_budget_rewrites(self, z2S):
+        al = z2S.alphabet
+        assert str(reduce_to_irreducible(z2S, al.word("b a"), budget=1)) == "a b"
+        assert prefix_rewrite_length(z2S, al.word("b a"), budget=1) == 1
+        with pytest.raises(BudgetExceededError):
+            reduce_to_irreducible(z2S, al.word("b a a"), budget=1)
+        with pytest.raises(BudgetExceededError):
+            prefix_rewrite_length(z2S, al.word("b a a"), budget=1)
 
 
 class TestPrefixRewriting:
@@ -80,6 +92,41 @@ class TestPrefixRewriting:
             while not is_irreducible(z2S, v):
                 v = prefix_rewrite_step(z2S, v)
             assert v == reduce_to_irreducible(z2S, w)
+
+
+def _iterated_prefix_steps(S, w):
+    steps = 0
+    while not is_irreducible(S, w):
+        w = prefix_rewrite_step(S, w)
+        steps += 1
+    return steps
+
+
+def _agrees_with_reference(S, w):
+    assert reduce_to_irreducible(S, w) == leftmost_reduce(S, w)
+    assert is_irreducible(S, w) == (not has_lhs_subword(S, w))
+    assert prefix_rewrite_length(S, w) == _iterated_prefix_steps(S, w)
+
+
+class TestAgainstLeftmostReference:
+    """Prefix rewriting against leftmost-occurrence rewriting and a
+    brute-force subword search (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("system, max_len", [(z2_system, 6), (bs12_system, 5)])
+    def test_all_short_words(self, system, max_len):
+        S = system()
+        for w in all_words(S.alphabet, max_len):
+            _agrees_with_reference(S, w)
+
+    @pytest.mark.parametrize("system", [z2_system, bs12_system])
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data())
+    def test_long_words(self, system, data):
+        S = system()
+        letters = data.draw(
+            hs.lists(hs.integers(0, len(S.alphabet) - 1), max_size=40)
+        )
+        _agrees_with_reference(S, Word(S.alphabet, tuple(letters)))
 
 
 class TestMinimize:
