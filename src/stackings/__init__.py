@@ -28,7 +28,6 @@ from .cayley import (
     ball_to_json,
     build_ball,
     classify,
-    classify_edge,
     free_group_oracle,
     tree_path,
 )

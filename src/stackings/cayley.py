@@ -29,7 +29,6 @@ __all__ = [
     "Ball",
     "build_ball",
     "classify",
-    "classify_edge",
     "alpha",
     "tree_path",
     "ball_to_json",
@@ -93,12 +92,6 @@ def classify(y_g: Word, label: int, y_ga: Word) -> EdgeKind:
     if y_g == y_ga.append(y_g.alphabet.inv(label)):
         return EdgeKind.DEGENERATE
     return EdgeKind.RECURSIVE
-
-
-def classify_edge(e: DirectedEdge, oracle: NormalFormOracle) -> EdgeKind:
-    y_g = oracle.normal_form(e.source.canonical)
-    y_ga = oracle.normal_form(e.source.canonical.append(e.label))
-    return classify(y_g, e.label, y_ga)
 
 
 @dataclass

@@ -167,20 +167,17 @@ def word_problem_via_stacking(
 
 
 def stacking_relation_set(
-    s: StackingStructure, edge_sample: Iterable[DirectedEdge | tuple[Word, int]]
+    s: StackingStructure, edge_sample: Iterable[tuple[Word, int]]
 ) -> set[Word]:
-    """Closure of { phi(e) a^{-1} } over the sampled recursive edges under
-    inversion, cyclic conjugation, and free reduction, except the empty word.
+    """Closure of { phi(e) a^{-1} } over the sampled recursive edges, given
+    as (source word, letter) pairs, under inversion, cyclic conjugation, and
+    free reduction, except the empty word.
 
     The image set is finite but not effectively enumerable from the oracles
     alone, hence the explicit sample.  Every member has length <= k + 1.
     """
     seeds: list[Word] = []
-    for e in edge_sample:
-        if isinstance(e, DirectedEdge):
-            src, a = e.source.canonical, e.label
-        else:
-            src, a = e
+    for src, a in edge_sample:
         img = s.phi(src, a)
         seeds.append((img.append(s.alphabet.inv(a))).free_reduce())
     closed = symmetrized_closure(seeds)

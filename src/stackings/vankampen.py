@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cayley import DirectedEdge
 from .errors import BudgetExceededError, DiagramError, FormatError
-from .stacking import FlowFunction, StackingStructure, stacking_reduce
+from .rewriting import DEFAULT_BUDGET
+from .stacking import StackingStructure
 from .words import Alphabet, Word, cyclic_rotations
 
 __all__ = [
@@ -98,15 +98,6 @@ def area(d: VanKampenDiagram) -> int:
     return len(d.faces)
 
 
-def _edge_pair(e, s: StackingStructure) -> tuple[Word, int]:
-    """Normalize an edge given as a DirectedEdge or (word, letter) pair to
-    (canonical source word, letter)."""
-    if isinstance(e, DirectedEdge):
-        return s.normal_form(e.source.canonical), e.label
-    w, a = e
-    return s.normal_form(w), a
-
-
 def _empty_diagram(alphabet: Alphabet) -> VanKampenDiagram:
     return VanKampenDiagram(alphabet, ((1, Word(alphabet, ())),), (), (), 1, ())
 
@@ -126,10 +117,11 @@ def _segment_diagram(s: StackingStructure, spelled: Word) -> VanKampenDiagram:
     return VanKampenDiagram(alphabet, vertices, edges, (), 1, boundary)
 
 
-def degenerate_diagram(e, s: StackingStructure) -> VanKampenDiagram:
+def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDiagram:
     """Zero-face segment for a degenerate edge; boundary word is
     y_g a y_{ga}^{-1} with the doubled step collapsed into the segment."""
-    y_g, a = _edge_pair(e, s)
+    w, a = e
+    y_g = s.normal_form(w)
     if not s.is_degenerate(y_g, a):
         raise DiagramError(
             f"edge ({y_g}, {s.alphabet.tokens[a]}) is not degenerate"
@@ -140,10 +132,10 @@ def degenerate_diagram(e, s: StackingStructure) -> VanKampenDiagram:
 
 
 def recursive_diagram(
-    e,
-    f: FlowFunction,
+    e: tuple[Word, int],
+    s: StackingStructure,
     memo: dict | None = None,
-    budget: int = 10**5,
+    budget: int = DEFAULT_BUDGET,
 ) -> VanKampenDiagram:
     """Normal-form diagram of a recursive edge, by Noetherian recursion on
     the flow: seashell-glue the diagrams of the edges of Phi(e), then attach
@@ -153,10 +145,10 @@ def recursive_diagram(
     stored and the reverse orientation is served as its mirror.  A cyclic
     flow or an explosion of distinct edges exhausts ``budget``.
     """
-    s = f.structure
     if memo is None:
         memo = {}
-    return _recursive_diagram(_edge_pair(e, s), s, memo, _fresh_state(budget))
+    w, a = e
+    return _recursive_diagram((s.normal_form(w), a), s, memo, _fresh_state(budget))
 
 
 def _fresh_state(budget: int) -> dict:
@@ -316,13 +308,13 @@ def build_filling_diagram(
     s: StackingStructure,
     w: Word,
     memo: dict | None = None,
-    budget: int = 10**5,
+    budget: int = DEFAULT_BUDGET,
 ) -> VanKampenDiagram:
     """Van Kampen diagram with boundary word exactly ``w`` (seashell
     filling): one normal-form diagram per letter of w, glued in sequence
     along the normal forms of the prefixes.  Each letter's recursive piece
     gets its own ``budget``."""
-    if len(stacking_reduce(s, w)) != 0:
+    if len(s.normal_form(w)) != 0:
         raise DiagramError(f"word {w} is not trivial in the group")
     if memo is None:
         memo = {}

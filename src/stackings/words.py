@@ -95,16 +95,15 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of letter indices into an alphabet; may be empty."""
+    """A sequence of letter indices into an alphabet; may be empty.
+
+    Letters are not range-checked here: text is checked where it is parsed
+    (:meth:`Alphabet.word`, :meth:`Alphabet.index`), and words built from
+    indices are trusted.
+    """
 
     alphabet: Alphabet
     letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.alphabet)
-        for i in self.letters:
-            if not 0 <= i < n:
-                raise FormatError(f"letter index {i} out of range")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -12,7 +12,6 @@ from stackings import (
     ball_to_json,
     build_ball,
     classify,
-    classify_edge,
     free_group_oracle,
     tree_path,
 )
@@ -38,7 +37,8 @@ class TestClassify:
     def test_classify_edge_uses_oracle(self, bs2, z2oracle):
         ball = build_ball(z2oracle, 2)
         for e in ball.edges:
-            assert classify_edge(e, z2oracle) is e.classification
+            y_ga = z2oracle.normal_form(e.source.canonical.append(e.label))
+            assert classify(e.source.canonical, e.label, y_ga) is e.classification
 
 
 class TestBallZ2:

@@ -5,12 +5,12 @@ import pytest
 from stackings import (
     BudgetExceededError,
     DiagramError,
-    FlowFunction,
     FormatError,
     StackingStructure,
     VanKampenDiagram,
     Word,
     area,
+    bs1p_structure,
     build_filling_diagram,
     degenerate_diagram,
     export_diagram,
@@ -21,11 +21,6 @@ from stackings import (
     validate_diagram,
 )
 from stackings.vankampen import _empty_diagram
-
-
-@pytest.fixture(scope="module")
-def flow(bs2):
-    return FlowFunction(bs2)
 
 
 class TestDegenerateDiagram:
@@ -51,38 +46,38 @@ class TestDegenerateDiagram:
 
 
 class TestRecursiveDiagram:
-    def test_single_face_for_t_a(self, bs2, flow):
+    def test_single_face_for_t_a(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), flow)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         assert area(d) == 1
         assert str(d.boundary_word()) == "t a T A A"
         assert str(d.face_word(d.faces[0][1])) == "T a a t A"
         assert len(d.vertices) == 5 and len(d.edges) == 5
 
-    def test_rejects_degenerate_edge(self, bs2, flow):
+    def test_rejects_degenerate_edge(self, bs2):
         al = bs2.alphabet
         with pytest.raises(DiagramError):
-            recursive_diagram((al.word("a"), al.index("a")), flow)
+            recursive_diagram((al.word("a"), al.index("a")), bs2)
 
     def test_z2_commutator_face(self, z2struct):
         al = z2struct.alphabet
-        d = recursive_diagram((al.word("b"), al.index("a")), FlowFunction(z2struct))
+        d = recursive_diagram((al.word("b"), al.index("a")), z2struct)
         assert area(d) == 1
         assert str(d.face_word(d.faces[0][1])) == "B a b A"
 
-    def test_memo_serves_reverse_orientation_as_mirror(self, bs2, flow):
+    def test_memo_serves_reverse_orientation_as_mirror(self, bs2):
         al = bs2.alphabet
         memo = {}
-        d = recursive_diagram((al.word("t"), al.index("a")), flow, memo=memo)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
         rev = recursive_diagram(
-            (bs2.normal_form(al.word("t a")), al.index("A")), flow, memo=memo
+            (bs2.normal_form(al.word("t a")), al.index("A")), bs2, memo=memo
         )
         assert area(rev) == area(d)
         assert rev.boundary_word() == d.boundary_word().inverse()
 
-    def test_mirror_reverses_boundary(self, bs2, flow):
+    def test_mirror_reverses_boundary(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), flow)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         m = d.mirror()
         assert m.boundary_word() == d.boundary_word().inverse()
         assert area(m) == area(d) and m.euler_characteristic() == 1
@@ -93,7 +88,7 @@ class TestRecursiveDiagram:
             al, bs2.normal_form, lambda y, a: al.word("a a A"), bound_k=4
         )
         with pytest.raises(BudgetExceededError):
-            recursive_diagram((al.word("t"), al.index("a")), FlowFunction(bad), budget=100)
+            recursive_diagram((al.word("t"), al.index("a")), bad, budget=100)
 
 
 class TestSeashellGlue:
@@ -110,13 +105,13 @@ class TestSeashellGlue:
         with pytest.raises(DiagramError):
             seashell_glue(seg_a, seg_t, al.word("a"))
 
-    def test_area_is_additive(self, bs2, flow):
+    def test_area_is_additive(self, bs2):
         al = bs2.alphabet
         memo = {}
-        d1 = recursive_diagram((al.word("t"), al.index("a")), flow, memo=memo)
+        d1 = recursive_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
         # continue from normal form a a t by another a: area 1 piece
         d2 = recursive_diagram(
-            (bs2.normal_form(al.word("t a")), al.index("a")), flow, memo=memo
+            (bs2.normal_form(al.word("t a")), al.index("a")), bs2, memo=memo
         )
         glued = seashell_glue(d1, d2, bs2.normal_form(al.word("t a")))
         assert area(glued) == area(d1) + area(d2)
@@ -135,6 +130,17 @@ class TestFilling:
         al = bs2.alphabet
         assert area(build_filling_diagram(bs2, al.word("a A"))) == 0
         assert area(build_filling_diagram(bs2, al.word("t a T A A"))) == 1
+
+    def test_phi_called_once_per_memoized_edge(self):
+        # the trivial-word precondition asks the oracle; phi runs only to
+        # build the recursive pieces
+        s = bs1p_structure(2)
+        calls = []
+        phi_fn = s.phi_fn
+        s.phi_fn = lambda y, a: calls.append((y, a)) or phi_fn(y, a)
+        memo = {}
+        build_filling_diagram(s, s.alphabet.word("t t a T T A A A A"), memo=memo)
+        assert len(calls) == len(memo) == 3
 
     def test_nontrivial_word_rejected(self, bs2):
         with pytest.raises(DiagramError):
@@ -218,6 +224,21 @@ class TestValidation:
         assert "1-skeleton is not connected" in report.details
         assert not any(x.startswith("V - E + F") for x in report.details)
 
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_out_of_range_label_fails_incidence(self, bs2, label):
+        al = bs2.alphabet
+        w = al.word("t a T A A")
+        d = build_filling_diagram(bs2, w)
+        eid, src, dst, _ = d.edges[0]
+        bad = VanKampenDiagram(
+            al, d.vertices, ((eid, src, dst, label),) + d.edges[1:],
+            d.faces, d.basepoint, d.boundary,
+        )
+        rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(bad, rels, w, bs2)
+        assert not report.incidence_consistent and not report.passed
+        assert f"edge {eid} has dangling endpoint or bad label" in report.details
+
     def test_report_serializes(self, bs2):
         al = bs2.alphabet
         w = al.word("a A")
@@ -235,24 +256,35 @@ class TestValidation:
 
 
 class TestExportImport:
-    def test_json_round_trip_identity(self, bs2, flow):
+    def test_json_round_trip_identity(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), flow)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         blob = export_diagram(d, "json")
         restored = import_diagram(blob, al)
         assert restored == d
         assert export_diagram(restored, "json") == blob
 
-    def test_exports_deterministic(self, bs2, flow):
+    @pytest.mark.parametrize("field, index, key", [
+        ("vertices", 1, "word"), ("edges", 0, "label"),
+    ])
+    def test_import_rejects_unknown_token(self, bs2, field, index, key):
         al = bs2.alphabet
-        d1 = recursive_diagram((al.word("t"), al.index("a")), flow)
-        d2 = recursive_diagram((al.word("t"), al.index("a")), FlowFunction(bs2))
+        d = build_filling_diagram(bs2, al.word("t a T A A"))
+        obj = json.loads(export_diagram(d, "json"))
+        obj[field][index][key] = "z"
+        with pytest.raises(FormatError):
+            import_diagram(json.dumps(obj), al)
+
+    def test_exports_deterministic(self, bs2):
+        al = bs2.alphabet
+        d1 = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d2 = recursive_diagram((al.word("t"), al.index("a")), bs2)
         for fmt in ("json", "dot", "svg"):
             assert export_diagram(d1, fmt) == export_diagram(d2, fmt)
 
-    def test_dot_is_labeled_graph(self, bs2, flow):
+    def test_dot_is_labeled_graph(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), flow)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         text = export_diagram(d, "dot").decode()
         assert text.startswith("graph") and 'label="a"' in text
 
@@ -262,8 +294,8 @@ class TestExportImport:
         text = export_diagram(d, "svg").decode()
         assert text.startswith("<svg") and text.count("<polygon") == area(d)
 
-    def test_unknown_format_rejected(self, bs2, flow):
+    def test_unknown_format_rejected(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), flow)
+        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         with pytest.raises(FormatError):
             export_diagram(d, "png")
