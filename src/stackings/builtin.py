@@ -91,6 +91,10 @@ def bs1p_structure(p: int) -> StackingStructure:
     Recursive edges fall into two schemas: from t^-i a^m (m != 0) by
     t^eta, with image (a^{-nu p} t a^nu)^eta, nu the sign of m; and from
     t^-i a^m t^k (k > 0) by a^eta, with image t^-1 a^{eta p} t.
+
+    The structure keeps the element (i, m, k) of each normal form it
+    returns, so the normal form of y a and phi(y, a), for such a normal
+    form y, cost one multiplication instead of a replay of the word.
     """
     if p < 2:
         raise FormatError("bs1p requires p >= 2")
@@ -98,9 +102,21 @@ def bs1p_structure(p: int) -> StackingStructure:
     A, A_INV, T, T_INV = (alphabet.index(x) for x in ("a", "A", "t", "T"))
     deltas = {A: (1, 0), A_INV: (-1, 0), T: (0, 1), T_INV: (0, -1)}
 
+    # Element of every normal form returned so far, keyed by its letters.
+    known: dict[tuple[int, ...], BS1pElement] = {(): BS1pElement(0, 0, 0)}
+
     def to_element(w: Word) -> BS1pElement:
+        """A lookup for a normal form returned before, one step from its
+        prefix when that is one, and a replay of the word otherwise."""
+        letters = w.letters
+        g = known.get(letters)
+        if g is not None:
+            return g
+        g = known.get(letters[:-1])
+        if g is not None:
+            return _bs_mul(p, g, *deltas[letters[-1]])
         g = BS1pElement(0, 0, 0)
-        for letter in w:
+        for letter in letters:
             g = _bs_mul(p, g, *deltas[letter])
         return g
 
@@ -113,7 +129,10 @@ def bs1p_structure(p: int) -> StackingStructure:
         return Word(alphabet, letters)
 
     def normal_form(w: Word) -> Word:
-        return to_word(to_element(w))
+        g = to_element(w)
+        y = to_word(g)
+        known[y.letters] = g
+        return y
 
     def phi(y: Word, letter: int) -> Word:
         g = to_element(y)

@@ -3,10 +3,11 @@
 A diagram stores vertices labeled by normal-form words, one record per
 undirected edge with a signed-id traversal convention (+k traverses edge k
 along its stored direction, -k against it), faces as closed signed walks,
-a basepoint, and the boundary walk.  All construction goes through the two
-normal-form diagram builders and basepoint-folding seashell gluings, so
-planarity and contractibility hold by construction; ``validate_diagram``
-audits them via the Euler characteristic.
+a basepoint, and the boundary walk.  All construction goes through one
+mutable builder that folds on tree segments and recursive pieces along
+basepoint paths (seashell gluing) and caps each recursive edge with its
+2-cell, so planarity and contractibility hold by construction;
+``validate_diagram`` audits them via the Euler characteristic.
 
 Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 """
@@ -16,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Generator
 
+from .cayley import EdgeKind, classify
 from .errors import BudgetExceededError, DiagramError, FormatError
 from .rewriting import DEFAULT_BUDGET
 from .stacking import StackingStructure
@@ -148,7 +151,10 @@ def recursive_diagram(
     if memo is None:
         memo = {}
     w, a = e
-    return _recursive_diagram((s.normal_form(w), a), s, memo, _fresh_state(budget))
+    y_g = s.normal_form(w)
+    if s.is_degenerate(y_g, a):
+        raise DiagramError(f"edge ({y_g}, {s.alphabet.tokens[a]}) is not recursive")
+    return _recursive_diagram((y_g, a), s, memo, _fresh_state(budget))
 
 
 def _fresh_state(budget: int) -> dict:
@@ -162,67 +168,222 @@ def _undirected_key(s: StackingStructure, y_g: Word, a: int) -> tuple:
     return min(fwd, bwd), max(fwd, bwd)
 
 
+class _DiagramBuilder:
+    """A diagram under construction: append-only vertex, edge and face
+    lists, the boundary walk, the largest ids in use, and the
+    ``vertex_words``/``edge_map`` lookups, all kept up to date in place.
+
+    ``freeze`` hands the lookups over to the immutable diagram, so a
+    builder is not used after it is frozen.
+    """
+
+    def __init__(self, d: VanKampenDiagram):
+        self.alphabet = d.alphabet
+        self.vertices = list(d.vertices)
+        self.edges = list(d.edges)
+        self.faces = list(d.faces)
+        self.basepoint = d.basepoint
+        self.boundary = list(d.boundary)
+        self.vertex_words = dict(d.vertex_words)
+        self.edge_map = dict(d.edge_map)
+        self.vmax = max(self.vertex_words, default=0)
+        self.emax = max(self.edge_map, default=0)
+        self.fmax = max((fid for fid, _ in d.faces), default=0)
+
+    traverse = VanKampenDiagram.traverse  # reads only alphabet and edge_map
+
+    def add_vertex(self, vid: int, w: Word) -> None:
+        self.vertices.append((vid, w))
+        self.vertex_words[vid] = w
+        self.vmax = max(self.vmax, vid)
+
+    def add_edge(self, eid: int, src: int, dst: int, label: int) -> None:
+        self.edges.append((eid, src, dst, label))
+        self.edge_map[eid] = (src, dst, label)
+        self.emax = max(self.emax, eid)
+
+    def add_face(self, fid: int, walk: tuple[int, ...]) -> None:
+        self.faces.append((fid, walk))
+        self.fmax = max(self.fmax, fid)
+
+    def glue(self, d2: VanKampenDiagram, shared: Word) -> None:
+        """Fold ``d2`` on along ``shared``, as :func:`seashell_glue` does."""
+        if self.alphabet != d2.alphabet:
+            raise DiagramError("cannot glue diagrams over different alphabets")
+        b1, b2 = self.boundary, d2.boundary
+        n = len(shared)
+        if n > len(b1) or n > len(b2):
+            raise DiagramError("shared path longer than a boundary")
+
+        # d1 side: walking backward from the basepoint spells `shared`; the
+        # k-th shared edge (k = 1..n) is boundary entry -k from the end,
+        # against its boundary direction.
+        vmap: dict[int, int] = {d2.basepoint: self.basepoint}  # d2 vertex -> d1 vertex
+        emap_fwd: dict[int, int] = {}  # d2 edge id -> signed d1 traversal of its stored direction
+        v1_prev, v2_prev = self.basepoint, d2.basepoint
+        seen_path = {self.basepoint}
+        for k in range(1, n + 1):
+            t, u = b1[-k], b2[k - 1]
+            letter = shared.letters[k - 1]
+            a1_start, a1_end, a1_letter = self.traverse(-t)
+            a2_start, a2_end, a2_letter = d2.traverse(u)
+            if a1_letter != letter or a2_letter != letter:
+                raise DiagramError(
+                    f"fold label mismatch at position {k} of shared path {shared}"
+                )
+            if a1_start != v1_prev or a2_start != v2_prev:
+                raise DiagramError(f"shared path is not a boundary subpath at position {k}")
+            if a1_end in seen_path:
+                raise DiagramError(f"shared path {shared} is not simple")
+            seen_path.add(a1_end)
+            if self.vertex_words[a1_end] != d2.vertex_words[a2_end]:
+                raise DiagramError(
+                    f"vertex label mismatch along fold: {self.vertex_words[a1_end]} "
+                    f"vs {d2.vertex_words[a2_end]}"
+                )
+            vmap[a2_end] = a1_end
+            emap_fwd[abs(u)] = -t if u > 0 else t
+            v1_prev, v2_prev = a1_end, a2_end
+
+        v_offset, e_offset, f_offset = self.vmax, self.emax, self.fmax
+        for vid, w in d2.vertices:
+            if vid not in vmap:
+                vmap[vid] = v_offset + vid
+                self.add_vertex(v_offset + vid, w)
+
+        def remap_signed(sgn: int) -> int:
+            eid = abs(sgn)
+            if eid in emap_fwd:
+                return emap_fwd[eid] if sgn > 0 else -emap_fwd[eid]
+            return (e_offset + eid) if sgn > 0 else -(e_offset + eid)
+
+        for eid, src, dst, label in d2.edges:
+            if eid not in emap_fwd:
+                self.add_edge(e_offset + eid, vmap[src], vmap[dst], label)
+        for fid, walk in d2.faces:
+            self.add_face(f_offset + fid, tuple(remap_signed(x) for x in walk))
+        del b1[len(b1) - n :]
+        b1.extend(remap_signed(x) for x in b2[n:])
+
+    def tree_step(self, y: Word, x: int, y_next: Word) -> None:
+        """Fold on the segment of the degenerate edge from ``y`` by ``x``,
+        where the boundary ends with the back path of ``y``.
+
+        The fold of the whole segment keeps only its last edge and vertex,
+        so only those are added, under the ids the fold gives them; a step
+        back along the tree adds nothing, as the back path of ``y`` already
+        reads ``x`` and then the back path of ``y_next``.
+        """
+        if len(y_next) < len(y):
+            return
+        n, b = len(y), self.boundary
+        at = len(b) - n
+        src = self.traverse(b[at])[0] if n else self.basepoint
+        vid, eid = self.vmax + n + 2, self.emax + n + 1
+        self.add_vertex(vid, y_next)
+        self.add_edge(eid, src, vid, x)
+        b[at:at] = (eid, -eid)
+
+    def cap(self, out_len: int, mid_len: int, a: int) -> None:
+        """Close the arc of ``mid_len`` boundary entries after the first
+        ``out_len`` with a new ``a``-edge and the 2-cell it encloses."""
+        b = self.boundary
+        mid = tuple(b[out_len : out_len + mid_len])
+        eid, fid = self.emax + 1, self.fmax + 1
+        self.add_edge(eid, self.traverse(mid[0])[0], self.traverse(mid[-1])[1], a)
+        self.add_face(fid, mid + (-eid,))
+        b[out_len : out_len + mid_len] = (eid,)
+
+    def freeze(self) -> VanKampenDiagram:
+        d = VanKampenDiagram(
+            self.alphabet,
+            tuple(self.vertices),
+            tuple(self.edges),
+            tuple(self.faces),
+            self.basepoint,
+            tuple(self.boundary),
+        )
+        # seed the diagram's cached lookups with the ones built here
+        d.__dict__.update(vertex_words=self.vertex_words, edge_map=self.edge_map)
+        return d
+
+
 def _seashell_walk(
-    s: StackingStructure, d: VanKampenDiagram | None, start: Word, word: Word, piece
-) -> VanKampenDiagram | None:
-    """Glue one normal-form diagram per letter of ``word`` onto ``d`` (or
-    start from the first one), each at the normal form of the prefix read
-    so far from ``start``; ``piece`` builds the diagram of a recursive edge."""
+    s: StackingStructure, b: _DiagramBuilder | None, start: Word, word: Word
+) -> Generator[tuple[Word, int], VanKampenDiagram, _DiagramBuilder]:
+    """Fold one normal-form diagram per letter of ``word`` into ``b`` (or
+    start it from the first one), each at the normal form of the prefix read
+    so far from ``start``, which must be a normal form.
+
+    A generator: it yields each recursive edge as a (source, letter) pair,
+    is sent that edge's diagram, and returns the builder.
+    """
     cur = start
     for x in word:
         nxt = s.normal_form(cur.append(x))
-        if s.is_degenerate(cur, x):
-            p = degenerate_diagram((cur, x), s)
+        if classify(cur, x, nxt) is EdgeKind.DEGENERATE:
+            if b is None:
+                b = _DiagramBuilder(degenerate_diagram((cur, x), s))
+            else:
+                b.tree_step(cur, x, nxt)
         else:
-            p = piece((cur, x))
-        d = p if d is None else seashell_glue(d, p, cur)
+            p = yield cur, x
+            if b is None:
+                b = _DiagramBuilder(p)
+            else:
+                b.glue(p, cur)
         cur = nxt
-    return d
+    return b
 
 
 def _recursive_diagram(
     pair: tuple[Word, int], s: StackingStructure, memo: dict, state: dict
 ) -> VanKampenDiagram:
-    y_g, a = pair
-    if s.is_degenerate(y_g, a):
-        raise DiagramError(f"edge ({y_g}, {s.alphabet.tokens[a]}) is not recursive")
-    key = _undirected_key(s, y_g, a)
-    if key in memo:
-        stored_pair, d = memo[key]
-        return d if stored_pair == (y_g.letters, a) else d.mirror()
-    if key in state["in_progress"]:
-        raise BudgetExceededError(
-            f"cyclic flow at edge ({y_g}, {s.alphabet.tokens[a]}): "
-            "well-foundedness violated"
-        )
-    state["budget"] -= 1
-    if state["budget"] < 0:
-        raise BudgetExceededError("diagram recursion budget exceeded")
-    state["in_progress"].add(key)
+    """Diagram of the recursive edge ``pair`` from a normal form.
 
-    phi = s.phi(y_g, a)
-    d = _seashell_walk(
-        s, None, y_g, phi, lambda e: _recursive_diagram(e, s, memo, state)
-    )
-    assert d is not None  # phi represents a nontrivial element, so phi != empty
-
-    # The glued boundary is [out y_g][one entry per phi letter][back y_{ga}^-1].
-    # Cap the phi arc with a new a-edge; the enclosed region is the 2-cell
-    # labeled phi a^-1.
-    out_len, mid_len = len(y_g), len(phi)
-    mid = d.boundary[out_len : out_len + mid_len]
-    p_vertex = d.traverse(mid[0])[0]
-    q_vertex = d.traverse(mid[-1])[1]
-    new_eid = max(d.edge_map, default=0) + 1
-    new_fid = max((fid for fid, _ in d.faces), default=0) + 1
-    edges = d.edges + ((new_eid, p_vertex, q_vertex, a),)
-    faces = d.faces + ((new_fid, mid + (-new_eid,)),)
-    boundary = d.boundary[:out_len] + (new_eid,) + d.boundary[out_len + mid_len :]
-    result = VanKampenDiagram(d.alphabet, d.vertices, edges, faces, d.basepoint, boundary)
-
-    state["in_progress"].discard(key)
-    memo[key] = ((y_g.letters, a), result)
-    return result
+    The edges under construction sit on an explicit stack, each with its
+    suspended seashell walk, so the depth of the flow is not limited by
+    Python's recursion limit.
+    """
+    frames: list[tuple[Word, int, tuple, int, Generator]] = []
+    while True:
+        y_g, a = pair
+        key = _undirected_key(s, y_g, a)
+        if key in memo:
+            stored_pair, d = memo[key]
+            if stored_pair != (y_g.letters, a):
+                d = d.mirror()
+        else:
+            if key in state["in_progress"]:
+                raise BudgetExceededError(
+                    f"cyclic flow at edge ({y_g}, {s.alphabet.tokens[a]}): "
+                    "well-foundedness violated"
+                )
+            state["budget"] -= 1
+            if state["budget"] < 0:
+                raise BudgetExceededError("diagram recursion budget exceeded")
+            state["in_progress"].add(key)
+            phi = s.phi(y_g, a)
+            frames.append((y_g, a, key, len(phi), _seashell_walk(s, None, y_g, phi)))
+            d = None  # a new walk is started by sending it None
+        while frames:
+            y_g, a, key, mid_len, walk = frames[-1]
+            try:
+                pair = walk.send(d)
+                break
+            except StopIteration as done:
+                # phi represents a nontrivial element, so phi != empty and
+                # the walk built a diagram.  Its boundary is [out y_g][one
+                # entry per phi letter][back y_{ga}^-1]; capping the phi arc
+                # with a new a-edge encloses the 2-cell labeled phi a^-1.
+                b = done.value
+                b.cap(len(y_g), mid_len, a)
+                d = b.freeze()
+            frames.pop()
+            state["in_progress"].discard(key)
+            memo[key] = ((y_g.letters, a), d)
+        else:
+            return d
 
 
 def seashell_glue(
@@ -235,73 +396,9 @@ def seashell_glue(
     edge, basepoints merged, and the new boundary is d1's with its tail
     excised followed by d2's with its head excised.
     """
-    if d1.alphabet != d2.alphabet:
-        raise DiagramError("cannot glue diagrams over different alphabets")
-    n = len(shared)
-    if n > len(d1.boundary) or n > len(d2.boundary):
-        raise DiagramError("shared path longer than a boundary")
-
-    # d1 side: walking backward from the basepoint spells `shared`; the k-th
-    # shared edge (k = 1..n) is boundary entry -k from the end, against its
-    # boundary direction.
-    t = [d1.boundary[len(d1.boundary) - k] for k in range(1, n + 1)]
-    u = [d2.boundary[k - 1] for k in range(1, n + 1)]
-
-    vmap: dict[int, int] = {d2.basepoint: d1.basepoint}  # d2 vertex -> d1 vertex
-    emap_fwd: dict[int, int] = {}  # d2 edge id -> signed d1 traversal of its stored direction
-    v1_prev, v2_prev = d1.basepoint, d2.basepoint
-    seen_path = {d1.basepoint}
-    for k in range(1, n + 1):
-        letter = shared.letters[k - 1]
-        a1_start, a1_end, a1_letter = d1.traverse(-t[k - 1])
-        a2_start, a2_end, a2_letter = d2.traverse(u[k - 1])
-        if a1_letter != letter or a2_letter != letter:
-            raise DiagramError(
-                f"fold label mismatch at position {k} of shared path {shared}"
-            )
-        if a1_start != v1_prev or a2_start != v2_prev:
-            raise DiagramError(f"shared path is not a boundary subpath at position {k}")
-        if a1_end in seen_path:
-            raise DiagramError(f"shared path {shared} is not simple")
-        seen_path.add(a1_end)
-        if d1.vertex_words[a1_end] != d2.vertex_words[a2_end]:
-            raise DiagramError(
-                f"vertex label mismatch along fold: {d1.vertex_words[a1_end]} "
-                f"vs {d2.vertex_words[a2_end]}"
-            )
-        vmap[a2_end] = a1_end
-        emap_fwd[abs(u[k - 1])] = -t[k - 1] if u[k - 1] > 0 else t[k - 1]
-        v1_prev, v2_prev = a1_end, a2_end
-
-    v_offset = max((vid for vid, _ in d1.vertices), default=0)
-    e_offset = max(d1.edge_map, default=0)
-    f_offset = max((fid for fid, _ in d1.faces), default=0)
-    for vid, w in d2.vertices:
-        if vid not in vmap:
-            vmap[vid] = v_offset + vid
-
-    def remap_signed(sgn: int) -> int:
-        eid = abs(sgn)
-        if eid in emap_fwd:
-            return emap_fwd[eid] if sgn > 0 else -emap_fwd[eid]
-        return (e_offset + eid) if sgn > 0 else -(e_offset + eid)
-
-    vertices = d1.vertices + tuple(
-        (vmap[vid], w) for vid, w in d2.vertices if vmap[vid] > v_offset
-    )
-    edges = d1.edges + tuple(
-        (e_offset + eid, vmap[src], vmap[dst], label)
-        for eid, src, dst, label in d2.edges
-        if eid not in emap_fwd
-    )
-    faces = d1.faces + tuple(
-        (f_offset + fid, tuple(remap_signed(x) for x in walk))
-        for fid, walk in d2.faces
-    )
-    boundary = d1.boundary[: len(d1.boundary) - n] + tuple(
-        remap_signed(x) for x in d2.boundary[n:]
-    )
-    return VanKampenDiagram(d1.alphabet, vertices, edges, faces, d1.basepoint, boundary)
+    b = _DiagramBuilder(d1)
+    b.glue(d2, shared)
+    return b.freeze()
 
 
 def build_filling_diagram(
@@ -318,15 +415,17 @@ def build_filling_diagram(
         raise DiagramError(f"word {w} is not trivial in the group")
     if memo is None:
         memo = {}
-    d = _seashell_walk(
-        s,
-        _empty_diagram(s.alphabet),
-        s.alphabet.empty(),
-        w,
-        lambda e: _recursive_diagram(e, s, memo, _fresh_state(budget)),
+    walk = _seashell_walk(
+        s, _DiagramBuilder(_empty_diagram(s.alphabet)), s.alphabet.empty(), w
     )
-    # close up: the final back path spells the normal form of w, which is empty
-    return d
+    d = None
+    try:
+        while True:
+            pair = walk.send(d)
+            d = _recursive_diagram(pair, s, memo, _fresh_state(budget))
+    except StopIteration as done:
+        # close up: the final back path spells the normal form of w, which is empty
+        return done.value.freeze()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ companion rewriting system, brute-force free reduction by trying all
 cancellation orders, pseudo-random trivial-word generation by relator and
 cancellation insertion, an exhaustive minimal-area search by bounded
 relator application, shortlex representatives by enumerating all words,
-leftmost-occurrence rewriting with a brute-force subword search, and the two
-clauses of the Thompson's F normal form language evaluated directly.
+leftmost-occurrence rewriting with a brute-force subword search, the two
+clauses of the Thompson's F normal form language evaluated directly, and
+the seashell filling built letter by letter from whole diagrams.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from stackings import Word
+from stackings import VanKampenDiagram, Word, degenerate_diagram, seashell_glue
 from stackings.words import Alphabet, symmetrized_closure
 
 
 # ---------------------------------------------------------------------------
-# Faithful affine representation of BS(1,2): a -> x + 1, t -> 2x, acting on
-# dyadic rationals; d -> x + 2 extends it to the companion CRS alphabet.
-# A word c1..cn evaluates to f_c1 after f_c2 after ... after f_cn.
+# Faithful affine representation of BS(1,p): a -> x + 1, t -> p x, acting on
+# p-adic rationals; d -> x + 2 extends it to the companion CRS alphabet of
+# BS(1,2).  A word c1..cn evaluates to f_c1 after f_c2 after ... after f_cn.
 
 _GEN_MAPS = {
     "a": (0, Fraction(1)),
@@ -35,12 +36,12 @@ _GEN_MAPS = {
 }
 
 
-def affine_eval(w: Word) -> tuple[int, Fraction]:
-    """(e, q) with w acting as x -> 2^e x + q; equal pairs iff equal in G."""
+def affine_eval(w: Word, p: int = 2) -> tuple[int, Fraction]:
+    """(e, q) with w acting as x -> p^e x + q; equal pairs iff equal in G."""
     e, q = 0, Fraction(0)
     for c in w:
         ce, cq = _GEN_MAPS[w.alphabet.tokens[c]]
-        e, q = e + ce, Fraction(2) ** e * cq + q
+        e, q = e + ce, Fraction(p) ** e * cq + q
     return e, q
 
 
@@ -225,3 +226,50 @@ def thompson_f_direct(w: Word) -> bool:
         if s > 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Seashell filling letter by letter: each degenerate segment is built whole
+# by `degenerate_diagram` and folded on by `seashell_glue`, each recursive
+# piece by plain recursion on the flow, memoized per undirected edge.
+
+
+def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
+    """(diagram, memo) of the seashell filling of the trivial word ``w``."""
+    memo: dict = {}
+
+    def piece(y: Word, a: int) -> VanKampenDiagram:
+        fwd = (y.letters, a)
+        bwd = (s.normal_form(y.append(a)).letters, s.alphabet.inv(a))
+        key = (min(fwd, bwd), max(fwd, bwd))
+        if key in memo:
+            stored, d = memo[key]
+            return d if stored == fwd else d.mirror()
+        phi = s.phi(y, a)
+        d = walk(None, y, phi)
+        # the boundary reads [out y][phi][back]: close phi with an a-edge
+        out, mid = d.boundary[: len(y)], d.boundary[len(y) : len(y) + len(phi)]
+        back = d.boundary[len(y) + len(phi) :]
+        eid = max(d.edge_map) + 1
+        fid = max((f for f, _ in d.faces), default=0) + 1
+        edge = (eid, d.traverse(mid[0])[0], d.traverse(mid[-1])[1], a)
+        d = VanKampenDiagram(
+            d.alphabet, d.vertices, d.edges + (edge,),
+            d.faces + ((fid, mid + (-eid,)),), d.basepoint, out + (eid,) + back,
+        )
+        memo[key] = (fwd, d)
+        return d
+
+    def walk(d, cur: Word, word: Word) -> VanKampenDiagram:
+        for x in word:
+            if s.is_degenerate(cur, x):
+                p = degenerate_diagram((cur, x), s)
+            else:
+                p = piece(cur, x)
+            d = p if d is None else seashell_glue(d, p, cur)
+            cur = s.normal_form(cur.append(x))
+        return d
+
+    al = s.alphabet
+    empty = VanKampenDiagram(al, ((1, al.empty()),), (), (), 1, ())
+    return walk(empty, al.empty(), w), memo

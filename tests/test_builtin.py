@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from oracles import affine_eval, all_words, shortlex_representatives, thompson_f_direct
 from stackings import (
@@ -10,6 +12,7 @@ from stackings import (
     RewriteRule,
     RewritingSystem,
     StructureError,
+    Word,
     almost_convexity_check,
     bs1p_structure,
     crs_structure,
@@ -18,9 +21,11 @@ from stackings import (
     load_rewriting_system,
     reduce_to_irreducible,
     shortlex_ac_structure,
+    stacking_reduce_steps,
     thompson_alphabet,
     thompson_f_in_C,
 )
+from stackings import builtin
 from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexBall
 
 
@@ -71,6 +76,48 @@ class TestBS1p:
     def test_p_below_two_rejected(self):
         with pytest.raises(FormatError):
             bs1p_structure(1)
+
+
+@pytest.fixture(scope="module")
+def warm_bs():
+    """One BS(1,p) structure per p, kept across examples, so its table of
+    elements of returned normal forms fills up."""
+    return {p: bs1p_structure(p) for p in (2, 3)}
+
+
+class TestBS1pStep:
+    @pytest.mark.parametrize("p", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data())
+    def test_agrees_with_affine_oracle(self, warm_bs, p, data):
+        s = warm_bs[p]
+        al = s.alphabet
+        u = Word(al, tuple(data.draw(hs.lists(hs.integers(0, 3), max_size=10))))
+        x = data.draw(hs.integers(0, 3))
+        y = s.normal_form(u)
+        # u's prefix is seldom a normal form returned before; y's always is.
+        # The oracle functions are called directly, past the structure's memo.
+        for w in (u, y.append(x)):
+            nf = s.normal_form_fn(w)
+            assert affine_eval(nf, p) == affine_eval(w, p)
+            assert nf == bs1p_structure(p).normal_form_fn(w)  # replayed
+        if not s.is_degenerate(y, x):
+            img = s.phi_fn(y, x)
+            assert affine_eval(y * img, p) == affine_eval(y.append(x), p)
+            assert img == bs1p_structure(p).phi_fn(y, x)  # replayed
+
+    @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
+    def test_reduction_multiplies_linearly(self, monkeypatch, p, n):
+        calls = []
+        bs_mul = builtin._bs_mul
+        monkeypatch.setattr(
+            builtin, "_bs_mul", lambda *args: calls.append(1) or bs_mul(*args)
+        )
+        s = bs1p_structure(p)
+        u = ["t"] * n + ["a"] + ["T"] * n
+        w = s.alphabet.word(" ".join(u + ["a"] + u + ["A"]))
+        _, steps = stacking_reduce_steps(s, w)
+        assert len(calls) <= 2 * (len(w) + steps * (p + 2))
 
 
 class TestCrsStructure:

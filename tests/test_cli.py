@@ -57,6 +57,14 @@ class TestVkd:
         assert code == 0 and out == ""
         assert target.read_bytes().startswith(b"<svg")
 
+    def test_deep_flow_fills(self, capsys, z2_rules_file):
+        # the flow from b^400 by a is 400 edges deep
+        word = " ".join(["b"] * 400 + ["a"] + ["B"] * 400 + ["A"])
+        code, _, err = run(
+            capsys, "vkd", "--structure", f"crs:{z2_rules_file}", "--word", word
+        )
+        assert code == 0 and "faces: 400" in err
+
     def test_nontrivial_word_is_precondition_error(self, capsys):
         code, _, err = run(capsys, "vkd", "--structure", "bs1p:2", "--word", "a")
         assert code == 2 and "not trivial" in err

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from oracles import random_trivial_words, seashell_fill_reference
 from stackings import (
     BudgetExceededError,
     DiagramError,
@@ -153,6 +156,57 @@ class TestFilling:
         rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
         report = validate_diagram(d, rels, w, bs2)
         assert report.passed and not report.details
+
+
+class TestAgainstFoldReference:
+    """The builder's tree steps and glues give the diagram, ids and memo of
+    folding every segment whole, letter by letter."""
+
+    @staticmethod
+    def assert_same_filling(s, w):
+        expected, expected_memo = seashell_fill_reference(s, w)
+        memo = {}
+        d = build_filling_diagram(s, w, memo=memo)
+        assert export_diagram(d, "json") == export_diagram(expected, "json")
+        assert [(k, v[0]) for k, v in memo.items()] == [
+            (k, v[0]) for k, v in expected_memo.items()
+        ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_bs12_commutators(self, bs2, n):
+        al = bs2.alphabet
+        u = ["t"] * n + ["a"] + ["T"] * n
+        u_inv = ["t"] * n + ["A"] + ["T"] * n
+        self.assert_same_filling(bs2, al.word(" ".join(u + ["a"] + u_inv + ["A"])))
+
+    def test_random_trivial_words(self, bs2):
+        al = bs2.alphabet
+        for w in random_trivial_words(al, [al.word("t a T A A")], 60, 30, seed=11):
+            self.assert_same_filling(bs2, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(i=hs.integers(0, 8), j=hs.integers(0, 8))
+    def test_z2_commutators(self, z2struct, i, j):
+        al = z2struct.alphabet
+        text = " ".join(["a"] * i + ["b"] * j + ["A"] * i + ["B"] * j)
+        self.assert_same_filling(z2struct, al.word(text))
+
+
+class TestDeepFlow:
+    @pytest.mark.parametrize("tokens", [
+        ["a"] + ["b"] * 400 + ["A"] + ["B"] * 400,
+        ["b"] * 400 + ["a"] + ["B"] * 400 + ["A"],
+    ], ids=["a b^400 A B^400", "b^400 a B^400 A"])
+    def test_flow_deeper_than_recursion_limit(self, z2struct, tokens):
+        al = z2struct.alphabet
+        w = al.word(" ".join(tokens))
+        memo = {}
+        d = build_filling_diagram(z2struct, w, memo=memo)
+        assert area(d) == 400
+        rels = stacking_relation_set(
+            z2struct, [(Word(al, src), a) for (src, a), _ in memo.values()]
+        )
+        assert validate_diagram(d, rels, w, z2struct).passed
 
 
 class TestValidation:
