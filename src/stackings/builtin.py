@@ -28,7 +28,7 @@ from .errors import (
     OutsideExploredRegionError,
     StructureError,
 )
-from .rewriting import DEFAULT_BUDGET, RewritingSystem, _rules_ending_at, reduce_to_irreducible
+from .rewriting import DEFAULT_BUDGET, RewritingSystem, _prefix_rewrite, _rules_ending_at
 from .stacking import StackingStructure
 from .words import Alphabet, Word
 
@@ -168,13 +168,21 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
     y_g a is reducible and its shortest reducible prefix is the whole word;
     minimality gives a unique factorization y_g = w u~ with a rule
     u~ a -> v, and phi is u~^-1 v.
+
+    The structure keeps the irreducible words it returns, so the normal
+    form of y a, for such a word y, starts rewriting with y on the stack
+    instead of pushing it letter by letter.
     """
     if not S.claimed_complete:
         raise StructureError("crs_structure requires a system claimed complete")
     alphabet = S.alphabet
+    returned: set[tuple[int, ...]] = set()
 
     def normal_form(w: Word) -> Word:
-        return reduce_to_irreducible(S, w, budget)
+        n = len(w) - 1
+        y, _ = _prefix_rewrite(S, w, budget, n if n > 0 and w.letters[:n] in returned else 0)
+        returned.add(y.letters)
+        return y
 
     def phi(y: Word, a: int) -> Word:
         word = y.append(a)

@@ -1,7 +1,7 @@
 """Finite balls of a Cayley graph built from a normal-form oracle.
 
 Elements are keyed by their canonical (normal form) word, so construction is
-deterministic and the oracle is queried once per frontier element and letter.
+deterministic and the oracle is queried once per element and letter.
 Edges are classified as degenerate or recursive relative to the oracle's
 normal form set: degenerate edges are exactly those whose endpoints' normal
 forms differ by appending one letter, and they make up the spanning tree
@@ -138,12 +138,14 @@ def build_ball(oracle: NormalFormOracle, n: int, max_elements: int = 10**6) -> B
         raise StructureError("normal form of the empty word must be empty")
 
     elements: dict[tuple[int, ...], GroupElement] = {(): GroupElement(alphabet.empty(), 0)}
+    # the oracle's answer for each (element, letter) the search asked about
+    targets: dict[tuple[tuple[int, ...], int], Word] = {}
     frontier = [alphabet.empty()]
     for dist in range(1, n + 1):
         nxt: list[Word] = []
         for y in sorted(frontier, key=Word.shortlex_key):
             for a in range(len(alphabet)):
-                target = oracle.normal_form(y.append(a))
+                target = targets[y.letters, a] = oracle.normal_form(y.append(a))
                 if target.letters not in elements:
                     if len(elements) >= max_elements:
                         raise StackingsError(
@@ -157,7 +159,9 @@ def build_ball(oracle: NormalFormOracle, n: int, max_elements: int = 10**6) -> B
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge] = {}
     for g in sorted(elements.values(), key=lambda e: e.canonical.shortlex_key()):
         for a in range(len(alphabet)):
-            y_ga = oracle.normal_form(g.canonical.append(a))
+            y_ga = targets.get((g.canonical.letters, a))
+            if y_ga is None:  # g lies on the last sphere
+                y_ga = oracle.normal_form(g.canonical.append(a))
             target = elements.get(y_ga.letters)
             if target is None:
                 continue

@@ -127,6 +127,7 @@ def cmd_vkd(args) -> int:
     else:
         relators = set()
     report = validate_diagram(d, relators, w, s)
+    _write_report(report.to_json(), args.report)
     if not report.passed:
         print(report.summary(), file=sys.stderr)
         return EXIT_VALIDATION

@@ -154,43 +154,80 @@ def recursive_diagram(
     y_g = s.normal_form(w)
     if s.is_degenerate(y_g, a):
         raise DiagramError(f"edge ({y_g}, {s.alphabet.tokens[a]}) is not recursive")
-    return _recursive_diagram((y_g, a), s, memo, _fresh_state(budget))
+    return _piece_diagram(s, *_recursive_diagram((y_g, a), s, memo, _fresh_state(budget)))
 
 
 def _fresh_state(budget: int) -> dict:
     return {"budget": budget, "in_progress": set()}
 
 
-def _undirected_key(s: StackingStructure, y_g: Word, a: int) -> tuple:
-    y_ga = s.normal_form(y_g.append(a))
-    fwd = (y_g.letters, a)
-    bwd = (y_ga.letters, s.alphabet.inv(a))
-    return min(fwd, bwd), max(fwd, bwd)
-
-
 class _DiagramBuilder:
-    """A diagram under construction: append-only vertex, edge and face
-    lists, the boundary walk, the largest ids in use, and the
-    ``vertex_words``/``edge_map`` lookups, all kept up to date in place.
+    """A diagram under construction, stored relative to a spur.
 
-    ``freeze`` hands the lookups over to the immutable diagram, so a
-    builder is not used after it is frozen.
+    The spur is a path of ``depth`` edges from the basepoint that the
+    boundary walk goes out along first and comes back along last.  Its
+    vertices have ids 1 to depth + 1 (the basepoint is 1 when the depth is
+    positive) and its edges ids 1 to depth, edge d joining the vertex at
+    depth d - 1 to the one at depth d.  The spur is not stored: ``boundary``
+    holds the arc between, a closed walk at the spur's top vertex, and the
+    vertex, edge and face lists hold the rest of the diagram in the order of
+    the whole diagram.  The largest ids in use count the spur, and
+    ``vertex_words``/``edge_map`` are kept up to date in place.
+
+    The piece of a recursive edge (y_g, a) is a finished builder whose
+    ``ends`` are (y_g, y_{ga}).  Its spur spells a common prefix of the two,
+    and its arc reads the rest of y_g, then a, then the rest of y_{ga}
+    backwards, so gluing it costs the size of the piece above the spur and
+    not the length of y_g.  A builder with an empty spur that stores its
+    basepoint is a whole diagram, and ``freeze`` hands its lookups over to
+    the immutable diagram, so it is not used after that.
     """
 
-    def __init__(self, d: VanKampenDiagram):
-        self.alphabet = d.alphabet
+    def __init__(
+        self, alphabet: Alphabet, depth: int, vmax: int, emax: int, fmax: int = 0,
+        basepoint: int = 1,
+    ):
+        self.alphabet = alphabet
+        self.depth = depth
+        self.basepoint = basepoint
+        self.vertices: list[tuple[int, Word]] = []
+        self.edges: list[tuple[int, int, int, int]] = []
+        self.faces: list[tuple[int, tuple[int, ...]]] = []
+        self.boundary: list[int] = []
+        self.vertex_words: dict[int, Word] = {}
+        self.edge_map: dict[int, tuple[int, int, int]] = {}
+        self.vmax, self.emax, self.fmax = vmax, emax, fmax
+        self.ends: tuple[Word, Word] | None = None
+
+    @classmethod
+    def of_diagram(cls, d: VanKampenDiagram) -> "_DiagramBuilder":
+        b = cls(
+            d.alphabet, 0, max(d.vertex_words, default=0), max(d.edge_map, default=0),
+            max((fid for fid, _ in d.faces), default=0), d.basepoint,
+        )
+        b._fill(d, list(d.boundary))
+        return b
+
+    @classmethod
+    def of_piece(cls, p: "_DiagramBuilder", flip: bool) -> "_DiagramBuilder":
+        """A copy of the piece ``p``, mirrored if ``flip``."""
+        b = cls(p.alphabet, p.depth, p.vmax, p.emax, p.fmax)
+        b._fill(p, p.arc(flip))
+        return b
+
+    def _fill(self, d, boundary: list[int]) -> None:
         self.vertices = list(d.vertices)
         self.edges = list(d.edges)
         self.faces = list(d.faces)
-        self.basepoint = d.basepoint
-        self.boundary = list(d.boundary)
+        self.boundary = boundary
         self.vertex_words = dict(d.vertex_words)
         self.edge_map = dict(d.edge_map)
-        self.vmax = max(self.vertex_words, default=0)
-        self.emax = max(self.edge_map, default=0)
-        self.fmax = max((fid for fid, _ in d.faces), default=0)
 
     traverse = VanKampenDiagram.traverse  # reads only alphabet and edge_map
+
+    def arc(self, flip: bool) -> list[int]:
+        """The arc, read backwards if ``flip`` (the mirror's arc)."""
+        return [-sgn for sgn in reversed(self.boundary)] if flip else list(self.boundary)
 
     def add_vertex(self, vid: int, w: Word) -> None:
         self.vertices.append((vid, w))
@@ -206,64 +243,25 @@ class _DiagramBuilder:
         self.faces.append((fid, walk))
         self.fmax = max(self.fmax, fid)
 
-    def glue(self, d2: VanKampenDiagram, shared: Word) -> None:
-        """Fold ``d2`` on along ``shared``, as :func:`seashell_glue` does."""
-        if self.alphabet != d2.alphabet:
-            raise DiagramError("cannot glue diagrams over different alphabets")
-        b1, b2 = self.boundary, d2.boundary
-        n = len(shared)
-        if n > len(b1) or n > len(b2):
-            raise DiagramError("shared path longer than a boundary")
+    def _lower(self, depth: int, spur: list[tuple[Word, int]]) -> None:
+        """Store the spur above ``depth`` and make it part of the arc.
 
-        # d1 side: walking backward from the basepoint spells `shared`; the
-        # k-th shared edge (k = 1..n) is boundary entry -k from the end,
-        # against its boundary direction.
-        vmap: dict[int, int] = {d2.basepoint: self.basepoint}  # d2 vertex -> d1 vertex
-        emap_fwd: dict[int, int] = {}  # d2 edge id -> signed d1 traversal of its stored direction
-        v1_prev, v2_prev = self.basepoint, d2.basepoint
-        seen_path = {self.basepoint}
-        for k in range(1, n + 1):
-            t, u = b1[-k], b2[k - 1]
-            letter = shared.letters[k - 1]
-            a1_start, a1_end, a1_letter = self.traverse(-t)
-            a2_start, a2_end, a2_letter = d2.traverse(u)
-            if a1_letter != letter or a2_letter != letter:
-                raise DiagramError(
-                    f"fold label mismatch at position {k} of shared path {shared}"
-                )
-            if a1_start != v1_prev or a2_start != v2_prev:
-                raise DiagramError(f"shared path is not a boundary subpath at position {k}")
-            if a1_end in seen_path:
-                raise DiagramError(f"shared path {shared} is not simple")
-            seen_path.add(a1_end)
-            if self.vertex_words[a1_end] != d2.vertex_words[a2_end]:
-                raise DiagramError(
-                    f"vertex label mismatch along fold: {self.vertex_words[a1_end]} "
-                    f"vs {d2.vertex_words[a2_end]}"
-                )
-            vmap[a2_end] = a1_end
-            emap_fwd[abs(u)] = -t if u > 0 else t
-            v1_prev, v2_prev = a1_end, a2_end
-
-        v_offset, e_offset, f_offset = self.vmax, self.emax, self.fmax
-        for vid, w in d2.vertices:
-            if vid not in vmap:
-                vmap[vid] = v_offset + vid
-                self.add_vertex(v_offset + vid, w)
-
-        def remap_signed(sgn: int) -> int:
-            eid = abs(sgn)
-            if eid in emap_fwd:
-                return emap_fwd[eid] if sgn > 0 else -emap_fwd[eid]
-            return (e_offset + eid) if sgn > 0 else -(e_offset + eid)
-
-        for eid, src, dst, label in d2.edges:
-            if eid not in emap_fwd:
-                self.add_edge(e_offset + eid, vmap[src], vmap[dst], label)
-        for fid, walk in d2.faces:
-            self.add_face(f_offset + fid, tuple(remap_signed(x) for x in walk))
-        del b1[len(b1) - n :]
-        b1.extend(remap_signed(x) for x in b2[n:])
+        ``spur`` holds the vertex word and the edge letter at each depth from
+        ``depth + 1`` up.  The stored vertices and edges go in front of the
+        others, where the whole diagram lists the spur.
+        """
+        h = self.depth
+        ids = range(depth + 1, h + 1)
+        vertices = [(d + 1, w) for d, (w, _) in zip(ids, spur)]
+        edges = [(d, d, d + 1, x) for d, (_, x) in zip(ids, spur)]
+        self.vertices[:0] = vertices
+        self.edges[:0] = edges
+        self.vertex_words.update(vertices)
+        self.edge_map.update((eid, (src, dst, x)) for eid, src, dst, x in edges)
+        self.boundary[:0] = ids
+        self.boundary.extend(range(-h, -depth))
+        self.depth = depth
+        self.vmax, self.emax = max(self.vmax, h + 1), max(self.emax, h)
 
     def tree_step(self, y: Word, x: int, y_next: Word) -> None:
         """Fold on the segment of the degenerate edge from ``y`` by ``x``,
@@ -272,27 +270,97 @@ class _DiagramBuilder:
         The fold of the whole segment keeps only its last edge and vertex,
         so only those are added, under the ids the fold gives them; a step
         back along the tree adds nothing, as the back path of ``y`` already
-        reads ``x`` and then the back path of ``y_next``.
+        reads ``x`` and then the back path of ``y_next``, unless it steps
+        down the spur, whose top edge then joins the arc.
         """
-        if len(y_next) < len(y):
+        n, b, h = len(y), self.boundary, self.depth
+        if len(y_next) < n:
+            if n == h:
+                self._lower(h - 1, [(y, y.letters[-1])])
             return
-        n, b = len(y), self.boundary
-        at = len(b) - n
-        src = self.traverse(b[at])[0] if n else self.basepoint
+        at = len(b) - (n - h)
+        if n > h:
+            src = self.traverse(b[at])[0]
+        else:  # the spur's top vertex
+            src = h + 1 if h else self.basepoint
         vid, eid = self.vmax + n + 2, self.emax + n + 1
         self.add_vertex(vid, y_next)
         self.add_edge(eid, src, vid, x)
         b[at:at] = (eid, -eid)
 
+    def glue(self, p: "_DiagramBuilder", flip: bool, y: Word) -> None:
+        """Fold on the piece ``p``, mirrored if ``flip``, along the back
+        path of ``y``, with the ids and boundary of folding on the whole
+        piece."""
+        source, target = p.ends
+        if (target if flip else source).letters != y.letters:
+            raise DiagramError(f"the piece glued at {y} starts at another vertex")
+        self._fold(p, p.arc(flip), len(y))
+
+    def _fold(self, p: "_DiagramBuilder", arc: list[int], n: int) -> None:
+        """Fold on the diagram ``p`` with the arc ``arc``, whose out path of
+        length ``n`` is identified with the back path at the end of this
+        boundary.
+
+        The entries of the back path are found by their index in the
+        boundary: the one at depth d, above the spur, is the (d - depth)-th
+        from the end and leads from depth d to depth d - 1.  New vertices,
+        edges and faces get ``vmax + vid``, ``emax + eid`` and
+        ``fmax + fid``.  Edges may end on p's spur, but faces and arcs never
+        use spur edges: an arc is built from tree steps, caps and the arcs
+        of pieces, all above their spurs.
+        """
+        hp = p.depth
+        if hp < self.depth:
+            # p's out path supplies the words and letters of this spur above hp
+            steps = [p.traverse(u)[1:] for u in arc[: self.depth - hp]]
+            self._lower(hp, [(p.vertex_words[v], x) for v, x in steps])
+        b, h = self.boundary, self.depth
+        end = len(b)
+        vmap = {p.basepoint: self.basepoint}  # p vertex -> vertex here
+        emap: dict[int, int] = {}  # traversal in p -> traversal here
+        for d in range(hp + 1, n + 1):
+            u, t = arc[d - hp - 1], -b[end - (d - h)]
+            emap[u], emap[-u] = t, -t
+            vmap[p.traverse(u)[1]] = self.traverse(t)[1]
+
+        v_off, e_off, f_off = self.vmax, self.emax, self.fmax
+
+        def spur_vertex(v: int) -> int:  # p's spur vertex at depth v - 1
+            return v if v - 1 <= h else self.traverse(b[end - (v - 1 - h)])[0]
+
+        def remap(walk) -> tuple[int, ...]:
+            return tuple([emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in walk])
+
+        vertices = [(v_off + vid, w) for vid, w in p.vertices if vid not in vmap]
+        vmap.update((vid - v_off, vid) for vid, _ in vertices)  # p's id -> new id
+        get = vmap.get
+        edges = [
+            (e_off + eid, get(src) or spur_vertex(src), get(dst) or spur_vertex(dst), x)
+            for eid, src, dst, x in p.edges
+            if eid not in emap
+        ]
+        faces = [(f_off + fid, remap(walk)) for fid, walk in p.faces]
+        self.vertices += vertices
+        self.vertex_words.update(vertices)
+        self.edges += edges
+        self.edge_map.update((eid, (src, dst, x)) for eid, src, dst, x in edges)
+        self.faces += faces
+        # ids are unique, so the largest tuple has the largest id
+        self.vmax = max(self.vmax, max(vertices, default=(0,))[0])
+        self.emax = max(self.emax, max(edges, default=(0,))[0])
+        self.fmax = max(self.fmax, max(faces, default=(0,))[0])
+        b[end - (n - h) : end - (hp - h)] = remap(arc[n - hp :])
+
     def cap(self, out_len: int, mid_len: int, a: int) -> None:
         """Close the arc of ``mid_len`` boundary entries after the first
         ``out_len`` with a new ``a``-edge and the 2-cell it encloses."""
-        b = self.boundary
-        mid = tuple(b[out_len : out_len + mid_len])
+        b, i = self.boundary, out_len - self.depth
+        mid = tuple(b[i : i + mid_len])
         eid, fid = self.emax + 1, self.fmax + 1
         self.add_edge(eid, self.traverse(mid[0])[0], self.traverse(mid[-1])[1], a)
         self.add_face(fid, mid + (-eid,))
-        b[out_len : out_len + mid_len] = (eid,)
+        b[i : i + mid_len] = (eid,)
 
     def freeze(self) -> VanKampenDiagram:
         d = VanKampenDiagram(
@@ -308,51 +376,70 @@ class _DiagramBuilder:
         return d
 
 
+def _piece_diagram(s: StackingStructure, p: _DiagramBuilder, flip: bool) -> VanKampenDiagram:
+    """The whole diagram of the piece ``p``, mirrored if ``flip``: its spur,
+    with the normal forms of the prefixes of y_g as words, then the rest."""
+    y, h = p.ends[0], p.depth
+    d = VanKampenDiagram(
+        p.alphabet,
+        tuple((i + 1, s.normal_form(y[:i])) for i in range(h + 1)) + tuple(p.vertices),
+        tuple((i, i, i + 1, y.letters[i - 1]) for i in range(1, h + 1)) + tuple(p.edges),
+        tuple(p.faces),
+        1,
+        tuple(range(1, h + 1)) + tuple(p.boundary) + tuple(range(-h, 0)),
+    )
+    return d.mirror() if flip else d
+
+
 def _seashell_walk(
     s: StackingStructure, b: _DiagramBuilder | None, start: Word, word: Word
-) -> Generator[tuple[Word, int], VanKampenDiagram, _DiagramBuilder]:
+) -> Generator[tuple[Word, int], tuple[_DiagramBuilder, bool], _DiagramBuilder]:
     """Fold one normal-form diagram per letter of ``word`` into ``b`` (or
     start it from the first one), each at the normal form of the prefix read
     so far from ``start``, which must be a normal form.
 
     A generator: it yields each recursive edge as a (source, letter) pair,
-    is sent that edge's diagram, and returns the builder.
+    is sent that edge's piece and whether to mirror it, and returns the
+    builder.  A walk that starts with a tree letter starts from a spur that
+    spells ``start``.
     """
     cur = start
     for x in word:
         nxt = s.normal_form(cur.append(x))
         if classify(cur, x, nxt) is EdgeKind.DEGENERATE:
             if b is None:
-                b = _DiagramBuilder(degenerate_diagram((cur, x), s))
-            else:
-                b.tree_step(cur, x, nxt)
+                # no ids in use, so the step's ids are the segment's own
+                b = _DiagramBuilder(s.alphabet, len(cur), 0, 0)
+            b.tree_step(cur, x, nxt)
         else:
-            p = yield cur, x
+            p, flip = yield cur, x
             if b is None:
-                b = _DiagramBuilder(p)
+                b = _DiagramBuilder.of_piece(p, flip)
             else:
-                b.glue(p, cur)
+                b.glue(p, flip, cur)
         cur = nxt
     return b
 
 
 def _recursive_diagram(
     pair: tuple[Word, int], s: StackingStructure, memo: dict, state: dict
-) -> VanKampenDiagram:
-    """Diagram of the recursive edge ``pair`` from a normal form.
+) -> tuple[_DiagramBuilder, bool]:
+    """Piece of the recursive edge ``pair`` from a normal form, and whether
+    it is the memoized piece of the reverse orientation, to be mirrored.
 
     The edges under construction sit on an explicit stack, each with its
     suspended seashell walk, so the depth of the flow is not limited by
     Python's recursion limit.
     """
-    frames: list[tuple[Word, int, tuple, int, Generator]] = []
+    frames: list[tuple[Word, Word, int, tuple, int, Generator]] = []
     while True:
         y_g, a = pair
-        key = _undirected_key(s, y_g, a)
+        y_ga = s.normal_form(y_g.append(a))
+        fwd, bwd = (y_g.letters, a), (y_ga.letters, s.alphabet.inv(a))
+        key = min(fwd, bwd), max(fwd, bwd)
         if key in memo:
-            stored_pair, d = memo[key]
-            if stored_pair != (y_g.letters, a):
-                d = d.mirror()
+            stored_pair, p = memo[key]
+            d = (p, stored_pair != fwd)
         else:
             if key in state["in_progress"]:
                 raise BudgetExceededError(
@@ -364,24 +451,26 @@ def _recursive_diagram(
                 raise BudgetExceededError("diagram recursion budget exceeded")
             state["in_progress"].add(key)
             phi = s.phi(y_g, a)
-            frames.append((y_g, a, key, len(phi), _seashell_walk(s, None, y_g, phi)))
+            walk = _seashell_walk(s, None, y_g, phi)
+            frames.append((y_g, y_ga, a, key, len(phi), walk))
             d = None  # a new walk is started by sending it None
         while frames:
-            y_g, a, key, mid_len, walk = frames[-1]
+            y_g, y_ga, a, key, mid_len, walk = frames[-1]
             try:
                 pair = walk.send(d)
                 break
             except StopIteration as done:
                 # phi represents a nontrivial element, so phi != empty and
-                # the walk built a diagram.  Its boundary is [out y_g][one
+                # the walk built a piece.  Its boundary is [out y_g][one
                 # entry per phi letter][back y_{ga}^-1]; capping the phi arc
                 # with a new a-edge encloses the 2-cell labeled phi a^-1.
-                b = done.value
-                b.cap(len(y_g), mid_len, a)
-                d = b.freeze()
+                p = done.value
+                p.cap(len(y_g), mid_len, a)
+                p.ends = (y_g, y_ga)
+                d = (p, False)
             frames.pop()
             state["in_progress"].discard(key)
-            memo[key] = ((y_g.letters, a), d)
+            memo[key] = ((y_g.letters, a), p)
         else:
             return d
 
@@ -396,8 +485,39 @@ def seashell_glue(
     edge, basepoints merged, and the new boundary is d1's with its tail
     excised followed by d2's with its head excised.
     """
-    b = _DiagramBuilder(d1)
-    b.glue(d2, shared)
+    if d1.alphabet != d2.alphabet:
+        raise DiagramError("cannot glue diagrams over different alphabets")
+    b1, b2 = d1.boundary, d2.boundary
+    n = len(shared)
+    if n > len(b1) or n > len(b2):
+        raise DiagramError("shared path longer than a boundary")
+    # d1 side: walking backward from the basepoint spells `shared`; the
+    # k-th shared edge (k = 1..n) is boundary entry -k from the end,
+    # against its boundary direction.
+    v1_prev, v2_prev = d1.basepoint, d2.basepoint
+    seen_path = {d1.basepoint}
+    for k in range(1, n + 1):
+        t, u = b1[-k], b2[k - 1]
+        letter = shared.letters[k - 1]
+        a1_start, a1_end, a1_letter = d1.traverse(-t)
+        a2_start, a2_end, a2_letter = d2.traverse(u)
+        if a1_letter != letter or a2_letter != letter:
+            raise DiagramError(
+                f"fold label mismatch at position {k} of shared path {shared}"
+            )
+        if a1_start != v1_prev or a2_start != v2_prev:
+            raise DiagramError(f"shared path is not a boundary subpath at position {k}")
+        if a1_end in seen_path:
+            raise DiagramError(f"shared path {shared} is not simple")
+        seen_path.add(a1_end)
+        if d1.vertex_words[a1_end] != d2.vertex_words[a2_end]:
+            raise DiagramError(
+                f"vertex label mismatch along fold: {d1.vertex_words[a1_end]} "
+                f"vs {d2.vertex_words[a2_end]}"
+            )
+        v1_prev, v2_prev = a1_end, a2_end
+    b = _DiagramBuilder.of_diagram(d1)
+    b._fold(_DiagramBuilder.of_diagram(d2), list(b2), n)
     return b.freeze()
 
 
@@ -416,7 +536,7 @@ def build_filling_diagram(
     if memo is None:
         memo = {}
     walk = _seashell_walk(
-        s, _DiagramBuilder(_empty_diagram(s.alphabet)), s.alphabet.empty(), w
+        s, _DiagramBuilder.of_diagram(_empty_diagram(s.alphabet)), s.alphabet.empty(), w
     )
     d = None
     try:
@@ -487,24 +607,6 @@ def _is_closed_walk_at(d: VanKampenDiagram, walk: tuple[int, ...], start: int) -
     return cur == start
 
 
-def _path_from(
-    outgoing: dict[int, list[tuple[int, int]]], start: int, target: int, word: Word
-) -> bool:
-    """Is there a path in the 1-skeleton from ``start`` to ``target``
-    spelling ``word``?"""
-    frontier = {start}
-    for letter in word:
-        frontier = {
-            dst
-            for v in frontier
-            for lab, dst in outgoing[v]
-            if lab == letter
-        }
-        if not frontier:
-            return False
-    return target in frontier
-
-
 def validate_diagram(
     d: VanKampenDiagram,
     relators: set[Word],
@@ -570,14 +672,31 @@ def validate_diagram(
             euler_ok = False
             details.append("1-skeleton is not connected")
 
-    # (iv) vertex words are normal forms and label in-diagram basepoint paths
+    # (iv) vertex words are normal forms and label in-diagram basepoint paths.
+    # The ends of the paths from the basepoint spelling L are S(L): S of the
+    # empty word is the basepoint and S(L x) is the set of x-neighbours of
+    # S(L), each found once, from the longest prefix already known.
     paths_ok = consistent
     if consistent:
+        ends: dict[tuple[int, ...], set[int]] = {(): {d.basepoint}}
+
+        def spelled(letters: tuple[int, ...]) -> set[int]:
+            k = len(letters)
+            while letters[:k] not in ends:
+                k -= 1
+            frontier = ends[letters[:k]]
+            while k < len(letters) and frontier:
+                x = letters[k]
+                frontier = {dst for v in frontier for lab, dst in outgoing[v] if lab == x}
+                k += 1
+                ends[letters[:k]] = frontier
+            return frontier
+
         for vid, word in d.vertices:
             if not s.in_normal_forms(word):
                 paths_ok = False
                 details.append(f"vertex {vid} word {word} is not a normal form")
-            elif not _path_from(outgoing, d.basepoint, vid, word):
+            elif vid not in spelled(word.letters):
                 paths_ok = False
                 details.append(f"vertex {vid} word {word} labels no basepoint path")
 

@@ -6,9 +6,11 @@ companion rewriting system, brute-force free reduction by trying all
 cancellation orders, pseudo-random trivial-word generation by relator and
 cancellation insertion, an exhaustive minimal-area search by bounded
 relator application, shortlex representatives by enumerating all words,
-leftmost-occurrence rewriting with a brute-force subword search, the two
-clauses of the Thompson's F normal form language evaluated directly, and
-the seashell filling built letter by letter from whole diagrams.
+Cayley balls by enumerating all words, leftmost-occurrence rewriting with a
+brute-force subword search, the two clauses of the Thompson's F normal form
+language evaluated directly, the seashell filling built letter by letter
+from whole diagrams, and the basepoint-path check of a diagram's vertex
+words walked from the basepoint one vertex at a time.
 """
 
 from __future__ import annotations
@@ -153,6 +155,30 @@ def all_words(alphabet: Alphabet, max_len: int):
 
 
 # ---------------------------------------------------------------------------
+# Cayley balls by enumeration: an element's distance is the length of the
+# shortest word of length <= radius that represents it.
+
+
+def ball_reference(oracle, radius: int):
+    """(distances, edges, tree_parent) of B(radius): element letters ->
+    distance; (source, label, target, degenerate?) for every edge between
+    elements, sources in shortlex order, then by label; normal form ->
+    (prefix, last letter) where the prefix lies in the ball."""
+    al = oracle.alphabet
+    dist: dict = {}
+    for w in all_words(al, radius):
+        dist.setdefault(oracle.normal_form(w).letters, len(w))
+    edges = []
+    for g in sorted(dist, key=lambda g: (len(g), g)):
+        for a in range(len(al)):
+            h = oracle.normal_form(Word(al, g).append(a)).letters
+            if h in dist:
+                edges.append((g, a, h, g + (a,) == h or g == h + (al.inv(a),)))
+    parent = {g: (g[:-1], g[-1]) for g in dist if g and g[:-1] in dist}
+    return dist, edges, parent
+
+
+# ---------------------------------------------------------------------------
 # Rewriting by leftmost occurrence: rewrite the leftmost occurrence of any
 # lhs (lowest rule index on ties) until none is left.  For a complete system
 # every strategy reaches the same irreducible word.
@@ -273,3 +299,29 @@ def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
     al = s.alphabet
     empty = VanKampenDiagram(al, ((1, al.empty()),), (), (), 1, ())
     return walk(empty, al.empty(), w), memo
+
+
+# ---------------------------------------------------------------------------
+# Basepoint paths vertex by vertex: each vertex word is a normal form and
+# spells a path in the 1-skeleton from the basepoint to that vertex, found by
+# following every edge that reads the next letter.
+
+
+def basepoint_path_details(d: VanKampenDiagram, s) -> list[str]:
+    """The failures of the basepoint-path check, one per offending vertex,
+    in vertex order."""
+    outgoing: dict = {vid: [] for vid, _ in d.vertices}
+    for _, src, dst, label in d.edges:
+        outgoing[src].append((label, dst))
+        outgoing[dst].append((d.alphabet.inv(label), src))
+    details = []
+    for vid, word in d.vertices:
+        if not s.in_normal_forms(word):
+            details.append(f"vertex {vid} word {word} is not a normal form")
+            continue
+        frontier = {d.basepoint}
+        for letter in word:
+            frontier = {dst for v in frontier for lab, dst in outgoing[v] if lab == letter}
+        if vid not in frontier:
+            details.append(f"vertex {vid} word {word} labels no basepoint path")
+    return details

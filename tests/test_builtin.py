@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import affine_eval, all_words, shortlex_representatives, thompson_f_direct
+from oracles import (
+    affine_eval,
+    all_words,
+    leftmost_reduce,
+    shortlex_representatives,
+    thompson_f_direct,
+)
 from stackings import (
     AlmostConvexityError,
     Alphabet,
@@ -14,18 +20,22 @@ from stackings import (
     StructureError,
     Word,
     almost_convexity_check,
+    bs12_system,
     bs1p_structure,
     crs_structure,
     expsum_x0,
     free_group_oracle,
     load_rewriting_system,
+    prefix_rewrite_length,
     reduce_to_irreducible,
     shortlex_ac_structure,
     stacking_reduce_steps,
     thompson_alphabet,
     thompson_f_in_C,
+    z2_system,
 )
 from stackings import builtin
+from stackings.rewriting import DEFAULT_BUDGET, _prefix_rewrite
 from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexBall
 
 
@@ -120,7 +130,35 @@ class TestBS1pStep:
         assert len(calls) <= 2 * (len(w) + steps * (p + 2))
 
 
+@pytest.fixture(scope="module")
+def warm_crs():
+    """One crs structure per system, kept across examples, so the set of
+    irreducible words it returned fills up."""
+    return {system: crs_structure(system()) for system in (z2_system, bs12_system)}
+
+
 class TestCrsStructure:
+    @pytest.mark.parametrize("system", [z2_system, bs12_system])
+    @settings(max_examples=150, deadline=None)
+    @given(data=hs.data())
+    def test_warm_step_agrees_with_leftmost_reference(self, warm_crs, system, data):
+        s = warm_crs[system]
+        S = system()
+        n = len(S.alphabet)
+        u = Word(S.alphabet, tuple(data.draw(hs.lists(hs.integers(0, n - 1), max_size=20))))
+        x = data.draw(hs.integers(0, n - 1))
+        y = s.normal_form(u)
+        # u's prefix is seldom an irreducible word returned before; y's always
+        # is.  The oracle function is called directly, past the structure's memo.
+        for w in (u.append(x), y.append(x)):
+            assert s.normal_form_fn(w) == leftmost_reduce(S, w)
+        # starting with y on the stack fires no rule, so the steps are the same
+        w = y.append(x)
+        assert _prefix_rewrite(S, w, DEFAULT_BUDGET, len(y)) == (
+            leftmost_reduce(S, w),
+            prefix_rewrite_length(S, w),
+        )
+
     def test_requires_claimed_complete(self, z2S):
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)
         with pytest.raises(StructureError):

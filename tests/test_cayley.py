@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ball_reference
 from stackings import (
     EdgeKind,
     FunctionOracle,
@@ -13,6 +14,7 @@ from stackings import (
     build_ball,
     classify,
     free_group_oracle,
+    reduce_to_irreducible,
     tree_path,
 )
 from stackings.words import Alphabet
@@ -128,6 +130,33 @@ class TestFreeGroup:
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
         with pytest.raises(StackingsError):
             build_ball(free_group_oracle(al), 5, max_elements=50)
+
+
+class TestAgainstEnumeration:
+    @pytest.mark.parametrize("group, radius", [("z2", 5), ("bs12", 5), ("f2", 4)])
+    def test_ball_matches_enumeration(self, group, radius, z2oracle, bs2):
+        f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+        oracle = {"z2": z2oracle, "bs12": bs2, "f2": free_group_oracle(f2)}[group]
+        ball = build_ball(oracle, radius)
+        dist, edges, parent = ball_reference(oracle, radius)
+        assert {g: e.distance for g, e in ball.elements.items()} == dist
+        assert [
+            (e.source.canonical.letters, e.label, e.target.canonical.letters,
+             e.classification is EdgeKind.DEGENERATE)
+            for e in ball.edges
+        ] == edges
+        assert {
+            g: (e.source.canonical.letters, e.label) for g, e in ball.tree_parent.items()
+        } == parent
+
+    def test_one_oracle_call_per_element_and_letter(self, z2S):
+        calls = []
+        oracle = FunctionOracle(
+            z2S.alphabet, lambda w: calls.append(w) or reduce_to_irreducible(z2S, w)
+        )
+        ball = build_ball(oracle, 11)
+        # the root check, then each element times each letter
+        assert len(calls) == 1 + len(ball.elements) * len(z2S.alphabet)
 
 
 class TestEdgesAndAlpha:

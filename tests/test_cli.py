@@ -1,5 +1,6 @@
 import json
 
+from stackings import cli
 from stackings.cli import main
 
 
@@ -64,6 +65,30 @@ class TestVkd:
             capsys, "vkd", "--structure", f"crs:{z2_rules_file}", "--word", word
         )
         assert code == 0 and "faces: 400" in err
+
+    def test_report_on_pass(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "vkd", "--structure", "bs1p:2", "--word", "t a T A A",
+            "--report", str(report),
+        )
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["passed"] is True and data["details"] == []
+
+    def test_report_on_validation_failure(self, capsys, tmp_path, monkeypatch):
+        # with no relators, no face label is a relator
+        monkeypatch.setattr(cli, "stacking_relation_set", lambda s, edges: set())
+        report = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "vkd", "--structure", "bs1p:2", "--word", "t a T A A",
+            "--report", str(report),
+        )
+        assert code == 4 and "FAIL" in err
+        data = json.loads(report.read_text())
+        assert data["passed"] is False
+        assert data["checks"]["faces_are_relators"] is False
+        assert data["details"] == ["face 1 label T a a t A is not a relator"]
 
     def test_nontrivial_word_is_precondition_error(self, capsys):
         code, _, err = run(capsys, "vkd", "--structure", "bs1p:2", "--word", "a")

@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import random_trivial_words, seashell_fill_reference
+from oracles import basepoint_path_details, random_trivial_words, seashell_fill_reference
 from stackings import (
     BudgetExceededError,
     DiagramError,
@@ -192,6 +193,64 @@ class TestAgainstFoldReference:
         self.assert_same_filling(z2struct, al.word(text))
 
 
+def conjugate_commutators(al, count, seed):
+    """[x a x^-1, y a y^-1] in BS(1,2) with random conjugators of 2 to 7
+    letters, freely reduced: trivial, since conjugates of a commute."""
+    rng = random.Random(seed)
+    a = al.letter(al.index("a"))
+
+    def conjugate():
+        x = Word(al, tuple(rng.randrange(len(al)) for _ in range(rng.randint(2, 7))))
+        return (x * a * x.inverse()).free_reduce()
+
+    out = []
+    for _ in range(count):
+        u, v = conjugate(), conjugate()
+        out.append((u * v * u.inverse() * v.inverse()).free_reduce())
+    return out
+
+
+class TestPiecesAgainstFoldReference:
+    """recursive_diagram returns the reference fold's memo piece for every
+    memoized edge, and its mirror for the reverse orientation.  The edges are
+    asked for in the order the filling finished them, so each piece is built
+    from the sub-pieces, in the orientations, that the filling used."""
+
+    @staticmethod
+    def assert_same_pieces(s, w):
+        al = s.alphabet
+        _, expected_memo = seashell_fill_reference(s, w)
+        memo = {}
+        for (src, a), d in expected_memo.values():
+            y = Word(al, src)
+            y_ga = s.normal_form(y.append(a))
+            for e, expected in (((y, a), d), ((y_ga, al.inv(a)), d.mirror())):
+                got = recursive_diagram(e, s, memo=memo)
+                assert export_diagram(got, "json") == export_diagram(expected, "json")
+                assert got == expected
+        assert [(k, v[0]) for k, v in memo.items()] == [
+            (k, v[0]) for k, v in expected_memo.items()
+        ]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_bs12_commutators(self, bs2, n):
+        al = bs2.alphabet
+        u = ["t"] * n + ["a"] + ["T"] * n
+        u_inv = ["t"] * n + ["A"] + ["T"] * n
+        self.assert_same_pieces(bs2, al.word(" ".join(u + ["a"] + u_inv + ["A"])))
+
+    def test_conjugate_commutators(self, bs2):
+        for w in conjugate_commutators(bs2.alphabet, 12, seed=6):
+            self.assert_same_pieces(bs2, w)
+
+    def test_z2_commutators(self, z2struct):
+        al = z2struct.alphabet
+        for i in range(5):
+            for j in range(5):
+                text = " ".join(["a"] * i + ["b"] * j + ["A"] * i + ["B"] * j)
+                self.assert_same_pieces(z2struct, al.word(text))
+
+
 class TestDeepFlow:
     @pytest.mark.parametrize("tokens", [
         ["a"] + ["b"] * 400 + ["A"] + ["B"] * 400,
@@ -307,6 +366,57 @@ class TestValidation:
             "basepoint_paths",
             "incidence_consistent",
         }
+
+
+class TestBasepointPathsAgainstReference:
+    """validate_diagram reports the basepoint-path failures that walking
+    every vertex word from the basepoint finds, in the same words and
+    order."""
+
+    @staticmethod
+    def assert_same_details(s, d, w):
+        al = s.alphabet
+        rels = stacking_relation_set(s, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(d, rels, w, s)
+        expected = basepoint_path_details(d, s)
+        assert [x for x in report.details if x.startswith("vertex ")] == expected
+        assert report.basepoint_paths == (not expected)
+        return expected
+
+    @staticmethod
+    def relabel(d, labels):
+        vertices = tuple((vid, labels.get(vid, word)) for vid, word in d.vertices)
+        return VanKampenDiagram(d.alphabet, vertices, d.edges, d.faces, d.basepoint, d.boundary)
+
+    def test_fillings(self, bs2):
+        for w in conjugate_commutators(bs2.alphabet, 12, seed=7):
+            assert self.assert_same_details(bs2, build_filling_diagram(bs2, w), w) == []
+
+    def test_swapped_labels(self, bs2):
+        w = max(conjugate_commutators(bs2.alphabet, 5, seed=8), key=len)
+        d = build_filling_diagram(bs2, w)
+        (i, wi), (j, wj) = d.vertices[3], d.vertices[-1]
+        assert wi != wj
+        assert len(self.assert_same_details(bs2, self.relabel(d, {i: wj, j: wi}), w)) == 2
+
+    def test_label_whose_prefixes_label_no_vertex(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t t a T T A A A A")
+        d = build_filling_diagram(bs2, w)
+        far = al.word("T T T T T A")
+        assert all(far[:k] not in d.vertex_words.values() for k in range(1, 6))
+        details = self.assert_same_details(bs2, self.relabel(d, {d.vertices[2][0]: far}), w)
+        assert details == [f"vertex {d.vertices[2][0]} word {far} labels no basepoint path"]
+
+    def test_non_normal_form_label(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t t a T T A A A A")
+        d = build_filling_diagram(bs2, w)
+        (i, _), (j, wj) = d.vertices[1], d.vertices[4]
+        bad = self.relabel(d, {i: al.word("t a"), j: wj.append(al.index("a"))})
+        details = self.assert_same_details(bs2, bad, w)
+        assert details[0] == f"vertex {i} word t a is not a normal form"
+        assert len(details) == 2
 
 
 class TestExportImport:
