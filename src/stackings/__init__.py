@@ -59,6 +59,7 @@ from .stacking import (
     FlowFunction,
     FlowReport,
     GeodesicReport,
+    NormalFormTree,
     StackingStructure,
     s_phi_membership,
     stacking_reduce,

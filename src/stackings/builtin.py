@@ -20,16 +20,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .cayley import NormalFormOracle, build_ball
 from .errors import (
     AlmostConvexityError,
+    BudgetExceededError,
     FormatError,
     OutsideExploredRegionError,
     StructureError,
 )
-from .rewriting import DEFAULT_BUDGET, RewritingSystem, _prefix_rewrite, _rules_ending_at
-from .stacking import StackingStructure
+from .rewriting import DEFAULT_BUDGET, RewritingSystem
+from .stacking import NormalFormTree, StackingStructure
 from .words import Alphabet, Word
 
 __all__ = [
@@ -50,19 +52,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # BS(1,p) = < a, t | t a t^-1 = a^p >
 
+# Letter indices in bs1p_alphabet().
+_A, _A_INV, _T, _T_INV = range(4)
+
 
 def bs1p_alphabet() -> Alphabet:
     return Alphabet.from_pairs(("a", "A", "t", "T"), [("a", "A"), ("t", "T")])
 
 
-@dataclass(frozen=True)
-class BS1pElement:
+class BS1pElement(NamedTuple):
     """Group element in normal form t^-i a^m t^k, with p not dividing m
     unless i or k vanishes."""
 
     i: int
     m: int
     k: int
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The normal form over ``bs1p_alphabet()``."""
+        a = _A if self.m > 0 else _A_INV
+        return (_T_INV,) * self.i + (a,) * abs(self.m) + (_T,) * self.k
 
 
 def _bs_normalize(p: int, i: int, m: int, k: int) -> BS1pElement:
@@ -75,7 +85,7 @@ def _bs_normalize(p: int, i: int, m: int, k: int) -> BS1pElement:
 
 def _bs_mul(p: int, g: BS1pElement, eta_a: int, eta_t: int) -> BS1pElement:
     """Right-multiply by a^eta_a or t^eta_t (exactly one of them nonzero)."""
-    i, m, k = g.i, g.m, g.k
+    i, m, k = g
     if eta_a:
         return _bs_normalize(p, i, m + eta_a * p**k, k)
     if eta_t > 0:
@@ -85,6 +95,56 @@ def _bs_mul(p: int, g: BS1pElement, eta_a: int, eta_t: int) -> BS1pElement:
     return BS1pElement(i + 1, m * p, 0)
 
 
+# (eta_a, eta_t) of each letter, by letter index.
+_DELTAS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class _BS1pTree(NormalFormTree):
+    """A node is its element (i, m, k), so a step is one multiplication and
+    the parent, last letter and depth of a node are arithmetic."""
+
+    def __init__(self, p: int) -> None:
+        super().__init__(bs1p_alphabet(), BS1pElement(0, 0, 0))
+        self.p = p
+        al = self.alphabet
+        # phi of t^eta from t^-i a^m, by (m > 0, letter): (a^{-nu p} t a^nu)^eta
+        self._t_images: dict[tuple[bool, int], Word] = {}
+        for positive, a, a_inv in ((True, _A, _A_INV), (False, _A_INV, _A)):
+            img = Word(al, (a_inv,) * p + (_T, a))
+            self._t_images[positive, _T] = img
+            self._t_images[positive, _T_INV] = img.inverse()
+        # phi of a^eta from t^-i a^m t^k (k > 0): t^-1 a^{eta p} t
+        self._a_images = {a: Word(al, (_T_INV,) + (a,) * p + (_T,)) for a in (_A, _A_INV)}
+
+    def step(self, g: BS1pElement, a: int) -> BS1pElement:
+        return _bs_mul(self.p, g, *_DELTAS[a])
+
+    def parent(self, g: BS1pElement) -> BS1pElement | None:
+        i, m, k = g
+        if k:
+            return BS1pElement(i, m, k - 1)
+        if m:
+            return BS1pElement(i, m - 1 if m > 0 else m + 1, 0)
+        if i:
+            return BS1pElement(i - 1, 0, 0)
+        return None
+
+    def last(self, g: BS1pElement) -> int:
+        return _T if g.k else _A if g.m > 0 else _A_INV if g.m else _T_INV
+
+    def depth(self, g: BS1pElement) -> int:
+        return g.i + abs(g.m) + g.k
+
+    def phi(self, g: BS1pElement, letter: int) -> Word:
+        if letter in (_T, _T_INV):
+            if g.k != 0 or g.m == 0 or (letter == _T and g.i == 0):
+                raise StructureError(f"edge ({self.word(g)}, {self.alphabet.tokens[letter]}) is not recursive")
+            return self._t_images[g.m > 0, letter]
+        if g.k <= 0:
+            raise StructureError(f"edge ({self.word(g)}, {self.alphabet.tokens[letter]}) is not recursive")
+        return self._a_images[letter]
+
+
 def bs1p_structure(p: int) -> StackingStructure:
     """The explicit stacking for BS(1,p), p >= 2, with bound k = p + 2.
 
@@ -92,72 +152,117 @@ def bs1p_structure(p: int) -> StackingStructure:
     t^eta, with image (a^{-nu p} t a^nu)^eta, nu the sign of m; and from
     t^-i a^m t^k (k > 0) by a^eta, with image t^-1 a^{eta p} t.
 
-    The structure keeps the element (i, m, k) of each normal form it
-    returns, so the normal form of y a and phi(y, a), for such a normal
-    form y, cost one multiplication instead of a replay of the word.
+    Its normal-form tree's nodes are the elements (i, m, k).
     """
     if p < 2:
         raise FormatError("bs1p requires p >= 2")
-    alphabet = bs1p_alphabet()
-    A, A_INV, T, T_INV = (alphabet.index(x) for x in ("a", "A", "t", "T"))
-    deltas = {A: (1, 0), A_INV: (-1, 0), T: (0, 1), T_INV: (0, -1)}
-
-    # Element of every normal form returned so far, keyed by its letters.
-    known: dict[tuple[int, ...], BS1pElement] = {(): BS1pElement(0, 0, 0)}
-
-    def to_element(w: Word) -> BS1pElement:
-        """A lookup for a normal form returned before, one step from its
-        prefix when that is one, and a replay of the word otherwise."""
-        letters = w.letters
-        g = known.get(letters)
-        if g is not None:
-            return g
-        g = known.get(letters[:-1])
-        if g is not None:
-            return _bs_mul(p, g, *deltas[letters[-1]])
-        g = BS1pElement(0, 0, 0)
-        for letter in letters:
-            g = _bs_mul(p, g, *deltas[letter])
-        return g
-
-    def to_word(g: BS1pElement) -> Word:
-        letters = (
-            (T_INV,) * g.i
-            + ((A,) if g.m > 0 else (A_INV,)) * abs(g.m)
-            + (T,) * g.k
-        )
-        return Word(alphabet, letters)
-
-    def normal_form(w: Word) -> Word:
-        g = to_element(w)
-        y = to_word(g)
-        known[y.letters] = g
-        return y
-
-    def phi(y: Word, letter: int) -> Word:
-        g = to_element(y)
-        if letter in (T, T_INV):
-            eta = 1 if letter == T else -1
-            if g.k != 0 or g.m == 0 or -g.i + eta > 0:
-                raise StructureError(f"edge ({y}, {alphabet.tokens[letter]}) is not recursive")
-            nu = 1 if g.m > 0 else -1
-            base = Word(
-                alphabet,
-                ((A_INV if nu > 0 else A),) * p + (T,) + ((A if nu > 0 else A_INV),),
-            )
-            return base if eta == 1 else base.inverse()
-        eta = 1 if letter == A else -1
-        if g.k <= 0:
-            raise StructureError(f"edge ({y}, {alphabet.tokens[letter]}) is not recursive")
-        return Word(alphabet, (T_INV,) + ((A if eta > 0 else A_INV),) * p + (T,))
-
+    tree = _BS1pTree(p)
     return StackingStructure(
-        alphabet, normal_form, phi, bound_k=p + 2, name=f"bs1p:{p}"
+        tree.alphabet, tree.normal_form, tree.phi, bound_k=p + 2, name=f"bs1p:{p}", tree=tree
     )
 
 
 # ---------------------------------------------------------------------------
 # Stacking from a minimal finite complete rewriting system (prefix rewriting).
+
+
+class _Irreducible:
+    """An irreducible word as a node of the trie of irreducible words."""
+
+    __slots__ = ("parent", "letter", "depth", "children")
+
+    def __init__(self, parent: "_Irreducible | None", letter: int) -> None:
+        self.parent = parent
+        self.letter = letter
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.children: dict[int, _Irreducible] = {}
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.letter)
+            node = node.parent
+        return tuple(reversed(out))
+
+
+class _IrreducibleTree(NormalFormTree):
+    """Interned trie nodes, stepped by prefix rewriting with the rewriting
+    stack kept as a node: ``step(y, a)`` tries only the rules ending in
+    ``a`` against the last letters of ``y``; on a match it climbs
+    ``|lhs| - 1`` parents and steps through the rhs.
+    """
+
+    def __init__(self, S: RewritingSystem, budget: int) -> None:
+        super().__init__(S.alphabet, _Irreducible(None, -1))
+        self.budget = budget
+        # last letter of an lhs -> (rest of the lhs reversed, rhs reversed,
+        # phi image), in rule order
+        self._rules: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], Word]]] = {}
+        for rule in S.rules:
+            lhs = rule.lhs.letters
+            self._rules.setdefault(lhs[-1], []).append(
+                (lhs[-2::-1], rule.rhs.letters[::-1], rule.lhs[:-1].inverse() * rule.rhs)
+            )
+
+    @staticmethod
+    def _ends_with(y: _Irreducible, rest: tuple[int, ...]) -> _Irreducible | None:
+        """The node above the suffix of ``y`` that spells ``rest`` reversed,
+        or None if ``y`` does not end so."""
+        for c in rest:
+            if y.letter != c:
+                return None
+            y = y.parent
+        return y
+
+    def _redex(self, y: _Irreducible, a: int) -> tuple[_Irreducible, tuple[int, ...]] | None:
+        """For the first rule whose lhs ends ``y a``: the node above its
+        lhs and its rhs reversed."""
+        for rest, rhs, _ in self._rules.get(a, ()):
+            above = self._ends_with(y, rest)
+            if above is not None:
+                return above, rhs
+        return None
+
+    def step(self, y: _Irreducible, a: int) -> _Irreducible:
+        cur, unread, rewrites = y, [a], 0
+        while unread:
+            b = unread.pop()
+            child = cur.children.get(b)
+            if child is None:
+                redex = self._redex(cur, b)
+                if redex is not None:
+                    if rewrites == self.budget:
+                        raise BudgetExceededError(
+                            f"system not terminating within budget on {self.word(y).append(a)!r}"
+                        )
+                    rewrites += 1
+                    cur, rhs = redex
+                    unread.extend(rhs)
+                    continue
+                child = cur.children[b] = _Irreducible(cur, b)
+            cur = child
+        return cur
+
+    def parent(self, y: _Irreducible) -> _Irreducible | None:
+        return y.parent
+
+    def last(self, y: _Irreducible) -> int:
+        return y.letter
+
+    def depth(self, y: _Irreducible) -> int:
+        return y.depth
+
+    def phi(self, y: _Irreducible, a: int) -> Word:
+        images = [img for rest, _, img in self._rules.get(a, ()) if self._ends_with(y, rest)]
+        if len(images) > 1:
+            raise StructureError("two rules apply: system not minimal")
+        if not images:
+            raise StructureError(
+                f"no rule factors {self.word(y).append(a)}: system not minimal/complete"
+            )
+        return images[0]
 
 
 def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingStructure:
@@ -169,33 +274,16 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
     minimality gives a unique factorization y_g = w u~ with a rule
     u~ a -> v, and phi is u~^-1 v.
 
-    The structure keeps the irreducible words it returns, so the normal
-    form of y a, for such a word y, starts rewriting with y on the stack
-    instead of pushing it letter by letter.
+    Its normal-form tree is the trie of irreducible words; ``budget``
+    bounds the rewriting steps of one ``step``.
     """
     if not S.claimed_complete:
         raise StructureError("crs_structure requires a system claimed complete")
-    alphabet = S.alphabet
-    returned: set[tuple[int, ...]] = set()
-
-    def normal_form(w: Word) -> Word:
-        n = len(w) - 1
-        y, _ = _prefix_rewrite(S, w, budget, n if n > 0 and w.letters[:n] in returned else 0)
-        returned.add(y.letters)
-        return y
-
-    def phi(y: Word, a: int) -> Word:
-        word = y.append(a)
-        matches = list(_rules_ending_at(S, list(word.letters), len(word)))
-        if len(matches) > 1:
-            raise StructureError("two rules apply: system not minimal")
-        if not matches:
-            raise StructureError(f"no rule factors {word}: system not minimal/complete")
-        rule = matches[0]
-        return rule.lhs[:-1].inverse() * rule.rhs
-
+    tree = _IrreducibleTree(S, budget)
     bound_k = max((len(r.lhs) + len(r.rhs) for r in S.rules), default=1)
-    return StackingStructure(alphabet, normal_form, phi, bound_k=bound_k, name="crs")
+    return StackingStructure(
+        S.alphabet, tree.normal_form, tree.phi, bound_k=bound_k, name="crs", tree=tree
+    )
 
 
 # ---------------------------------------------------------------------------

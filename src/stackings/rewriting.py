@@ -97,20 +97,16 @@ def _redexes(S: RewritingSystem, letters: Sequence[int]) -> Iterator[tuple[int, 
             yield end, rule
 
 
-def _prefix_rewrite(
-    S: RewritingSystem, w: Word, budget: int, irreducible: int = 0
-) -> tuple[Word, int]:
+def _prefix_rewrite(S: RewritingSystem, w: Word, budget: int) -> tuple[Word, int]:
     """The irreducible form of ``w`` and the number of prefix rewriting
     steps to it; more than ``budget`` steps raise.
 
     ``stack`` always holds an irreducible word, so a rule ending at its top
     rewrites the shortest reducible prefix; its rhs goes back in front of
-    the unread letters.  The caller may vouch that the first
-    ``irreducible`` letters of ``w`` form an irreducible word: they start on
-    the stack, as pushing them would fire no rule.
+    the unread letters.
     """
-    stack = list(w.letters[:irreducible])
-    unread = list(reversed(w.letters[irreducible:]))
+    stack: list[int] = []
+    unread = list(reversed(w.letters))
     steps = 0
     while unread:
         stack.append(unread.pop())

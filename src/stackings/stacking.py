@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .cayley import Ball, DirectedEdge, EdgeKind, alpha, classify
 from .errors import BudgetExceededError, StructureError
@@ -25,6 +25,7 @@ from .rewriting import DEFAULT_BUDGET
 from .words import Alphabet, Word, symmetrized_closure
 
 __all__ = [
+    "NormalFormTree",
     "StackingStructure",
     "FlowFunction",
     "stacking_reduce",
@@ -39,23 +40,111 @@ __all__ = [
 ]
 
 
+class NormalFormTree:
+    """The normal forms of a stacking as the nodes of the tree that its
+    degenerate edges span.
+
+    Normal forms are prefix-closed, so every node but ``root`` is its
+    ``parent`` followed by its ``last`` letter.  A subclass chooses the
+    hashable nodes, equal exactly when their normal forms are, and gives
+    ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
+    Every node spells its normal form as the tuple ``node.letters``.
+
+    Word-level normal forms are a memoized fold of ``step``: the tree keeps
+    the node of every normal form it returned, so the normal form of ``y a``
+    for such a ``y`` costs one step.
+    """
+
+    def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
+        self.alphabet = alphabet
+        self.root = root
+        self._nodes: dict[tuple[int, ...], Hashable] = {(): root}
+
+    def step(self, node, a: int):
+        raise NotImplementedError
+
+    def parent(self, node):
+        """The node one letter shorter; None at the root."""
+        raise NotImplementedError
+
+    def last(self, node) -> int:
+        raise NotImplementedError
+
+    def depth(self, node) -> int:
+        raise NotImplementedError
+
+    def word(self, node) -> Word:
+        return Word(self.alphabet, node.letters)
+
+    def _node(self, w: Word):
+        """The node of the element that ``w`` spells."""
+        letters = w.letters
+        node = self._nodes.get(letters)
+        if node is not None:
+            return node
+        node = self._nodes.get(letters[:-1])
+        if node is not None:
+            return self.step(node, letters[-1])
+        node = self.root
+        for a in letters:
+            node = self.step(node, a)
+        return node
+
+    def normal_form(self, w: Word) -> Word:
+        node = self._node(w)
+        y = self.word(node)
+        self._nodes[y.letters] = node
+        return y
+
+
+class _WordTree(NormalFormTree):
+    """Nodes that are the normal-form words of a structure's own oracle, for
+    a structure given only a normal-form function."""
+
+    def __init__(self, s: "StackingStructure") -> None:
+        super().__init__(s.alphabet, s.alphabet.empty())
+        self._s = s
+
+    def step(self, y: Word, a: int) -> Word:
+        return self._s.normal_form(y.append(a))
+
+    def parent(self, y: Word) -> Word | None:
+        return y[:-1] if y.letters else None
+
+    def last(self, y: Word) -> int:
+        return y.letters[-1]
+
+    def depth(self, y: Word) -> int:
+        return len(y.letters)
+
+    def word(self, y: Word) -> Word:
+        return y
+
+    def _node(self, w: Word) -> Word:
+        return self._s.normal_form(w)
+
+
 @dataclass
 class StackingStructure:
     """Normal-form oracle plus stacking map with bound ``k``.
 
-    ``phi_fn(y_g, a)`` receives the canonical word of the source and the
-    edge label and is consulted only on recursive edges.  Oracles must be
-    pure; normal forms are memoized internally.
+    ``phi_fn(node, a)`` receives the ``tree`` node of the source and the
+    edge label and is consulted only on recursive edges.  Without a
+    ``tree``, the nodes are the normal-form words of ``normal_form_fn``.
+    Oracles must be pure; word-level normal forms are memoized internally.
     """
 
     alphabet: Alphabet
     normal_form_fn: Callable[[Word], Word]
-    phi_fn: Callable[[Word, int], Word]
+    phi_fn: Callable[[Hashable, int], Word]
     bound_k: int
     name: str = ""
+    tree: NormalFormTree | None = field(default=None, repr=False)
     _nf_cache: dict[tuple[int, ...], Word] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if self.tree is None:
+            self.tree = _WordTree(self)
         if len(self.normal_form(self.alphabet.empty())) != 0:
             raise StructureError("normal form of the empty word must be empty")
 
@@ -78,7 +167,7 @@ class StackingStructure:
         y = self.normal_form(w)
         if self.is_degenerate(y, a):
             raise StructureError(f"phi undefined on degenerate edge ({y}, {self.alphabet.tokens[a]})")
-        img = self.phi_fn(y, a)
+        img = self.phi_fn(self.tree._node(y), a)
         if img.letters == (a,):
             raise StructureError(
                 f"phi on ({y}, {self.alphabet.tokens[a]}) returned the edge label itself"
@@ -121,7 +210,7 @@ def stacking_reduce(
 
     Repeatedly replaces the leftmost letter lying on a recursive edge by its
     phi image, then freely reduces.  The result is cross-checked against the
-    normal-form oracle.
+    fold of the normal-form tree's ``step`` over ``w``.
     """
     return stacking_reduce_steps(s, w, budget)[0]
 
@@ -129,34 +218,63 @@ def stacking_reduce(
 def stacking_reduce_steps(
     s: StackingStructure, w: Word, budget: int = DEFAULT_BUDGET
 ) -> tuple[Word, int]:
-    """As :func:`stacking_reduce`, also returning the number of rewrite steps."""
-    letters = list(w.letters)
-    alphabet = s.alphabet
-    prefix_forms: list[Word] = [alphabet.empty()]  # canonical forms y_{w[:pos]}
-    pos = 0
+    """As :func:`stacking_reduce`, also returning the number of rewrite steps.
+
+    The letters read so far always spell a path of degenerate edges, so the
+    loop keeps only the node at its end and a stack of unread letters, and
+    spells a word once, for the result.  A word whose prefixes have normal
+    forms too long to reach within ``budget`` steps is refused before the
+    loop starts.
+    """
+    tree, k = s.tree, s.bound_k
+    step, parent, last, depth = tree.step, tree.parent, tree.last, tree.depth
+    inverse = s.alphabet.inverse
+    # Each letter read moves one edge of the tree and each step adds at most
+    # k - 1 letters, so reaching the deepest prefix normal form takes more
+    # than ``budget`` steps when it lies deeper than this.
+    expected, deepest = tree.root, 0
+    for a in w.letters:
+        expected = step(expected, a)
+        deepest = max(deepest, depth(expected))
+    if deepest - len(w) > (k - 1) * budget:
+        raise BudgetExceededError(
+            f"stacking reduction needs more than {budget} steps on {w!r}: "
+            f"a prefix has a normal form of length {deepest}"
+        )
+    phi_fn = s.phi_fn
+    unread = list(reversed(w.letters))
+    y = tree.root
     steps = 0
-    while pos < len(letters):
-        y = prefix_forms[pos]
-        a = letters[pos]
-        y_next = s.normal_form(y.append(a))
-        if classify(y, a, y_next) is EdgeKind.DEGENERATE:
-            prefix_forms.append(y_next)
-            pos += 1
+    while unread:
+        a = unread.pop()
+        y_next = step(y, a)
+        if (parent(y_next) == y and last(y_next) == a) or (
+            parent(y) == y_next and last(y) == inverse[a]
+        ):
+            y = y_next
             continue
-        img = s.phi(y, a)
-        letters[pos : pos + 1] = list(img.letters)
+        img = phi_fn(y, a)
+        if img.letters == (a,):
+            raise StructureError(
+                f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned the edge label itself"
+            )
+        if len(img.letters) > k:
+            raise StructureError(
+                f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned {img}, "
+                f"longer than k = {k}"
+            )
         steps += 1
         if steps > budget:
             raise BudgetExceededError(
                 f"well-foundedness violated within budget on {w!r}"
             )
-    result = Word(alphabet, tuple(letters)).free_reduce()
-    expected = s.normal_form(w)
-    if result != expected:
+        unread.extend(reversed(img.letters))
+    if y != expected:
         raise StructureError(
-            f"stacking reduction produced {result} but oracle says {expected}"
+            f"stacking reduction produced {tree.word(y)} but oracle says "
+            f"{tree.word(expected)}"
         )
-    return result, steps
+    return tree.word(y), steps
 
 
 def word_problem_via_stacking(

@@ -23,7 +23,7 @@ from .cayley import EdgeKind, classify
 from .errors import BudgetExceededError, DiagramError, FormatError
 from .rewriting import DEFAULT_BUDGET
 from .stacking import StackingStructure
-from .words import Alphabet, Word, cyclic_rotations
+from .words import Alphabet, Word
 
 __all__ = [
     "VanKampenDiagram",
@@ -644,12 +644,16 @@ def validate_diagram(
     # (ii) each face label is a relator up to rotation/inversion
     faces_ok = consistent
     if consistent:
+        inv = d.alphabet.inverse
+        closed: set[tuple[int, ...]] = set()
+        for r in relators:
+            for x in (r.letters, tuple(inv[c] for c in reversed(r.letters))):
+                closed.update(x[i:] + x[:i] for i in range(len(x)))
         for fid, walk in d.faces:
-            fw = d.face_word(walk)
-            variants = set(cyclic_rotations(fw)) | set(cyclic_rotations(fw.inverse()))
-            if not (variants & relators):
+            letters = tuple(d.traverse(e)[2] for e in walk)
+            if letters not in closed:
                 faces_ok = False
-                details.append(f"face {fid} label {fw} is not a relator")
+                details.append(f"face {fid} label {Word(d.alphabet, letters)} is not a relator")
 
     # (iii) Euler characteristic and connectivity; the labelled adjacency
     # (vertex -> (letter read, end vertex)) built here also serves (iv)

@@ -9,8 +9,9 @@ relator application, shortlex representatives by enumerating all words,
 Cayley balls by enumerating all words, leftmost-occurrence rewriting with a
 brute-force subword search, the two clauses of the Thompson's F normal form
 language evaluated directly, the seashell filling built letter by letter
-from whole diagrams, and the basepoint-path check of a diagram's vertex
-words walked from the basepoint one vertex at a time.
+from whole diagrams, the basepoint-path check of a diagram's vertex words
+walked from the basepoint one vertex at a time, a structure's normal-form
+tree stepped from its root, and stacking reduction on whole words.
 """
 
 from __future__ import annotations
@@ -325,3 +326,43 @@ def basepoint_path_details(d: VanKampenDiagram, s) -> list[str]:
         if vid not in frontier:
             details.append(f"vertex {vid} word {word} labels no basepoint path")
     return details
+
+
+# ---------------------------------------------------------------------------
+# The node of a word in a structure's normal-form tree, stepped from the
+# root, past the memo that word-level requests go through.
+
+
+def fold(s, w: Word):
+    node = s.tree.root
+    for a in w:
+        node = s.tree.step(node, a)
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Stacking reduction on whole words: every prefix normal form is asked of
+# the structure's word-level oracle, a degenerate edge is recognized by
+# comparing words, and each phi image is spliced into the letter list.
+
+
+def stacking_reduce_reference(s, w: Word, budget: int = 10**6) -> tuple[Word, int]:
+    """(normal form of ``w``, number of phi steps) by rewriting the leftmost
+    letter that lies on a recursive edge until none is left; raises
+    RuntimeError after more than ``budget`` steps."""
+    inv = s.alphabet.inverse
+    letters = list(w.letters)
+    prefix_forms = [s.alphabet.empty()]
+    pos = steps = 0
+    while pos < len(letters):
+        y, a = prefix_forms[pos], letters[pos]
+        y_next = s.normal_form(y.append(a))
+        if y.append(a) == y_next or y == y_next.append(inv[a]):
+            prefix_forms.append(y_next)
+            pos += 1
+            continue
+        letters[pos : pos + 1] = s.phi(y, a).letters
+        steps += 1
+        if steps > budget:
+            raise RuntimeError(f"more than {budget} phi steps on {w}")
+    return Word(s.alphabet, tuple(letters)).free_reduce(), steps

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
     affine_eval,
     all_words,
+    fold,
     leftmost_reduce,
     shortlex_representatives,
     thompson_f_direct,
@@ -26,7 +27,6 @@ from stackings import (
     expsum_x0,
     free_group_oracle,
     load_rewriting_system,
-    prefix_rewrite_length,
     reduce_to_irreducible,
     shortlex_ac_structure,
     stacking_reduce_steps,
@@ -35,7 +35,6 @@ from stackings import (
     z2_system,
 )
 from stackings import builtin
-from stackings.rewriting import DEFAULT_BUDGET, _prefix_rewrite
 from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexBall
 
 
@@ -90,8 +89,8 @@ class TestBS1p:
 
 @pytest.fixture(scope="module")
 def warm_bs():
-    """One BS(1,p) structure per p, kept across examples, so its table of
-    elements of returned normal forms fills up."""
+    """One BS(1,p) structure per p, kept across examples, so its memo of
+    the elements of returned normal forms fills up."""
     return {p: bs1p_structure(p) for p in (2, 3)}
 
 
@@ -112,9 +111,12 @@ class TestBS1pStep:
             assert affine_eval(nf, p) == affine_eval(w, p)
             assert nf == bs1p_structure(p).normal_form_fn(w)  # replayed
         if not s.is_degenerate(y, x):
-            img = s.phi_fn(y, x)
+            g = s.tree._node(y)  # kept by the memo
+            fresh = bs1p_structure(p)
+            assert g == fold(fresh, y)  # replayed
+            img = s.phi_fn(g, x)
             assert affine_eval(y * img, p) == affine_eval(y.append(x), p)
-            assert img == bs1p_structure(p).phi_fn(y, x)  # replayed
+            assert img == fresh.phi_fn(g, x)
 
     @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
     def test_reduction_multiplies_linearly(self, monkeypatch, p, n):
@@ -132,8 +134,8 @@ class TestBS1pStep:
 
 @pytest.fixture(scope="module")
 def warm_crs():
-    """One crs structure per system, kept across examples, so the set of
-    irreducible words it returned fills up."""
+    """One crs structure per system, kept across examples, so its trie and
+    its memo of returned irreducible words fill up."""
     return {system: crs_structure(system()) for system in (z2_system, bs12_system)}
 
 
@@ -152,12 +154,10 @@ class TestCrsStructure:
         # is.  The oracle function is called directly, past the structure's memo.
         for w in (u.append(x), y.append(x)):
             assert s.normal_form_fn(w) == leftmost_reduce(S, w)
-        # starting with y on the stack fires no rule, so the steps are the same
-        w = y.append(x)
-        assert _prefix_rewrite(S, w, DEFAULT_BUDGET, len(y)) == (
-            leftmost_reduce(S, w),
-            prefix_rewrite_length(S, w),
-        )
+        # one step from the node the memo kept for y, and a fold on a new trie
+        node = s.tree.step(s.tree._node(y), x)
+        assert s.tree.word(node) == leftmost_reduce(S, y.append(x))
+        assert fold(crs_structure(S), y.append(x)).letters == node.letters
 
     def test_requires_claimed_complete(self, z2S):
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)
@@ -179,6 +179,94 @@ class TestCrsStructure:
         )
         with pytest.raises(StructureError, match="not minimal"):
             crs_structure(S).phi(al.word("b b"), al.index("a"))
+
+
+# The four builtin trees, with an oracle that names the element of a word:
+# the affine map for BS(1,p) and leftmost rewriting for a system.
+Z2, BS12 = z2_system(), bs12_system()
+TREES = {
+    "bs1p:2": (lambda: bs1p_structure(2), lambda w: affine_eval(w, 2)),
+    "bs1p:3": (lambda: bs1p_structure(3), lambda w: affine_eval(w, 3)),
+    "z2": (lambda: crs_structure(Z2), lambda w: leftmost_reduce(Z2, w)),
+    "bs12": (lambda: crs_structure(BS12), lambda w: leftmost_reduce(BS12, w)),
+}
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return {name: make() for name, (make, _) in TREES.items()}
+
+
+class TestNormalFormTree:
+    """Folds of ``step`` against the independent oracles, and the shape of
+    the tree: a node's depth, parent and last letter are those of the word
+    it spells."""
+
+    @staticmethod
+    def check_fold(s, name, w, node, spelled, node_of):
+        """``node``, the fold of ``w``, spells the normal form of ``w``'s
+        element: for BS(1,p), a word of that element, and one node per
+        element; for a system, the irreducible word itself."""
+        oracle = TREES[name][1]
+        element = oracle(w)
+        if name.startswith("bs1p"):
+            if node not in spelled:
+                spelled[node] = oracle(s.tree.word(node))
+            assert spelled[node] == element
+            assert node_of.setdefault(element, node) == node
+        else:
+            assert s.tree.word(node) == element
+
+    @pytest.mark.parametrize("name, max_len", [("bs1p:2", 8), ("bs1p:3", 8), ("z2", 8), ("bs12", 5)])
+    def test_all_short_words(self, name, max_len):
+        s = TREES[name][0]()
+        al, tree = s.alphabet, s.tree
+        spelled: dict = {}
+        node_of: dict = {}
+        stack = [((), tree.root)]  # depth first, one step per word
+        while stack:
+            letters, node = stack.pop()
+            self.check_fold(s, name, Word(al, letters), node, spelled, node_of)
+            if len(letters) < max_len:
+                stack.extend((letters + (a,), tree.step(node, a)) for a in range(len(al)))
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=hs.data())
+    def test_hypothesis_words(self, trees, name, data):
+        s = trees[name]
+        n = len(s.alphabet)
+        w = Word(s.alphabet, tuple(data.draw(hs.lists(hs.integers(0, n - 1), max_size=40))))
+        node, deepest = s.tree.root, 0
+        for a in w:
+            node = s.tree.step(node, a)
+            deepest = max(deepest, s.tree.depth(node))
+        # the oracles rewrite whole words
+        assume(deepest <= 400)
+        self.check_fold(s, name, w, node, {}, {})
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_shape(self, name):
+        s = TREES[name][0]()
+        tree, al = s.tree, s.alphabet
+        assert tree.parent(tree.root) is None and tree.depth(tree.root) == 0
+        frontier, seen = [tree.root], {tree.root}
+        for _ in range(4):  # the ball of radius 4 around the root, by steps
+            nxt = []
+            for y in frontier:
+                for a in range(len(al)):
+                    y_a = tree.step(y, a)
+                    word = tree.word(y_a).letters
+                    assert tree.depth(y_a) == len(word)
+                    forward = word == tree.word(y).letters + (a,)
+                    assert (tree.parent(y_a) == y) == forward
+                    if word:
+                        assert tree.word(tree.parent(y_a)).letters == word[:-1]
+                        assert tree.last(y_a) == word[-1]
+                    if y_a not in seen:
+                        seen.add(y_a)
+                        nxt.append(y_a)
+            frontier = nxt
 
 
 class TestShortlexAC:

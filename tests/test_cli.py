@@ -1,4 +1,5 @@
 import json
+import time
 
 from stackings import cli
 from stackings.cli import main
@@ -36,6 +37,16 @@ class TestWp:
     def test_nontrivial(self, capsys):
         code, out, _ = run(capsys, "wp", "--structure", "bs1p:2", "--word", "a")
         assert code == 1 and out.strip() == "nontrivial"
+
+    def test_prefix_normal_form_out_of_budget_reach(self, capsys):
+        # the prefix t^40 a T^40 has the normal form a^(2^40): stacking
+        # reduction would have to read that many letters
+        word = " ".join(["t"] * 40 + ["a"] + ["T"] * 40 + ["t"] * 40 + ["A"] + ["T"] * 40)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wp", "--structure", "bs1p:2", "--word", word)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and "budget exceeded" in err
+        assert "Traceback" not in out + err
 
 
 class TestVkd:

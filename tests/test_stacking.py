@@ -2,7 +2,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
+from oracles import random_trivial_words, stacking_reduce_reference
 from stackings import (
     BudgetExceededError,
     FlowFunction,
@@ -11,6 +14,7 @@ from stackings import (
     StructureError,
     Word,
     bs1p_structure,
+    bs12_system,
     build_ball,
     crs_structure,
     s_phi_membership,
@@ -58,6 +62,12 @@ class TestStackingReduce:
         )
         with pytest.raises((BudgetExceededError, StructureError)):
             stacking_reduce(bad, al.word("t a"), budget=50)
+
+    def test_phi_image_longer_than_k_rejected(self, bs2):
+        al = bs2.alphabet
+        squeezed = StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=2)
+        with pytest.raises(StructureError, match="longer than k"):
+            stacking_reduce(squeezed, al.word("t a T"))
 
     def test_word_problem(self, bs2):
         al = bs2.alphabet
@@ -123,7 +133,7 @@ class TestRelationSet:
 
     def test_oversized_relator_rejected(self, bs2):
         al = bs2.alphabet
-        squeezed = StackingStructure(al, bs2.normal_form, bs2.phi_fn, bound_k=2)
+        squeezed = StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=2)
         with pytest.raises(StructureError):
             stacking_relation_set(squeezed, [(al.word("t"), al.index("a"))])
 
@@ -150,7 +160,7 @@ class TestVerification:
 
     def test_bound_failure_detected(self, bs2):
         al = bs2.alphabet
-        squeezed = StackingStructure(al, bs2.normal_form, bs2.phi_fn, bound_k=2)
+        squeezed = StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=2)
         oracle = FunctionOracle(al, squeezed.normal_form)
         region = build_ball(oracle, 3)
         ball = build_ball(oracle, 2)
@@ -223,3 +233,98 @@ class TestGeodesicVerification:
         ball = build_ball(oracle, 3)
         report = verify_geodesic_stacking(FlowFunction(z2struct), ball, region)
         assert not report.nongeodesic
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """One structure of each kind, kept across examples, so that its memo of
+    word-level normal forms fills up."""
+    return {
+        "bs1p:2": bs1p_structure(2),
+        "bs1p:3": bs1p_structure(3),
+        "z2": crs_structure(z2_system()),
+        "bs12": crs_structure(bs12_system()),
+    }
+
+
+def longest_prefix_normal_form(s, w):
+    y, longest = s.alphabet.empty(), 0
+    for a in w:
+        y = s.normal_form(y.append(a))
+        longest = max(longest, len(y))
+    return longest
+
+
+class TestReductionAgainstWordReference:
+    """The reduction gives the normal form and the step count of stacking
+    reduction done on whole words."""
+
+    @pytest.mark.parametrize("name", ["bs1p:2", "bs1p:3", "z2", "bs12"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=hs.data())
+    def test_hypothesis_words(self, warm, name, data):
+        s = warm[name]
+        n = len(s.alphabet)
+        w = Word(s.alphabet, tuple(data.draw(hs.lists(hs.integers(0, n - 1), max_size=40))))
+        # the reference copies the whole letter list at each step
+        assume(longest_prefix_normal_form(s, w) <= 400)
+        assert stacking_reduce_steps(s, w) == stacking_reduce_reference(s, w)
+
+    @pytest.mark.parametrize(
+        "name, relators",
+        [
+            ("bs1p:2", ["t a T A A"]),
+            ("bs1p:3", ["t a T A A A"]),
+            ("z2", ["a b A B"]),
+            ("bs12", ["t a T A A", "d A A"]),
+        ],
+    )
+    def test_random_trivial_words(self, warm, name, relators):
+        s = warm[name]
+        rels = [s.alphabet.word(r) for r in relators]
+        for w in random_trivial_words(s.alphabet, rels, count=150, max_len=24, seed=20261018):
+            nf, steps = stacking_reduce_steps(s, w)
+            assert (nf, steps) == stacking_reduce_reference(s, w) and len(nf) == 0
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_bs12_commutators(self, n):
+        s = bs1p_structure(2)
+        u = ["t"] * n + ["a"] + ["T"] * n
+        u_inv = ["t"] * n + ["A"] + ["T"] * n
+        w = s.alphabet.word(" ".join(u + ["a"] + u_inv + ["A"]))
+        assert stacking_reduce_steps(s, w) == stacking_reduce_reference(s, w)
+
+
+class TestLinearWork:
+    """Reduction costs O(steps * k): it steps once per letter read, and
+    spells one word, however long the prefix normal forms get."""
+
+    @pytest.mark.parametrize(
+        "make, words",
+        [
+            (
+                lambda: bs1p_structure(2),
+                # [t^n a T^n, a], whose prefix t^n a has the normal form a^(2^n) t^n
+                [" ".join(["t"] * n + ["a"] + ["T"] * n + ["a"] + ["t"] * n + ["A"] + ["T"] * n + ["A"])
+                 for n in (1, 4, 8, 12)] + ["t a T A A", "T a t a a T A t"],
+            ),
+            (
+                lambda: crs_structure(z2_system()),
+                [" ".join(["b"] * n + ["a"] * n + ["B"] * n + ["A"] * n) for n in (1, 4, 16, 64)]
+                + ["b a B A b b a"],
+            ),
+        ],
+        ids=["bs12", "z2"],
+    )
+    def test_step_and_word_calls(self, make, words):
+        s = make()
+        calls: Counter = Counter()
+        for name in ("step", "word"):
+            fn = getattr(s.tree, name)
+            setattr(s.tree, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+        for text in words:
+            w = s.alphabet.word(text)
+            calls.clear()
+            _, steps = stacking_reduce_steps(s, w)
+            assert calls["step"] <= 2 * len(w) + steps * (s.bound_k + 1)
+            assert calls["word"] == 1

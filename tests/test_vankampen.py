@@ -303,6 +303,19 @@ class TestValidation:
         report = validate_diagram(d, {al.word("t a T A")}, w, bs2)
         assert not report.faces_are_relators
 
+    def test_one_rotation_of_the_face_word_is_enough(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t a T A A")
+        d = build_filling_diagram(bs2, w)
+        ((fid, walk),) = d.faces
+        fw = d.face_word(walk)
+        rotated = Word(al, fw.letters[2:] + fw.letters[:2])
+        for r in (rotated, rotated.inverse()):
+            report = validate_diagram(d, {r}, w, bs2)
+            assert report.passed and not report.details
+        report = validate_diagram(d, {al.word("t a T A")}, w, bs2)
+        assert report.details == [f"face {fid} label {fw} is not a relator"]
+
     def test_swapped_vertex_words_fail_basepoint_paths(self, bs2):
         al = bs2.alphabet
         w = al.word("t t a T T A A A A")
