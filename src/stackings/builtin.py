@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .cayley import NormalFormOracle, build_ball
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     OutsideExploredRegionError,
     StructureError,
 )
-from .rewriting import DEFAULT_BUDGET, RewritingSystem
+from .rewriting import DEFAULT_BUDGET, Irreducible, RewritingSystem, _ends_with, _rewrite
 from .stacking import NormalFormTree, StackingStructure
 from .words import Alphabet, Word
 
@@ -166,103 +166,58 @@ def bs1p_structure(p: int) -> StackingStructure:
 # Stacking from a minimal finite complete rewriting system (prefix rewriting).
 
 
-class _Irreducible:
-    """An irreducible word as a node of the trie of irreducible words."""
-
-    __slots__ = ("parent", "letter", "depth", "children")
-
-    def __init__(self, parent: "_Irreducible | None", letter: int) -> None:
-        self.parent = parent
-        self.letter = letter
-        self.depth = 0 if parent is None else parent.depth + 1
-        self.children: dict[int, _Irreducible] = {}
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.letter)
-            node = node.parent
-        return tuple(reversed(out))
-
-
 class _IrreducibleTree(NormalFormTree):
-    """Interned trie nodes, stepped by prefix rewriting with the rewriting
-    stack kept as a node: ``step(y, a)`` tries only the rules ending in
-    ``a`` against the last letters of ``y``; on a match it climbs
-    ``|lhs| - 1`` parents and steps through the rhs.
+    """The trie of irreducible words, stepped by the prefix rewriting of
+    ``rewriting``: ``step(y, a)`` tries only the rules ending in ``a``
+    against the last letters of ``y``; on a match it climbs ``|lhs| - 1``
+    parents and steps through the rhs.  A step spends at most ``budget``
+    rewrites, and so does a walk, as rewriting its whole word would.
     """
 
     def __init__(self, S: RewritingSystem, budget: int) -> None:
-        super().__init__(S.alphabet, _Irreducible(None, -1))
+        super().__init__(S.alphabet, Irreducible())
+        self.S = S
         self.budget = budget
-        # last letter of an lhs -> (rest of the lhs reversed, rhs reversed,
-        # phi image), in rule order
-        self._rules: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], Word]]] = {}
-        for rule in S.rules:
-            lhs = rule.lhs.letters
-            self._rules.setdefault(lhs[-1], []).append(
-                (lhs[-2::-1], rule.rhs.letters[::-1], rule.lhs[:-1].inverse() * rule.rhs)
-            )
+        self._images = {rule: rule.lhs[:-1].inverse() * rule.rhs for rule in S.rules}
 
-    @staticmethod
-    def _ends_with(y: _Irreducible, rest: tuple[int, ...]) -> _Irreducible | None:
-        """The node above the suffix of ``y`` that spells ``rest`` reversed,
-        or None if ``y`` does not end so."""
-        for c in rest:
-            if y.letter != c:
-                return None
-            y = y.parent
-        return y
+    def step(self, y: Irreducible, a: int) -> Irreducible:
+        node, _ = _rewrite(self.S, y, a, self.budget, 0)
+        if node is None:
+            self._out_of_budget(y, (a,))
+        return node
 
-    def _redex(self, y: _Irreducible, a: int) -> tuple[_Irreducible, tuple[int, ...]] | None:
-        """For the first rule whose lhs ends ``y a``: the node above its
-        lhs and its rhs reversed."""
-        for rest, rhs, _ in self._rules.get(a, ()):
-            above = self._ends_with(y, rest)
-            if above is not None:
-                return above, rhs
-        return None
+    def walk(self, y: Irreducible, letters: Iterable[int]) -> Iterator[Irreducible]:
+        start, letters, rewrites = y, tuple(letters), 0
+        for a in letters:
+            y, rewrites = _rewrite(self.S, y, a, self.budget, rewrites)
+            if y is None:
+                self._out_of_budget(start, letters)
+            yield y
 
-    def step(self, y: _Irreducible, a: int) -> _Irreducible:
-        cur, unread, rewrites = y, [a], 0
-        while unread:
-            b = unread.pop()
-            child = cur.children.get(b)
-            if child is None:
-                redex = self._redex(cur, b)
-                if redex is not None:
-                    if rewrites == self.budget:
-                        raise BudgetExceededError(
-                            f"system not terminating within budget on {self.word(y).append(a)!r}"
-                        )
-                    rewrites += 1
-                    cur, rhs = redex
-                    unread.extend(rhs)
-                    continue
-                child = cur.children[b] = _Irreducible(cur, b)
-            cur = child
-        return cur
+    def _out_of_budget(self, y: Irreducible, letters: tuple[int, ...]) -> NoReturn:
+        w = Word(self.alphabet, y.letters + letters)
+        raise BudgetExceededError(f"system not terminating within budget on {w!r}")
 
-    def parent(self, y: _Irreducible) -> _Irreducible | None:
+    def parent(self, y: Irreducible) -> Irreducible | None:
         return y.parent
 
-    def last(self, y: _Irreducible) -> int:
+    def last(self, y: Irreducible) -> int:
         return y.letter
 
-    def depth(self, y: _Irreducible) -> int:
+    def depth(self, y: Irreducible) -> int:
         return y.depth
 
-    def phi(self, y: _Irreducible, a: int) -> Word:
-        images = [img for rest, _, img in self._rules.get(a, ()) if self._ends_with(y, rest)]
-        if len(images) > 1:
+    def phi(self, y: Irreducible, a: int) -> Word:
+        rules = [
+            r.rule for r in self.S._by_last_letter.get(a, ()) if _ends_with(y, r.rest) is not None
+        ]
+        if len(rules) > 1:
             raise StructureError("two rules apply: system not minimal")
-        if not images:
+        if not rules:
             raise StructureError(
                 f"no rule factors {self.word(y).append(a)}: system not minimal/complete"
             )
-        return images[0]
+        return self._images[rules[0]]
 
 
 def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingStructure:
@@ -275,7 +230,8 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
     u~ a -> v, and phi is u~^-1 v.
 
     Its normal-form tree is the trie of irreducible words; ``budget``
-    bounds the rewriting steps of one ``step``.
+    bounds the rewriting steps of one normal form, as in
+    :func:`reduce_to_irreducible`.
     """
     if not S.claimed_complete:
         raise StructureError("crs_structure requires a system claimed complete")

@@ -5,7 +5,9 @@ shortest reducible prefix, by the lowest-index rule whose lhs ends there, and
 ``prl`` counts the steps.  For a complete system the irreducible word does
 not depend on the strategy, which ``check_complete`` confirms at desk scale
 by brute force.  Every redex search looks up the rules by the last letter of
-their lhs.
+their lhs.  The rewriting keeps its irreducible prefix as a node of a trie
+of irreducible words, so a stacking structure can step its normal forms with
+the same loop (``builtin.crs_structure``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, FormatError, StructureError
 from .words import Alphabet, Word, parse_sections, alphabet_from_sections
@@ -72,20 +74,36 @@ class RewritingSystem:
         return self.alphabet.empty()
 
     @cached_property
-    def _by_last_letter(self) -> dict[int, list[tuple[list[int], RewriteRule]]]:
-        """Last letter of an lhs -> (lhs as a list, rule), in rule order."""
-        index: dict[int, list[tuple[list[int], RewriteRule]]] = {}
+    def _by_last_letter(self) -> dict[int, list[_IndexedRule]]:
+        """Last letter of an lhs -> its rules, in rule order."""
+        index: dict[int, list[_IndexedRule]] = {}
         for rule in self.rules:
-            index.setdefault(rule.lhs.letters[-1], []).append((list(rule.lhs.letters), rule))
+            lhs, rhs = rule.lhs.letters, rule.rhs.letters
+            index.setdefault(lhs[-1], []).append(
+                _IndexedRule(list(lhs), lhs[-2::-1], rhs[::-1], rule)
+            )
         return index
+
+    @cached_property
+    def _trie(self) -> Irreducible:
+        """The root of the trie of the irreducible words that reductions
+        of this system have met, grown as they go."""
+        return Irreducible()
+
+
+class _IndexedRule(NamedTuple):
+    lhs: list[int]
+    rest: tuple[int, ...]  # the lhs without its last letter, reversed
+    rhs: tuple[int, ...]  # reversed
+    rule: RewriteRule
 
 
 def _rules_ending_at(S: RewritingSystem, letters: list[int], end: int) -> Iterator[RewriteRule]:
     """The rules whose lhs is ``letters[end - len(lhs):end]``, for
     ``end >= 1``, lowest rule index first."""
-    for lhs, rule in S._by_last_letter.get(letters[end - 1], ()):
-        if len(lhs) <= end and letters[end - len(lhs) : end] == lhs:
-            yield rule
+    for r in S._by_last_letter.get(letters[end - 1], ()):
+        if len(r.lhs) <= end and letters[end - len(r.lhs) : end] == r.lhs:
+            yield r.rule
 
 
 def _redexes(S: RewritingSystem, letters: Sequence[int]) -> Iterator[tuple[int, RewriteRule]]:
@@ -97,27 +115,89 @@ def _redexes(S: RewritingSystem, letters: Sequence[int]) -> Iterator[tuple[int, 
             yield end, rule
 
 
+class Irreducible:
+    """An irreducible word as a node of a trie of irreducible words: the
+    word one letter shorter is its ``parent``, and ``children`` holds the
+    nodes of its one-letter extensions met so far."""
+
+    __slots__ = ("parent", "letter", "depth", "children")
+
+    def __init__(self, parent: "Irreducible | None" = None, letter: int = -1) -> None:
+        self.parent = parent
+        self.letter = letter
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.children: dict[int, Irreducible] = {}
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.letter)
+            node = node.parent
+        return tuple(reversed(out))
+
+
+def _ends_with(y: Irreducible, rest: tuple[int, ...]) -> Irreducible | None:
+    """The node above the suffix of ``y`` that spells ``rest`` reversed, or
+    None if ``y`` does not end so."""
+    for c in rest:
+        if y.letter != c:
+            return None
+        y = y.parent
+    return y
+
+
+def _redex(S: RewritingSystem, y: Irreducible, b: int) -> tuple[Irreducible, _IndexedRule] | None:
+    """The lowest-index rule whose lhs ends the word of ``y`` followed by
+    ``b``, after the node above that lhs; None if no lhs ends there."""
+    for r in S._by_last_letter.get(b, ()):
+        above = _ends_with(y, r.rest)
+        if above is not None:
+            return above, r
+    return None
+
+
+def _rewrite(
+    S: RewritingSystem, y: Irreducible, a: int, budget: int, rewrites: int
+) -> tuple[Irreducible | None, int]:
+    """Prefix rewriting of the word of ``y`` followed by ``a``: the node of
+    its irreducible form and ``rewrites`` plus the steps taken, or None for
+    the node once that count would pass ``budget``.
+
+    ``cur`` always spells an irreducible word, so a rule whose lhs ends
+    ``cur b`` rewrites the shortest reducible prefix: ``cur`` climbs above
+    the lhs and the rhs goes back in front of the unread letters.  A letter
+    that ``cur`` already has as a child fires no rule.
+    """
+    cur, unread = y, [a]
+    while unread:
+        b = unread.pop()
+        child = cur.children.get(b)
+        if child is None:
+            redex = _redex(S, cur, b)
+            if redex is not None:
+                if rewrites >= budget:
+                    return None, rewrites
+                rewrites += 1
+                cur, r = redex
+                unread.extend(r.rhs)
+                continue
+            child = cur.children[b] = Irreducible(cur, b)
+        cur = child
+    return cur, rewrites
+
+
 def _prefix_rewrite(S: RewritingSystem, w: Word, budget: int) -> tuple[Word, int]:
     """The irreducible form of ``w`` and the number of prefix rewriting
-    steps to it; more than ``budget`` steps raise.
-
-    ``stack`` always holds an irreducible word, so a rule ending at its top
-    rewrites the shortest reducible prefix; its rhs goes back in front of
-    the unread letters.
-    """
-    stack: list[int] = []
-    unread = list(reversed(w.letters))
+    steps to it; more than ``budget`` steps raise."""
+    y: Irreducible | None = S._trie
     steps = 0
-    while unread:
-        stack.append(unread.pop())
-        rule = next(_rules_ending_at(S, stack, len(stack)), None)
-        if rule is not None:
-            if steps >= budget:
-                raise BudgetExceededError(f"system not terminating within budget on {w!r}")
-            steps += 1
-            del stack[len(stack) - len(rule.lhs) :]
-            unread.extend(reversed(rule.rhs.letters))
-    return Word(S.alphabet, tuple(stack)), steps
+    for a in w.letters:
+        y, steps = _rewrite(S, y, a, budget, steps)
+        if y is None:
+            raise BudgetExceededError(f"system not terminating within budget on {w!r}")
+    return Word(S.alphabet, y.letters), steps
 
 
 def is_irreducible(S: RewritingSystem, w: Word) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .cayley import Ball, DirectedEdge, EdgeKind, alpha, classify
 from .errors import BudgetExceededError, StructureError
@@ -52,7 +52,8 @@ class NormalFormTree:
 
     Word-level normal forms are a memoized fold of ``step``: the tree keeps
     the node of every normal form it returned, so the normal form of ``y a``
-    for such a ``y`` costs one step.
+    for such a ``y`` costs one step.  A tree whose steps spend a budget
+    spends one budget on a whole ``walk``.
     """
 
     def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
@@ -73,6 +74,13 @@ class NormalFormTree:
     def depth(self, node) -> int:
         raise NotImplementedError
 
+    def walk(self, node, letters: Iterable[int]) -> Iterator:
+        """The nodes of ``node`` followed by each nonempty prefix of
+        ``letters``, shortest first."""
+        for a in letters:
+            node = self.step(node, a)
+            yield node
+
     def word(self, node) -> Word:
         return Word(self.alphabet, node.letters)
 
@@ -86,8 +94,8 @@ class NormalFormTree:
         if node is not None:
             return self.step(node, letters[-1])
         node = self.root
-        for a in letters:
-            node = self.step(node, a)
+        for node in self.walk(node, letters):
+            pass
         return node
 
     def normal_form(self, w: Word) -> Word:
@@ -233,8 +241,7 @@ def stacking_reduce_steps(
     # k - 1 letters, so reaching the deepest prefix normal form takes more
     # than ``budget`` steps when it lies deeper than this.
     expected, deepest = tree.root, 0
-    for a in w.letters:
-        expected = step(expected, a)
+    for expected in tree.walk(expected, w.letters):
         deepest = max(deepest, depth(expected))
     if deepest - len(w) > (k - 1) * budget:
         raise BudgetExceededError(

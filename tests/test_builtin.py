@@ -13,6 +13,7 @@ from oracles import (
 from stackings import (
     AlmostConvexityError,
     Alphabet,
+    BudgetExceededError,
     FormatError,
     FunctionOracle,
     OutsideExploredRegionError,
@@ -27,6 +28,7 @@ from stackings import (
     expsum_x0,
     free_group_oracle,
     load_rewriting_system,
+    prefix_rewrite_length,
     reduce_to_irreducible,
     shortlex_ac_structure,
     stacking_reduce_steps,
@@ -155,9 +157,33 @@ class TestCrsStructure:
         for w in (u.append(x), y.append(x)):
             assert s.normal_form_fn(w) == leftmost_reduce(S, w)
         # one step from the node the memo kept for y, and a fold on a new trie
+        w = y.append(x)
+        want = leftmost_reduce(S, w)
         node = s.tree.step(s.tree._node(y), x)
-        assert s.tree.word(node) == leftmost_reduce(S, y.append(x))
-        assert fold(crs_structure(S), y.append(x)).letters == node.letters
+        assert s.tree.word(node) == want
+        assert fold(crs_structure(S), w).letters == node.letters
+        # starting from y fires no rule, so the step spends the prefix
+        # rewriting steps of y x, counted against the structure's budget
+        n = prefix_rewrite_length(S, w)
+        tight = crs_structure(S, budget=n)
+        assert tight.tree.word(tight.tree.step(fold(tight, y), x)) == want
+        if n:
+            short = crs_structure(S, budget=n - 1)
+            with pytest.raises(BudgetExceededError):
+                short.tree.step(fold(short, y), x)
+
+    def test_budget_counts_the_rewrites_of_a_whole_word(self, z2S):
+        # b^3 a^3 takes nine prefix rewriting steps, at most three for one letter
+        w = z2S.word("b b b a a a")
+        s = crs_structure(z2S, budget=9)
+        assert s.normal_form(w) == z2S.word("a a a b b b")
+        assert stacking_reduce_steps(s, w) == (z2S.word("a a a b b b"), 9)
+        s = crs_structure(z2S, budget=8)
+        with pytest.raises(BudgetExceededError):
+            s.normal_form(w)
+        # the reduction's cross-check asks the same normal form
+        with pytest.raises(BudgetExceededError, match="not terminating"):
+            stacking_reduce_steps(crs_structure(z2S, budget=8), w, budget=10**6)
 
     def test_requires_claimed_complete(self, z2S):
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)

@@ -28,6 +28,14 @@ class TestNf:
         )
         assert code == 0 and out.splitlines()[0] == "a b"
 
+    def test_budget_counts_the_rewrites_of_the_whole_word(self, capsys, z2_rules_file):
+        # b^3 B^3 takes three rewrites, one for each B, and no stacking step
+        args = ("nf", "--structure", f"crs:{z2_rules_file}", "--word", "b b b B B B")
+        code, out, _ = run(capsys, *args, "--budget", "3")
+        assert code == 0 and out.splitlines() == ["", "steps: 0"]
+        code, _, err = run(capsys, *args, "--budget", "2")
+        assert code == 3 and "budget exceeded" in err
+
 
 class TestWp:
     def test_trivial(self, capsys):
