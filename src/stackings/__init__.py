@@ -24,6 +24,7 @@ from .cayley import (
     FunctionOracle,
     GroupElement,
     NormalFormOracle,
+    NormalFormTree,
     alpha,
     ball_to_json,
     build_ball,
@@ -59,7 +60,6 @@ from .stacking import (
     FlowFunction,
     FlowReport,
     GeodesicReport,
-    NormalFormTree,
     StackingStructure,
     s_phi_membership,
     stacking_reduce,

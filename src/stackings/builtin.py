@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
-from .cayley import NormalFormOracle, build_ball
+from .cayley import NormalFormOracle, NormalFormTree, build_ball
 from .errors import (
     AlmostConvexityError,
     BudgetExceededError,
@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
 )
 from .rewriting import DEFAULT_BUDGET, Irreducible, RewritingSystem, _ends_with, _rewrite
-from .stacking import NormalFormTree, StackingStructure
+from .stacking import StackingStructure
 from .words import Alphabet, Word
 
 __all__ = [
@@ -99,6 +99,24 @@ def _bs_mul(p: int, g: BS1pElement, eta_a: int, eta_t: int) -> BS1pElement:
 _DELTAS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+_INVERSE = (_A_INV, _A, _T_INV, _T)
+
+
+def _is_child(g: BS1pElement, a: int, h: BS1pElement) -> bool:
+    """Whether the normal form of ``h`` is that of ``g`` followed by ``a``:
+    ``parent(h) == g and last(h) == a``, without building the parent."""
+    i, m, k = h
+    if a == _T:
+        return k > 0 and g == (i, m, k - 1)
+    if k:
+        return False
+    if a == _A:
+        return m > 0 and g == (i, m - 1, 0)
+    if a == _A_INV:
+        return m < 0 and g == (i, m + 1, 0)
+    return m == 0 and i > 0 and g == (i - 1, 0, 0)
+
+
 class _BS1pTree(NormalFormTree):
     """A node is its element (i, m, k), so a step is one multiplication and
     the parent, last letter and depth of a node are arithmetic."""
@@ -134,6 +152,9 @@ class _BS1pTree(NormalFormTree):
 
     def depth(self, g: BS1pElement) -> int:
         return g.i + abs(g.m) + g.k
+
+    def degenerate(self, g: BS1pElement, a: int, h: BS1pElement) -> bool:
+        return _is_child(g, a, h) or _is_child(h, _INVERSE[a], g)
 
     def phi(self, g: BS1pElement, letter: int) -> Word:
         if letter in (_T, _T_INV):
@@ -206,6 +227,12 @@ class _IrreducibleTree(NormalFormTree):
 
     def depth(self, y: Irreducible) -> int:
         return y.depth
+
+    def degenerate(self, y: Irreducible, a: int, t: Irreducible) -> bool:
+        # the trie holds one node per irreducible word
+        return (t.parent is y and t.letter == a) or (
+            y.parent is t and y.letter == self.alphabet.inverse[a]
+        )
 
     def phi(self, y: Irreducible, a: int) -> Word:
         rules = [

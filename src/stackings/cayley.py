@@ -1,11 +1,13 @@
 """Finite balls of a Cayley graph built from a normal-form oracle.
 
-Elements are keyed by their canonical (normal form) word, so construction is
-deterministic and the oracle is queried once per element and letter.
-Edges are classified as degenerate or recursive relative to the oracle's
-normal form set: degenerate edges are exactly those whose endpoints' normal
-forms differ by appending one letter, and they make up the spanning tree
-determined by a prefix-closed normal form set.
+The normal forms of a stacking are prefix-closed, so they are the nodes of
+the tree that the degenerate edges span (a :class:`NormalFormTree`).  A ball
+is one breadth-first search over the nodes of such a tree: a stacking
+structure's own, or the tree of normal-form words of any other oracle.  The
+oracle is queried once per element and letter.  An edge is degenerate when
+one endpoint is the other's parent by the edge's letter, and recursive
+otherwise.  Elements are keyed by their canonical (normal form) word, so
+construction is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
 
 from .errors import StackingsError, StructureError
 from .words import Alphabet, Word
@@ -23,6 +25,7 @@ __all__ = [
     "NormalFormOracle",
     "FunctionOracle",
     "free_group_oracle",
+    "NormalFormTree",
     "GroupElement",
     "EdgeKind",
     "DirectedEdge",
@@ -56,6 +59,117 @@ class FunctionOracle:
 def free_group_oracle(alphabet: Alphabet) -> FunctionOracle:
     """Free reduction as a normal-form oracle (free group on the pairs)."""
     return FunctionOracle(alphabet, lambda w: w.free_reduce())
+
+
+class NormalFormTree:
+    """The normal forms of a stacking as the nodes of the tree that its
+    degenerate edges span.
+
+    Normal forms are prefix-closed, so every node but ``root`` is its
+    ``parent`` followed by its ``last`` letter.  A subclass chooses the
+    hashable nodes, equal exactly when their normal forms are, and gives
+    ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
+    Every node spells its normal form as the tuple ``node.letters``.
+
+    The tree spells each node once: ``word`` keeps the ``Word`` of every
+    node it spelled, with the node of every such word.  Word-level normal
+    forms are a fold of ``step`` from the nearest kept node, so the normal
+    form of ``y a`` for a kept ``y`` costs one step.  A tree whose steps
+    spend a budget spends one budget on a whole ``walk``.
+    """
+
+    def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
+        self.alphabet = alphabet
+        self.root = root
+        self._nodes: dict[tuple[int, ...], Hashable] = {(): root}
+        self._words: dict[Hashable, Word] = {root: alphabet.empty()}
+
+    def step(self, node, a: int):
+        raise NotImplementedError
+
+    def parent(self, node):
+        """The node one letter shorter; None at the root."""
+        raise NotImplementedError
+
+    def last(self, node) -> int:
+        raise NotImplementedError
+
+    def depth(self, node) -> int:
+        raise NotImplementedError
+
+    def degenerate(self, y, a: int, t) -> bool:
+        """Whether the edge from ``y`` by ``a`` to its step ``t`` is
+        degenerate: ``t`` is the child of ``y`` by ``a``, or ``y`` the child
+        of ``t`` by the inverse of ``a``."""
+        parent, last = self.parent, self.last
+        return (parent(t) == y and last(t) == a) or (
+            parent(y) == t and last(y) == self.alphabet.inverse[a]
+        )
+
+    def walk(self, node, letters: Iterable[int]) -> Iterator:
+        """The nodes of ``node`` followed by each nonempty prefix of
+        ``letters``, shortest first."""
+        for a in letters:
+            node = self.step(node, a)
+            yield node
+
+    def word(self, node) -> Word:
+        """The normal form of ``node``; the same ``Word`` for every request."""
+        y = self._words.get(node)
+        if y is None:
+            y = self._words[node] = Word(self.alphabet, node.letters)
+            self._nodes[y.letters] = node
+        return y
+
+    def _node(self, w: Word):
+        """The node of the element that ``w`` spells."""
+        letters = w.letters
+        node = self._nodes.get(letters)
+        if node is not None:
+            return node
+        node = self._nodes.get(letters[:-1])
+        if node is not None:
+            return self.step(node, letters[-1])
+        node = self.root
+        for node in self.walk(node, letters):
+            pass
+        return node
+
+    def normal_form(self, w: Word) -> Word:
+        return self.word(self._node(w))
+
+
+class _WordTree(NormalFormTree):
+    """The tree of an oracle given only as a normal-form function: its nodes
+    are the oracle's normal-form words, and a step asks the oracle once."""
+
+    def __init__(self, oracle: NormalFormOracle) -> None:
+        super().__init__(oracle.alphabet, oracle.alphabet.empty())
+        self._oracle = oracle
+
+    def step(self, y: Word, a: int) -> Word:
+        return self._oracle.normal_form(y.append(a))
+
+    def parent(self, y: Word) -> Word | None:
+        return y[:-1] if y.letters else None
+
+    def last(self, y: Word) -> int:
+        return y.letters[-1]
+
+    def depth(self, y: Word) -> int:
+        return len(y.letters)
+
+    def degenerate(self, y: Word, a: int, t: Word) -> bool:
+        y, t, n = y.letters, t.letters, len(y.letters)
+        if len(t) == n + 1:
+            return t[n] == a and t[:n] == y
+        return len(t) == n - 1 and y[n - 1] == self.alphabet.inverse[a] and y[: n - 1] == t
+
+    def word(self, y: Word) -> Word:
+        return y
+
+    def _node(self, w: Word) -> Word:
+        return self._oracle.normal_form(w)
 
 
 @dataclass(frozen=True)
@@ -129,57 +243,88 @@ class Ball:
     def sorted_elements(self) -> list[GroupElement]:
         return sorted(self.elements.values(), key=lambda g: g.canonical.shortlex_key())
 
+    def restricted(self, radius: int) -> "Ball":
+        """The ball B(radius) inside this ball, equal to the one
+        :func:`build_ball` would search: its spheres are found first, and in
+        the same order, by the search for a larger radius."""
+        within = max(radius, 0)  # the search keeps the root at any radius
+
+        def inside(e: DirectedEdge) -> bool:
+            return e.source.distance <= within and e.target.distance <= within
+
+        edges = [e for e in self.edges if inside(e)]
+        return Ball(
+            radius,
+            self.alphabet,
+            {k: g for k, g in self.elements.items() if g.distance <= within},
+            edges,
+            {(e.source.canonical.letters, e.label): e for e in edges},
+            {k: e for k, e in self.tree_parent.items() if inside(e)},
+        )
+
 
 def build_ball(oracle: NormalFormOracle, n: int, max_elements: int = 10**6) -> Ball:
-    """Breadth-first construction of B(n); distances are exact graph metric."""
-    alphabet = oracle.alphabet
-    root = oracle.normal_form(alphabet.empty())
-    if len(root) != 0:
-        raise StructureError("normal form of the empty word must be empty")
+    """Breadth-first construction of B(n); distances are exact graph metric.
 
-    elements: dict[tuple[int, ...], GroupElement] = {(): GroupElement(alphabet.empty(), 0)}
-    # the oracle's answer for each (element, letter) the search asked about
-    targets: dict[tuple[tuple[int, ...], int], Word] = {}
-    frontier = [alphabet.empty()]
+    The search runs over the nodes of the oracle's ``tree`` if it has one (a
+    stacking structure), and otherwise over the tree of the oracle's
+    normal-form words; edges are classified by the tree's ``degenerate``.
+    """
+    tree = getattr(oracle, "tree", None) or _WordTree(oracle)
+    alphabet = tree.alphabet
+    if tree.depth(tree._node(alphabet.empty())) != 0:
+        raise StructureError("normal form of the empty word must be empty")
+    step, degenerate, word = tree.step, tree.degenerate, tree.word
+    letters = range(len(alphabet))
+
+    def shortlex(found: tuple[Hashable, GroupElement]) -> tuple[int, tuple[int, ...]]:
+        return found[1].canonical.shortlex_key()
+
+    # The element of each node found, in the order of discovery; and the
+    # steps by each letter, with their elements, of the nodes whose letters
+    # the search tried.
+    element = {tree.root: GroupElement(word(tree.root), 0)}
+    steps: dict[Hashable, list[tuple[Hashable, GroupElement | None]]] = {}
+    frontier = list(element.items())
     for dist in range(1, n + 1):
-        nxt: list[Word] = []
-        for y in sorted(frontier, key=Word.shortlex_key):
-            for a in range(len(alphabet)):
-                target = targets[y.letters, a] = oracle.normal_form(y.append(a))
-                if target.letters not in elements:
-                    if len(elements) >= max_elements:
+        nxt = []
+        for y, _ in sorted(frontier, key=shortlex):
+            targets = steps[y] = []
+            for a in letters:
+                t = step(y, a)
+                h = element.get(t)
+                if h is None:
+                    if len(element) >= max_elements:
                         raise StackingsError(
                             f"memory cap of {max_elements} elements exceeded"
                         )
-                    elements[target.letters] = GroupElement(target, dist)
-                    nxt.append(target)
+                    h = element[t] = GroupElement(word(t), dist)
+                    nxt.append((t, h))
+                targets.append((t, h))
         frontier = nxt
 
     edges: list[DirectedEdge] = []
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge] = {}
-    for g in sorted(elements.values(), key=lambda e: e.canonical.shortlex_key()):
-        for a in range(len(alphabet)):
-            y_ga = targets.get((g.canonical.letters, a))
-            if y_ga is None:  # g lies on the last sphere
-                y_ga = oracle.normal_form(g.canonical.append(a))
-            target = elements.get(y_ga.letters)
-            if target is None:
-                continue
-            e = DirectedEdge(g, a, target, classify(g.canonical, a, y_ga))
-            edges.append(e)
-            edge_index[(g.canonical.letters, a)] = e
+    for y, g in sorted(element.items(), key=shortlex):
+        targets = steps.get(y)
+        if targets is None:  # y lies on the last sphere
+            targets = [(t, element.get(t)) for t in (step(y, a) for a in letters)]
+        for a, (t, h) in enumerate(targets):
+            if h is not None:
+                kind = EdgeKind.DEGENERATE if degenerate(y, a, t) else EdgeKind.RECURSIVE
+                e = edge_index[g.canonical.letters, a] = DirectedEdge(g, a, h, kind)
+                edges.append(e)
 
     tree_parent: dict[tuple[int, ...], DirectedEdge] = {}
-    for g in elements.values():
-        if len(g.canonical) == 0:
-            continue
-        prefix = g.canonical[: len(g.canonical) - 1]
-        e = edge_index.get((prefix.letters, g.canonical.letters[-1]))
+    for y, g in element.items():
+        p = element.get(tree.parent(y)) if g.distance else None
+        e = edge_index.get((p.canonical.letters, tree.last(y))) if p is not None else None
         if e is not None:
             if e.classification is not EdgeKind.DEGENERATE:
                 raise StructureError(f"prefix edge {e} is not degenerate")
             tree_parent[g.canonical.letters] = e
 
+    elements = {g.canonical.letters: g for g in element.values()}
     return Ball(n, alphabet, elements, edges, edge_index, tree_parent)
 
 

@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
     s = resolve_structure(args.structure, args.budget)
     flow = FlowFunction(s)
     region = build_ball(s, args.radius + 1)
-    ball = build_ball(s, args.radius)
+    ball = region.restricted(args.radius)
     report = verify_flow_properties(flow, ball, region)
     print(report.summary())
     _write_report(report.to_json(), args.report)

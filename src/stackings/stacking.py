@@ -17,15 +17,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, NamedTuple
 
-from .cayley import Ball, DirectedEdge, EdgeKind, alpha, classify
+from .cayley import (
+    Ball,
+    DirectedEdge,
+    EdgeKind,
+    GroupElement,
+    NormalFormTree,
+    _WordTree,
+    alpha,
+    classify,
+)
 from .errors import BudgetExceededError, StructureError
 from .rewriting import DEFAULT_BUDGET
 from .words import Alphabet, Word, symmetrized_closure
 
 __all__ = [
-    "NormalFormTree",
     "StackingStructure",
     "FlowFunction",
     "stacking_reduce",
@@ -38,98 +46,6 @@ __all__ = [
     "verify_flow_properties",
     "verify_geodesic_stacking",
 ]
-
-
-class NormalFormTree:
-    """The normal forms of a stacking as the nodes of the tree that its
-    degenerate edges span.
-
-    Normal forms are prefix-closed, so every node but ``root`` is its
-    ``parent`` followed by its ``last`` letter.  A subclass chooses the
-    hashable nodes, equal exactly when their normal forms are, and gives
-    ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
-    Every node spells its normal form as the tuple ``node.letters``.
-
-    Word-level normal forms are a memoized fold of ``step``: the tree keeps
-    the node of every normal form it returned, so the normal form of ``y a``
-    for such a ``y`` costs one step.  A tree whose steps spend a budget
-    spends one budget on a whole ``walk``.
-    """
-
-    def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
-        self.alphabet = alphabet
-        self.root = root
-        self._nodes: dict[tuple[int, ...], Hashable] = {(): root}
-
-    def step(self, node, a: int):
-        raise NotImplementedError
-
-    def parent(self, node):
-        """The node one letter shorter; None at the root."""
-        raise NotImplementedError
-
-    def last(self, node) -> int:
-        raise NotImplementedError
-
-    def depth(self, node) -> int:
-        raise NotImplementedError
-
-    def walk(self, node, letters: Iterable[int]) -> Iterator:
-        """The nodes of ``node`` followed by each nonempty prefix of
-        ``letters``, shortest first."""
-        for a in letters:
-            node = self.step(node, a)
-            yield node
-
-    def word(self, node) -> Word:
-        return Word(self.alphabet, node.letters)
-
-    def _node(self, w: Word):
-        """The node of the element that ``w`` spells."""
-        letters = w.letters
-        node = self._nodes.get(letters)
-        if node is not None:
-            return node
-        node = self._nodes.get(letters[:-1])
-        if node is not None:
-            return self.step(node, letters[-1])
-        node = self.root
-        for node in self.walk(node, letters):
-            pass
-        return node
-
-    def normal_form(self, w: Word) -> Word:
-        node = self._node(w)
-        y = self.word(node)
-        self._nodes[y.letters] = node
-        return y
-
-
-class _WordTree(NormalFormTree):
-    """Nodes that are the normal-form words of a structure's own oracle, for
-    a structure given only a normal-form function."""
-
-    def __init__(self, s: "StackingStructure") -> None:
-        super().__init__(s.alphabet, s.alphabet.empty())
-        self._s = s
-
-    def step(self, y: Word, a: int) -> Word:
-        return self._s.normal_form(y.append(a))
-
-    def parent(self, y: Word) -> Word | None:
-        return y[:-1] if y.letters else None
-
-    def last(self, y: Word) -> int:
-        return y.letters[-1]
-
-    def depth(self, y: Word) -> int:
-        return len(y.letters)
-
-    def word(self, y: Word) -> Word:
-        return y
-
-    def _node(self, w: Word) -> Word:
-        return self._s.normal_form(w)
 
 
 @dataclass
@@ -185,9 +101,17 @@ class StackingStructure:
 
 @dataclass
 class FlowFunction:
-    """Total extension of the stacking map: identity on tree edges."""
+    """Total extension of the stacking map: identity on tree edges.
+
+    Verification keeps the label of each edge it meets by the source's tree
+    node and the letter, so phi runs once per edge for all the checks made
+    with one flow.
+    """
 
     structure: StackingStructure
+    _labels: dict[tuple[Hashable, int], Word] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def bound_k(self) -> int:
@@ -235,8 +159,7 @@ def stacking_reduce_steps(
     loop starts.
     """
     tree, k = s.tree, s.bound_k
-    step, parent, last, depth = tree.step, tree.parent, tree.last, tree.depth
-    inverse = s.alphabet.inverse
+    step, degenerate, depth = tree.step, tree.degenerate, tree.depth
     # Each letter read moves one edge of the tree and each step adds at most
     # k - 1 letters, so reaching the deepest prefix normal form takes more
     # than ``budget`` steps when it lies deeper than this.
@@ -255,9 +178,7 @@ def stacking_reduce_steps(
     while unread:
         a = unread.pop()
         y_next = step(y, a)
-        if (parent(y_next) == y and last(y_next) == a) or (
-            parent(y) == y_next and last(y) == inverse[a]
-        ):
+        if degenerate(y, a, y_next):
             y = y_next
             continue
         img = phi_fn(y, a)
@@ -377,18 +298,62 @@ class FlowReport:
         )
 
 
-def _region_path(region: Ball, src: Word, label: Word) -> list[DirectedEdge] | None:
-    """The path from ``src`` spelling ``label`` as region edges, or None if
-    it leaves the region."""
-    edges: list[DirectedEdge] = []
-    y = src
-    for b in label:
-        e = region.edge(y, b)
-        if e is None:
-            return None
-        edges.append(e)
-        y = e.target.canonical
-    return edges
+class _FlowEdge(NamedTuple):
+    """The flow of one edge, on the structure's normal-form tree."""
+
+    source: Hashable  # the node of the edge's source
+    target: Hashable  # the node of its step by the edge's letter
+    label: Word  # the letter itself on a degenerate edge, phi on a recursive one
+    end: Hashable  # the node where the flow path from ``source`` ends
+    path: list[DirectedEdge] | None  # the flow path's region edges; None if it leaves
+
+
+def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _FlowEdge]:
+    """The flow of an edge of ``region``, or of a ball inside it, computed
+    once per edge: the flow path from the source's node takes at most k
+    steps, and the label is the flow's kept one if it has it.
+
+    The region must be a ball of the structure's own normal forms.  Its
+    edges are the steps its search took, so the path follows them while it
+    stays in the region and calls ``step`` only beyond it.
+    """
+    s, labels = flow.structure, flow._labels
+    tree, phi_fn = s.tree, s.phi_fn
+    step, degenerate = tree.step, tree.degenerate
+    letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
+    node = {key: tree._node(g.canonical) for key, g in region.elements.items()}
+    steps = {
+        (node[e.source.canonical.letters], e.label): (e, node[e.target.canonical.letters])
+        for e in region.edges
+    }
+    flows: dict[tuple[Hashable, int], _FlowEdge] = {}
+
+    def node_of(g: GroupElement) -> Hashable:
+        y = node.get(g.canonical.letters)
+        return tree._node(g.canonical) if y is None else y
+
+    def flow_edge(e: DirectedEdge) -> _FlowEdge:
+        y, a = node_of(e.source), e.label
+        f = flows.get((y, a))
+        if f is not None:
+            return f
+        t = node_of(e.target)
+        label = labels.get((y, a))
+        if label is None:
+            label = labels[y, a] = letter[a] if degenerate(y, a, t) else phi_fn(y, a)
+        end, path = y, []
+        for b in label.letters:
+            taken = steps.get((end, b)) if path is not None else None
+            if taken is None:
+                path = None
+                end = step(end, b)
+            else:
+                path.append(taken[0])
+                end = taken[1]
+        f = flows[y, a] = _FlowEdge(y, t, label, end, path)
+        return f
+
+    return flow_edge
 
 
 def verify_flow_properties(
@@ -400,40 +365,32 @@ def verify_flow_properties(
     ``region`` must be a larger explored ball containing the flow paths of
     the ball's edges; edges whose path escapes it are reported as
     inconclusive, not failed.  Acyclicity on a finite ball is necessary-only
-    evidence for (F2r); a cycle is a definite refutation.
+    evidence for (F2r); a cycle is a definite refutation.  Both balls are
+    balls of the structure's own normal forms.
     """
     s = flow.structure
     region = region or ball
     report = FlowReport(radius=ball.radius, k=s.bound_k)
-    # Each edge's flow label and region path, computed once for both passes.
-    flow_paths: dict[tuple[tuple[int, ...], int], tuple[Word, list[DirectedEdge] | None]] = {}
+    flow_edge = _flow_edges(flow, region)
 
-    def label_and_path(src: Word, a: int) -> tuple[Word, list[DirectedEdge] | None]:
-        key = (src.letters, a)
-        if key not in flow_paths:
-            label = flow.label(src, a)
-            flow_paths[key] = label, _region_path(region, src, label)
-        return flow_paths[key]
-
+    al = s.alphabet
     for e in ball.edges:
         report.edges_checked += 1
         src, a = e.source.canonical, e.label
-        name = _edge_name(s.alphabet, src, a)
-        label, path = label_and_path(src, a)
+        f = flow_edge(e)
         if e.classification is EdgeKind.DEGENERATE:
-            if label.letters != (a,):
-                report.f2d_failures.append(name)
+            if f.label.letters != (a,):
+                report.f2d_failures.append(_edge_name(al, src, a))
                 continue
         else:
-            if label.letters == (a,):
-                report.strictness_failures.append(name)
-            if len(label) > s.bound_k:
-                report.bound_failures.append(name)
+            if f.label.letters == (a,):
+                report.strictness_failures.append(_edge_name(al, src, a))
+            if len(f.label) > s.bound_k:
+                report.bound_failures.append(_edge_name(al, src, a))
         # (F1): the path starts at the source and ends at the target.
-        end = s.normal_form(src * label)
-        if end != e.target.canonical:
-            report.f1_failures.append(name)
-        if path is None:
+        if f.end != f.target:
+            report.f1_failures.append(_edge_name(al, src, a))
+        if f.path is None:
             report.inconclusive += 1
 
     # Flow relation restricted to recursive edges explored in the region.
@@ -441,17 +398,12 @@ def verify_flow_properties(
     for e in region.edges:
         if e.classification is not EdgeKind.RECURSIVE:
             continue
-        key = (e.source.canonical.letters, e.label)
-        _, path = label_and_path(e.source.canonical, e.label)
-        if path is None:
-            successors[key] = []
-            continue
-        successors[key] = [
+        path = flow_edge(e).path
+        successors[e.source.canonical.letters, e.label] = [
             (p.source.canonical.letters, p.label)
-            for p in path
+            for p in path or ()
             if p.classification is EdgeKind.RECURSIVE
         ]
-
     color: dict[tuple[tuple[int, ...], int], int] = {}
     stack_trace: list[tuple[tuple[int, ...], int]] = []
 
@@ -530,6 +482,7 @@ def verify_geodesic_stacking(
     s = flow.structure
     region = region or ball
     report = GeodesicReport(radius=ball.radius, k=s.bound_k)
+    flow_edge = _flow_edges(flow, region)
 
     for g in ball.sorted_elements():
         report.elements_checked += 1
@@ -542,8 +495,7 @@ def verify_geodesic_stacking(
         if e.classification is not EdgeKind.RECURSIVE:
             continue
         report.edges_checked += 1
-        src = e.source.canonical
-        path = _region_path(region, src, flow.label(src, e.label))
+        path = flow_edge(e).path
         if path is None:
             report.inconclusive += 1
             continue

@@ -12,6 +12,7 @@ from stackings import (
     crs_structure,
     load_rewriting_system,
     reduce_to_irreducible,
+    shortlex_ac_structure,
     z2_system,
 )
 
@@ -31,6 +32,20 @@ b A -> A b
 B a -> a B
 B A -> A B
 """
+
+
+@pytest.fixture(scope="session")
+def structures():
+    """Makers of one structure of each builtin kind, by name."""
+    z2, bs12 = z2_system(), bs12_system()
+    z2_oracle = FunctionOracle(z2.alphabet, lambda w: reduce_to_irreducible(z2, w))
+    return {
+        "bs1p:2": lambda: bs1p_structure(2),
+        "bs1p:3": lambda: bs1p_structure(3),
+        "crs:z2": lambda: crs_structure(z2),
+        "crs:bs12": lambda: crs_structure(bs12),
+        "shortlex-ac:z2:8:2": lambda: shortlex_ac_structure(z2_oracle, 8, 2),
+    }
 
 
 @pytest.fixture(scope="session")

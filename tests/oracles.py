@@ -11,7 +11,8 @@ brute-force subword search, the two clauses of the Thompson's F normal form
 language evaluated directly, the seashell filling built letter by letter
 from whole diagrams, the basepoint-path check of a diagram's vertex words
 walked from the basepoint one vertex at a time, a structure's normal-form
-tree stepped from its root, and stacking reduction on whole words.
+tree stepped from its root, stacking reduction on whole words, and Cayley
+balls and flow verification on whole words.
 """
 
 from __future__ import annotations
@@ -20,7 +21,22 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from stackings import VanKampenDiagram, Word, degenerate_diagram, seashell_glue
+from stackings import (
+    Ball,
+    DirectedEdge,
+    EdgeKind,
+    FlowReport,
+    GeodesicReport,
+    GroupElement,
+    StackingsError,
+    StructureError,
+    VanKampenDiagram,
+    Word,
+    alpha,
+    classify,
+    degenerate_diagram,
+    seashell_glue,
+)
 from stackings.words import Alphabet, symmetrized_closure
 
 
@@ -194,13 +210,19 @@ def has_lhs_subword(S, w: Word) -> bool:
 
 def leftmost_reduce(S, w: Word, budget: int = 10**6) -> Word:
     """Irreducible form of ``w`` by leftmost-occurrence rewriting; raises
-    RuntimeError if it needs more than ``budget`` rewrites."""
+    RuntimeError if it needs more than ``budget`` rewrites.
+
+    After a rewrite at ``pos`` the scan resumes ``max |lhs| - 1`` letters
+    earlier: no occurrence started before ``pos``, and one that starts
+    earlier than that ends before the rewritten letters."""
     letters = w.letters
+    reach = max(len(rule.lhs) for rule in S.rules) - 1
+    start = 0
     for _ in range(budget + 1):
         hit = next(
             (
                 (pos, rule)
-                for pos in range(len(letters))
+                for pos in range(start, len(letters))
                 for rule in S.rules
                 if letters[pos : pos + len(rule.lhs)] == rule.lhs.letters
             ),
@@ -210,6 +232,7 @@ def leftmost_reduce(S, w: Word, budget: int = 10**6) -> Word:
             return Word(w.alphabet, letters)
         pos, rule = hit
         letters = letters[:pos] + rule.rhs.letters + letters[pos + len(rule.lhs) :]
+        start = max(0, pos - reach)
     raise RuntimeError(f"more than {budget} rewrites on {w}")
 
 
@@ -366,3 +389,182 @@ def stacking_reduce_reference(s, w: Word, budget: int = 10**6) -> tuple[Word, in
         if steps > budget:
             raise RuntimeError(f"more than {budget} phi steps on {w}")
     return Word(s.alphabet, tuple(letters)).free_reduce(), steps
+
+
+# ---------------------------------------------------------------------------
+# Cayley balls and flow verification on whole words: the ball asks its
+# oracle for the normal form of each element times each letter and
+# classifies an edge by comparing words; the verifier asks the structure's
+# word-level oracle for each flow label and for the normal form of the
+# source times the label.
+
+
+def build_ball_reference(oracle, n: int, max_elements: int = 10**6) -> Ball:
+    """B(n), searched breadth first over normal-form words."""
+    alphabet = oracle.alphabet
+    if len(oracle.normal_form(alphabet.empty())) != 0:
+        raise StructureError("normal form of the empty word must be empty")
+    elements = {(): GroupElement(alphabet.empty(), 0)}
+    targets = {}
+    frontier = [alphabet.empty()]
+    for dist in range(1, n + 1):
+        nxt = []
+        for y in sorted(frontier, key=Word.shortlex_key):
+            for a in range(len(alphabet)):
+                target = targets[y.letters, a] = oracle.normal_form(y.append(a))
+                if target.letters not in elements:
+                    if len(elements) >= max_elements:
+                        raise StackingsError(f"memory cap of {max_elements} elements exceeded")
+                    elements[target.letters] = GroupElement(target, dist)
+                    nxt.append(target)
+        frontier = nxt
+
+    edges = []
+    edge_index = {}
+    for g in sorted(elements.values(), key=lambda e: e.canonical.shortlex_key()):
+        for a in range(len(alphabet)):
+            y_ga = targets.get((g.canonical.letters, a))
+            if y_ga is None:  # g lies on the last sphere
+                y_ga = oracle.normal_form(g.canonical.append(a))
+            target = elements.get(y_ga.letters)
+            if target is None:
+                continue
+            e = DirectedEdge(g, a, target, classify(g.canonical, a, y_ga))
+            edges.append(e)
+            edge_index[(g.canonical.letters, a)] = e
+
+    tree_parent = {}
+    for g in elements.values():
+        if len(g.canonical) == 0:
+            continue
+        prefix = g.canonical[: len(g.canonical) - 1]
+        e = edge_index.get((prefix.letters, g.canonical.letters[-1]))
+        if e is not None:
+            if e.classification is not EdgeKind.DEGENERATE:
+                raise StructureError(f"prefix edge {e} is not degenerate")
+            tree_parent[g.canonical.letters] = e
+    return Ball(n, alphabet, elements, edges, edge_index, tree_parent)
+
+
+def _edge_name(alphabet, src: Word, a: int) -> dict:
+    return {"source": str(src), "label": alphabet.tokens[a]}
+
+
+def _region_path(region: Ball, src: Word, label: Word):
+    edges = []
+    y = src
+    for b in label:
+        e = region.edge(y, b)
+        if e is None:
+            return None
+        edges.append(e)
+        y = e.target.canonical
+    return edges
+
+
+def verify_flow_reference(flow, ball: Ball, region: Ball | None = None) -> FlowReport:
+    """The flow report, with each label from ``flow.label`` and (F1) checked
+    by the normal form of the source times the label."""
+    s = flow.structure
+    region = region or ball
+    report = FlowReport(radius=ball.radius, k=s.bound_k)
+    flow_paths = {}
+
+    def label_and_path(src: Word, a: int):
+        key = (src.letters, a)
+        if key not in flow_paths:
+            label = flow.label(src, a)
+            flow_paths[key] = label, _region_path(region, src, label)
+        return flow_paths[key]
+
+    for e in ball.edges:
+        report.edges_checked += 1
+        src, a = e.source.canonical, e.label
+        name = _edge_name(s.alphabet, src, a)
+        label, path = label_and_path(src, a)
+        if e.classification is EdgeKind.DEGENERATE:
+            if label.letters != (a,):
+                report.f2d_failures.append(name)
+                continue
+        else:
+            if label.letters == (a,):
+                report.strictness_failures.append(name)
+            if len(label) > s.bound_k:
+                report.bound_failures.append(name)
+        if s.normal_form(src * label) != e.target.canonical:
+            report.f1_failures.append(name)
+        if path is None:
+            report.inconclusive += 1
+
+    successors = {}
+    for e in region.edges:
+        if e.classification is not EdgeKind.RECURSIVE:
+            continue
+        key = (e.source.canonical.letters, e.label)
+        _, path = label_and_path(e.source.canonical, e.label)
+        successors[key] = [
+            (p.source.canonical.letters, p.label)
+            for p in path or ()
+            if p.classification is EdgeKind.RECURSIVE
+        ]
+
+    color = {}
+    stack_trace = []
+
+    def visit(node):
+        color[node] = 1
+        stack_trace.append(node)
+        for nxt in successors.get(node, ()):
+            c = color.get(nxt, 0)
+            if c == 1:
+                return stack_trace[stack_trace.index(nxt) :]
+            if c == 0:
+                cyc = visit(nxt)
+                if cyc is not None:
+                    return cyc
+        stack_trace.pop()
+        color[node] = 2
+        return None
+
+    for node in successors:
+        if color.get(node, 0) == 0:
+            cyc = visit(node)
+            if cyc is not None:
+                report.cycle = [
+                    _edge_name(s.alphabet, Word(s.alphabet, ltrs), a) for ltrs, a in cyc
+                ]
+                break
+    return report
+
+
+def verify_geodesic_reference(flow, ball: Ball, region: Ball | None = None) -> GeodesicReport:
+    """The geodesic report, with each label from ``flow.label``."""
+    s = flow.structure
+    region = region or ball
+    report = GeodesicReport(radius=ball.radius, k=s.bound_k)
+    for g in ball.sorted_elements():
+        report.elements_checked += 1
+        if len(g.canonical) != g.distance:
+            report.nongeodesic.append(
+                f"{g.canonical} has length {len(g.canonical)} but distance {g.distance}"
+            )
+    for e in ball.edges:
+        if e.classification is not EdgeKind.RECURSIVE:
+            continue
+        report.edges_checked += 1
+        src = e.source.canonical
+        path = _region_path(region, src, flow.label(src, e.label))
+        if path is None:
+            report.inconclusive += 1
+            continue
+        for p in path:
+            if p.classification is EdgeKind.RECURSIVE and not alpha(p) < alpha(e):
+                report.alpha_failures.append(
+                    {
+                        "edge": _edge_name(s.alphabet, e.source.canonical, e.label),
+                        "path_edge": _edge_name(s.alphabet, p.source.canonical, p.label),
+                        "alpha_edge": str(alpha(e)),
+                        "alpha_path_edge": str(alpha(p)),
+                    }
+                )
+    return report

@@ -14,8 +14,10 @@ from stackings import (
     AlmostConvexityError,
     Alphabet,
     BudgetExceededError,
+    EdgeKind,
     FormatError,
     FunctionOracle,
+    NormalFormTree,
     OutsideExploredRegionError,
     RewriteRule,
     RewritingSystem,
@@ -24,6 +26,7 @@ from stackings import (
     almost_convexity_check,
     bs12_system,
     bs1p_structure,
+    classify,
     crs_structure,
     expsum_x0,
     free_group_oracle,
@@ -289,6 +292,12 @@ class TestNormalFormTree:
                     if word:
                         assert tree.word(tree.parent(y_a)).letters == word[:-1]
                         assert tree.last(y_a) == word[-1]
+                    # the tree's own degenerate test is the parent/last one,
+                    # which is the comparison of the words
+                    degenerate = tree.degenerate(y, a, y_a)
+                    assert degenerate == NormalFormTree.degenerate(tree, y, a, y_a)
+                    kind = classify(tree.word(y), a, tree.word(y_a))
+                    assert degenerate == (kind is EdgeKind.DEGENERATE)
                     if y_a not in seen:
                         seen.add(y_a)
                         nxt.append(y_a)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ball_reference
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from oracles import ball_reference, build_ball_reference
 from stackings import (
     EdgeKind,
     FunctionOracle,
@@ -192,3 +195,73 @@ class TestJsonDump:
         assert len(data["elements"]) == 13
         classes = {e["classification"] for e in data["edges"]}
         assert classes <= {"degenerate", "recursive"}
+
+
+def shape(ball):
+    """Everything a ball holds, with the order of each of its maps."""
+    return (
+        ball.radius,
+        list(ball.elements.items()),
+        ball.edges,
+        list(ball.edge_index.items()),
+        list(ball.tree_parent.items()),
+    )
+
+
+# The largest radius each structure's balls are checked at.
+RADII = {"bs1p:2": 5, "bs1p:3": 4, "crs:z2": 10, "crs:bs12": 4, "shortlex-ac:z2:8:2": 6}
+
+
+class TestAgainstWordLevelReference:
+    """The search over tree nodes finds the ball that the search over
+    normal-form words does, whether it runs on a structure's own tree or on
+    the words of an oracle."""
+
+    @staticmethod
+    def check(structures, name, radius):
+        want = build_ball_reference(structures[name](), radius)
+        s = structures[name]()
+        for oracle in (s, FunctionOracle(s.alphabet, s.normal_form)):
+            ball = build_ball(oracle, radius)
+            assert shape(ball) == shape(want)
+            assert ball_to_json(ball) == ball_to_json(want)
+
+    @pytest.mark.parametrize("name", sorted(RADII))
+    def test_every_radius(self, structures, name):
+        for radius in range(RADII[name] + 1):
+            self.check(structures, name, radius)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=hs.data())
+    def test_hypothesis_structures_and_radii(self, structures, data):
+        name = data.draw(hs.sampled_from(sorted(RADII)))
+        self.check(structures, name, data.draw(hs.integers(-1, RADII[name])))
+
+    def test_free_group_and_cap(self):
+        al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+        oracle = free_group_oracle(al)
+        assert shape(build_ball(oracle, 3)) == shape(build_ball_reference(oracle, 3))
+        for build in (build_ball, build_ball_reference):
+            with pytest.raises(StackingsError, match="memory cap"):
+                build(oracle, 5, max_elements=50)
+
+
+class TestRestriction:
+    @pytest.mark.parametrize(
+        "name, radius", [("bs1p:2", 6), ("bs1p:3", 5), ("crs:z2", 12), ("crs:bs12", 4)]
+    )
+    def test_equals_the_search_for_its_radius(self, structures, name, radius):
+        region = build_ball(structures[name](), radius + 1)
+        ball = build_ball(structures[name](), radius)
+        restricted = region.restricted(radius)
+        assert shape(restricted) == shape(ball)
+        assert ball_to_json(restricted) == ball_to_json(ball)
+
+    def test_drops_tree_parents_from_outside(self, bs2):
+        # t^-5 a^4 lies at distance 6 and its prefix t^-5 a^3 at distance 7
+        restricted = build_ball(bs2, 7).restricted(6)
+        g = bs2.alphabet.word("T T T T T a a a a")
+        assert g in restricted and g.letters not in restricted.tree_parent
+
+    def test_negative_radius_keeps_the_root(self, bs2):
+        assert shape(build_ball(bs2, 2).restricted(-1)) == shape(build_ball(bs2, -1))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from oracles import random_trivial_words, stacking_reduce_reference
+from oracles import (
+    build_ball_reference,
+    random_trivial_words,
+    stacking_reduce_reference,
+    verify_flow_reference,
+    verify_geodesic_reference,
+)
 from stackings import (
     BudgetExceededError,
     FlowFunction,
@@ -17,6 +23,7 @@ from stackings import (
     bs12_system,
     build_ball,
     crs_structure,
+    reduce_to_irreducible,
     s_phi_membership,
     stacking_reduce,
     stacking_relation_set,
@@ -195,6 +202,18 @@ class TestVerification:
         # flow paths from radius-3 sources leave B(3)
         assert report.inconclusive > 0
 
+    def test_strictness_failure_reported(self, bs2):
+        al = bs2.alphabet
+        # phi sends every recursive edge to its own label
+        bad = StackingStructure(al, bs2.normal_form, lambda y, a: Word(al, (a,)), bound_k=4)
+        region = build_ball(bad, 3)
+        report = verify_flow_properties(FlowFunction(bad), region.restricted(2), region)
+        assert {"source": "t", "label": "a"} in report.strictness_failures
+        assert not report.passed
+        assert json.loads(report.to_json())["strictness_failures"] == report.strictness_failures
+        with pytest.raises(StructureError):  # the word-level guard stays
+            bad.phi(al.word("t"), al.index("a"))
+
     @pytest.mark.parametrize(
         "make",
         [lambda: bs1p_structure(2), lambda: crs_structure(z2_system())],
@@ -216,6 +235,71 @@ class TestVerification:
         assert report.passed and calls
         assert max(calls.values()) == 1
         assert set(calls) <= {(e.source.canonical.letters, e.label) for e in region.edges}
+
+
+def defective(name: str) -> StackingStructure:
+    """The structures with a known defect that the verification tests use."""
+    bs2 = bs1p_structure(2)
+    al = bs2.alphabet
+    if name == "F1":  # phi images with the wrong endpoint
+        return StackingStructure(al, bs2.normal_form, lambda y, a: al.word("T t t"), bound_k=4)
+    if name == "bound":
+        return StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=2)
+    z2 = z2_system()
+    nf = lambda w: reduce_to_irreducible(z2, w)  # noqa: E731
+    # name == "cycle": the recursive edge (b, a) flows through itself
+    return StackingStructure(z2.alphabet, nf, lambda y, a: z2.alphabet.word("a A a"), bound_k=3)
+
+
+# The largest radius each structure is verified at.
+RADII = {"bs1p:2": 5, "bs1p:3": 4, "crs:z2": 10, "crs:bs12": 3, "shortlex-ac:z2:8:2": 5}
+
+
+class TestAgainstWordLevelReference:
+    """The reports of verification on tree nodes are those of verification
+    on whole words, on balls built by the word-level search."""
+
+    @staticmethod
+    def check(make, radius, own_region=False):
+        ref = make()
+        ref_ball = build_ball_reference(ref, radius)
+        ref_region = ref_ball if own_region else build_ball_reference(ref, radius + 1)
+        s = make()
+        region = build_ball(s, radius if own_region else radius + 1)
+        ball = region.restricted(radius)
+        flow, ref_flow = FlowFunction(s), FlowFunction(ref)
+        report = verify_flow_properties(flow, ball, region)
+        assert report.to_json() == verify_flow_reference(ref_flow, ref_ball, ref_region).to_json()
+        geo = verify_geodesic_stacking(flow, ball, region)
+        assert geo.to_json() == verify_geodesic_reference(ref_flow, ref_ball, ref_region).to_json()
+        return report
+
+    @pytest.mark.parametrize("name", sorted(RADII))
+    def test_builtin_structures(self, structures, name):
+        for radius in range(RADII[name] + 1):
+            assert self.check(structures[name], radius).passed
+
+    @pytest.mark.parametrize("name", ["crs:z2", "crs:bs12", "bs1p:2"])
+    def test_region_is_the_ball(self, structures, name):
+        report = self.check(structures[name], RADII[name], own_region=True)
+        # flow paths from the sphere of BS(1,2) leave the ball
+        assert report.inconclusive > 0 or name != "bs1p:2"
+
+    @pytest.mark.parametrize(
+        "name, failures", [("F1", "f1_failures"), ("bound", "bound_failures"), ("cycle", "cycle")]
+    )
+    def test_defective_structures(self, name, failures):
+        for radius in range(4):
+            report = self.check(lambda: defective(name), radius)
+        assert getattr(report, failures) and not report.passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=hs.data())
+    def test_hypothesis_structures_and_radii(self, structures, data):
+        name = data.draw(hs.sampled_from(sorted(RADII) + ["F1", "bound", "cycle"]))
+        make = structures[name] if name in structures else lambda: defective(name)
+        radius = data.draw(hs.integers(0, RADII.get(name, 3)))
+        self.check(make, radius, own_region=data.draw(hs.booleans()))
 
 
 class TestGeodesicVerification:
