@@ -28,7 +28,6 @@ from .cayley import (
     alpha,
     ball_to_json,
     build_ball,
-    classify,
     free_group_oracle,
     tree_path,
 )

@@ -31,7 +31,6 @@ __all__ = [
     "DirectedEdge",
     "Ball",
     "build_ball",
-    "classify",
     "alpha",
     "tree_path",
     "ball_to_json",
@@ -197,15 +196,6 @@ class DirectedEdge:
     def __str__(self) -> str:
         tok = self.source.canonical.alphabet.tokens[self.label]
         return f"({self.source.canonical} --{tok}--> {self.target.canonical})"
-
-
-def classify(y_g: Word, label: int, y_ga: Word) -> EdgeKind:
-    """Degenerate iff y_g a = y_{ga} or y_g = y_{ga} a^{-1} as words."""
-    if y_g.append(label) == y_ga:
-        return EdgeKind.DEGENERATE
-    if y_g == y_ga.append(y_g.alphabet.inv(label)):
-        return EdgeKind.DEGENERATE
-    return EdgeKind.RECURSIVE
 
 
 @dataclass

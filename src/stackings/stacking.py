@@ -27,7 +27,6 @@ from .cayley import (
     NormalFormTree,
     _WordTree,
     alpha,
-    classify,
 )
 from .errors import BudgetExceededError, StructureError
 from .rewriting import DEFAULT_BUDGET
@@ -83,18 +82,22 @@ class StackingStructure:
         return self.normal_form(w) == w
 
     def is_degenerate(self, w: Word, a: int) -> bool:
-        y = self.normal_form(w)
-        return classify(y, a, self.normal_form(y.append(a))) is EdgeKind.DEGENERATE
+        tree = self.tree
+        y = tree._node(w)
+        return tree.degenerate(y, a, tree.step(y, a))
 
     def phi(self, w: Word, a: int) -> Word:
         """Stacking map image for the recursive edge from rep(w) labeled a."""
-        y = self.normal_form(w)
-        if self.is_degenerate(y, a):
-            raise StructureError(f"phi undefined on degenerate edge ({y}, {self.alphabet.tokens[a]})")
-        img = self.phi_fn(self.tree._node(y), a)
+        tree = self.tree
+        y = tree._node(w)
+        if tree.degenerate(y, a, tree.step(y, a)):
+            raise StructureError(
+                f"phi undefined on degenerate edge ({tree.word(y)}, {self.alphabet.tokens[a]})"
+            )
+        img = self.phi_fn(y, a)
         if img.letters == (a,):
             raise StructureError(
-                f"phi on ({y}, {self.alphabet.tokens[a]}) returned the edge label itself"
+                f"phi on ({tree.word(y)}, {self.alphabet.tokens[a]}) returned the edge label itself"
             )
         return img
 

@@ -4,10 +4,12 @@ A diagram stores vertices labeled by normal-form words, one record per
 undirected edge with a signed-id traversal convention (+k traverses edge k
 along its stored direction, -k against it), faces as closed signed walks,
 a basepoint, and the boundary walk.  All construction goes through one
-mutable builder that folds on tree segments and recursive pieces along
-basepoint paths (seashell gluing) and caps each recursive edge with its
-2-cell, so planarity and contractibility hold by construction;
-``validate_diagram`` audits them via the Euler characteristic.
+mutable builder on the structure's normal-form tree nodes that folds on tree
+segments, and by reference on recursive pieces, along basepoint paths
+(seashell gluing) and caps each recursive edge with its 2-cell, so
+planarity and contractibility hold by construction; freezing the builder
+writes each cell once, with its node spelled as a word, and
+``validate_diagram`` audits the result via the Euler characteristic.
 
 Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 """
@@ -17,10 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Generator
+from json.encoder import encode_basestring_ascii
+from typing import Generator, Hashable
 
-from .cayley import EdgeKind, classify
-from .errors import BudgetExceededError, DiagramError, FormatError
+from .errors import BudgetExceededError, DiagramError, FormatError, StructureError
 from .rewriting import DEFAULT_BUDGET
 from .stacking import StackingStructure
 from .words import Alphabet, Word
@@ -101,37 +103,35 @@ def area(d: VanKampenDiagram) -> int:
     return len(d.faces)
 
 
-def _empty_diagram(alphabet: Alphabet) -> VanKampenDiagram:
-    return VanKampenDiagram(alphabet, ((1, Word(alphabet, ())),), (), (), 1, ())
-
-
-def _segment_diagram(s: StackingStructure, spelled: Word) -> VanKampenDiagram:
-    """Path diagram spelling ``spelled`` from the basepoint, boundary going
-    out along the path and straight back."""
-    alphabet = s.alphabet
-    vertices = tuple(
-        (i + 1, s.normal_form(spelled[:i])) for i in range(len(spelled) + 1)
+def _segment_diagram(s: StackingStructure, y) -> VanKampenDiagram:
+    """Path diagram spelling the normal form of the tree node ``y`` from the
+    basepoint, boundary going out along the path and straight back."""
+    tree = s.tree
+    letters = tree.word(y).letters
+    nodes = [tree.root, *tree.walk(tree.root, letters)]
+    m = len(letters)
+    return VanKampenDiagram(
+        s.alphabet,
+        tuple((i + 1, tree.word(node)) for i, node in enumerate(nodes)),
+        tuple((i + 1, i + 1, i + 2, x) for i, x in enumerate(letters)),
+        (),
+        1,
+        tuple(range(1, m + 1)) + tuple(range(-m, 0)),
     )
-    edges = tuple(
-        (i + 1, i + 1, i + 2, spelled.letters[i]) for i in range(len(spelled))
-    )
-    m = len(spelled)
-    boundary = tuple(range(1, m + 1)) + tuple(range(-m, 0))
-    return VanKampenDiagram(alphabet, vertices, edges, (), 1, boundary)
 
 
 def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDiagram:
     """Zero-face segment for a degenerate edge; boundary word is
     y_g a y_{ga}^{-1} with the doubled step collapsed into the segment."""
     w, a = e
-    y_g = s.normal_form(w)
-    if not s.is_degenerate(y_g, a):
+    tree = s.tree
+    y_g = tree._node(w)
+    y_ga = tree.step(y_g, a)
+    if not tree.degenerate(y_g, a, y_ga):
         raise DiagramError(
-            f"edge ({y_g}, {s.alphabet.tokens[a]}) is not degenerate"
+            f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not degenerate"
         )
-    y_ga = s.normal_form(y_g.append(a))
-    longer = y_ga if len(y_ga) > len(y_g) else y_g
-    return _segment_diagram(s, longer)
+    return _segment_diagram(s, y_ga if tree.depth(y_ga) > tree.depth(y_g) else y_g)
 
 
 def recursive_diagram(
@@ -151,77 +151,121 @@ def recursive_diagram(
     if memo is None:
         memo = {}
     w, a = e
-    y_g = s.normal_form(w)
-    if s.is_degenerate(y_g, a):
-        raise DiagramError(f"edge ({y_g}, {s.alphabet.tokens[a]}) is not recursive")
-    return _piece_diagram(s, *_recursive_diagram((y_g, a), s, memo, _fresh_state(budget)))
+    tree = s.tree
+    y_g = tree._node(w)
+    if tree.degenerate(y_g, a, tree.step(y_g, a)):
+        raise DiagramError(f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not recursive")
+    p, flip = _recursive_diagram((y_g, a), s, memo, _fresh_state(budget))
+    d = p.freeze(tree)
+    return d.mirror() if flip else d
 
 
 def _fresh_state(budget: int) -> dict:
     return {"budget": budget, "in_progress": set()}
 
 
-class _DiagramBuilder:
-    """A diagram under construction, stored relative to a spur.
+class _Glue:
+    """A finished piece folded into a builder, by reference.
 
-    The spur is a path of ``depth`` edges from the basepoint that the
-    boundary walk goes out along first and comes back along last.  Its
-    vertices have ids 1 to depth + 1 (the basepoint is 1 when the depth is
-    positive) and its edges ids 1 to depth, edge d joining the vertex at
-    depth d - 1 to the one at depth d.  The spur is not stored: ``boundary``
-    holds the arc between, a closed walk at the spur's top vertex, and the
-    vertex, edge and face lists hold the rest of the diagram in the order of
-    the whole diagram.  The largest ids in use count the spur, and
-    ``vertex_words``/``edge_map`` are kept up to date in place.
-
-    The piece of a recursive edge (y_g, a) is a finished builder whose
-    ``ends`` are (y_g, y_{ga}).  Its spur spells a common prefix of the two,
-    and its arc reads the rest of y_g, then a, then the rest of y_{ga}
-    backwards, so gluing it costs the size of the piece above the spur and
-    not the length of y_g.  A builder with an empty spur that stores its
-    basepoint is a whole diagram, and ``freeze`` hands its lookups over to
-    the immutable diagram, so it is not used after that.
+    Its cells keep their own ids: in the builder's frame a vertex ``v`` of
+    the piece is ``vmap[v]`` if the fold identified it (with the shared
+    path, the basepoint or the builder's spur) and ``v_off + v`` otherwise,
+    and likewise for edges with ``emap`` (keyed by signed traversal) and
+    ``e_off``; faces are ``f_off + fid``.  A glue without maps is the copy
+    a walk starts from: the piece's cells are the builder's own.
     """
 
-    def __init__(
-        self, alphabet: Alphabet, depth: int, vmax: int, emax: int, fmax: int = 0,
-        basepoint: int = 1,
-    ):
+    __slots__ = ("piece", "v_off", "e_off", "f_off", "vmap", "emap")
+
+    def __init__(self, piece, v_off: int, e_off: int, f_off: int, vmap, emap) -> None:
+        self.piece = piece
+        self.v_off, self.e_off, self.f_off = v_off, e_off, f_off
+        self.vmap, self.emap = vmap, emap
+
+    def frame(self, outer: tuple) -> tuple:
+        """The piece's frame in the frozen diagram, from the builder's.
+
+        A frame is (vertex map, vertex offset, edge map, edge offset, face
+        offset): a cell's id in the frozen diagram is its id plus the
+        offset, except for the vertices and edges in the maps, which are
+        those identified on the way up and the spur vertices.  Only a
+        piece's arc can be identified further up, so the maps of the piece
+        cost its own maps and its arc, not the cells under it.
+        """
+        if self.vmap is None:
+            return outer
+        vm0, ov0, em0, oe0, of0 = outer
+        p, v_off, e_off = self.piece, self.v_off, self.e_off
+        vm = {v: vm0.get(u, u + ov0) for v, u in self.vmap.items()}
+        em = {x: em0.get(t) or (t + oe0 if t > 0 else t - oe0) for x, t in self.emap.items()}
+        if vm0:
+            for v in p.arc_vertices:
+                u = vm0.get(v + v_off)
+                if u is not None and v not in vm:
+                    vm[v] = u
+        if em0:
+            for e in p.arc_edges:
+                t = em0.get(e + e_off)
+                if t is not None and e not in em:
+                    em[e], em[-e] = t, -t
+        return vm, ov0 + v_off, em, oe0 + e_off, of0 + self.f_off
+
+
+class _DiagramBuilder:
+    """A diagram under construction on normal-form tree nodes, stored
+    relative to a spur.
+
+    The spur is a path of ``depth`` edges from the basepoint 1 that the
+    boundary walk goes out along first and comes back along last; it spells
+    a prefix of the node ``start`` the builder's walk starts from.  Its
+    vertices have ids 1 to depth + 1 and its edges ids 1 to depth, edge d
+    joining the vertex at depth d - 1 to the one at depth d.  The spur is
+    not stored: ``boundary`` holds the arc between, a closed walk at the
+    spur's top vertex, and the largest ids in use count the spur.
+
+    A cell is recorded once, where it is made, and written once, by
+    ``freeze``: ``events`` holds the tree steps, caps and glues in order,
+    and a glue is a :class:`_Glue` reference to its piece.  Lowering the spur records no cells: the spur's
+    cells from ``depth`` up to ``top``, the depth the builder started at,
+    are the diagram's first cells, and their ids, letters and nodes (the
+    ancestors of ``start``) follow from their depths.  A fold identifies
+    most of them, and ``freeze`` writes the rest.  The builder keeps only
+    what folding reads: the endpoints and letters of the edges that have
+    been on the arc (``edge_map``), and the spur vertices that its cells use
+    (``spur_refs``, which may also hold vertices of the lowered spur).
+
+    The piece of a recursive edge (y_g, a) is a finished builder whose
+    ``ends`` are the nodes (y_g, y_{ga}).  Its spur spells a common prefix
+    of the two, and its arc reads the rest of y_g, then a, then the rest of
+    y_{ga} backwards, so gluing it costs its arc and not its cells, nor the
+    length of y_g.
+    """
+
+    __slots__ = (
+        "alphabet", "start", "depth", "top", "events", "boundary", "edge_map",
+        "vmax", "emax", "fmax", "spur_refs", "ends", "arc_edges", "arc_vertices", "vtop",
+    )
+
+    def __init__(self, alphabet: Alphabet, start, depth: int, vmax: int, emax: int, fmax: int = 0):
         self.alphabet = alphabet
-        self.depth = depth
-        self.basepoint = basepoint
-        self.vertices: list[tuple[int, Word]] = []
-        self.edges: list[tuple[int, int, int, int]] = []
-        self.faces: list[tuple[int, tuple[int, ...]]] = []
+        self.start = start
+        self.depth = self.top = depth
+        self.events: list = []
         self.boundary: list[int] = []
-        self.vertex_words: dict[int, Word] = {}
         self.edge_map: dict[int, tuple[int, int, int]] = {}
         self.vmax, self.emax, self.fmax = vmax, emax, fmax
-        self.ends: tuple[Word, Word] | None = None
-
-    @classmethod
-    def of_diagram(cls, d: VanKampenDiagram) -> "_DiagramBuilder":
-        b = cls(
-            d.alphabet, 0, max(d.vertex_words, default=0), max(d.edge_map, default=0),
-            max((fid for fid, _ in d.faces), default=0), d.basepoint,
-        )
-        b._fill(d, list(d.boundary))
-        return b
+        self.spur_refs: set[int] = set()
+        self.ends: tuple | None = None
 
     @classmethod
     def of_piece(cls, p: "_DiagramBuilder", flip: bool) -> "_DiagramBuilder":
-        """A copy of the piece ``p``, mirrored if ``flip``."""
-        b = cls(p.alphabet, p.depth, p.vmax, p.emax, p.fmax)
-        b._fill(p, p.arc(flip))
+        """A builder that starts as the piece ``p``, mirrored if ``flip``."""
+        b = cls(p.alphabet, p.ends[flip], p.depth, p.vmax, p.emax, p.fmax)
+        b.events.append(_Glue(p, 0, 0, 0, None, None))
+        b.boundary = p.arc(flip)
+        b.edge_map = {e: p.edge_map[e] for e in p.arc_edges}
+        b.spur_refs = set(p.spur_refs)
         return b
-
-    def _fill(self, d, boundary: list[int]) -> None:
-        self.vertices = list(d.vertices)
-        self.edges = list(d.edges)
-        self.faces = list(d.faces)
-        self.boundary = boundary
-        self.vertex_words = dict(d.vertex_words)
-        self.edge_map = dict(d.edge_map)
 
     traverse = VanKampenDiagram.traverse  # reads only alphabet and edge_map
 
@@ -229,128 +273,103 @@ class _DiagramBuilder:
         """The arc, read backwards if ``flip`` (the mirror's arc)."""
         return [-sgn for sgn in reversed(self.boundary)] if flip else list(self.boundary)
 
-    def add_vertex(self, vid: int, w: Word) -> None:
-        self.vertices.append((vid, w))
-        self.vertex_words[vid] = w
-        self.vmax = max(self.vmax, vid)
-
-    def add_edge(self, eid: int, src: int, dst: int, label: int) -> None:
-        self.edges.append((eid, src, dst, label))
-        self.edge_map[eid] = (src, dst, label)
-        self.emax = max(self.emax, eid)
-
-    def add_face(self, fid: int, walk: tuple[int, ...]) -> None:
-        self.faces.append((fid, walk))
-        self.fmax = max(self.fmax, fid)
-
-    def _lower(self, depth: int, spur: list[tuple[Word, int]]) -> None:
-        """Store the spur above ``depth`` and make it part of the arc.
-
-        ``spur`` holds the vertex word and the edge letter at each depth from
-        ``depth + 1`` up.  The stored vertices and edges go in front of the
-        others, where the whole diagram lists the spur.
-        """
+    def _lower(self, depth: int, letters: list[int]) -> None:
+        """Make the spur above ``depth``, whose edges read ``letters``, part
+        of the arc."""
         h = self.depth
         ids = range(depth + 1, h + 1)
-        vertices = [(d + 1, w) for d, (w, _) in zip(ids, spur)]
-        edges = [(d, d, d + 1, x) for d, (_, x) in zip(ids, spur)]
-        self.vertices[:0] = vertices
-        self.edges[:0] = edges
-        self.vertex_words.update(vertices)
-        self.edge_map.update((eid, (src, dst, x)) for eid, src, dst, x in edges)
+        self.edge_map.update((d, (d, d + 1, x)) for d, x in zip(ids, letters))
         self.boundary[:0] = ids
         self.boundary.extend(range(-h, -depth))
+        self.spur_refs.add(depth + 1)  # by the lowest edge made part of the arc
         self.depth = depth
         self.vmax, self.emax = max(self.vmax, h + 1), max(self.emax, h)
 
-    def tree_step(self, y: Word, x: int, y_next: Word) -> None:
-        """Fold on the segment of the degenerate edge from ``y`` by ``x``,
-        where the boundary ends with the back path of ``y``.
+    def tree_step(self, n: int, x: int, y_next, n_next: int) -> None:
+        """Fold on the segment of the degenerate edge by ``x`` from the
+        node at depth ``n``, where the boundary ends with that node's back
+        path, to ``y_next`` at depth ``n_next``.
 
         The fold of the whole segment keeps only its last edge and vertex,
         so only those are added, under the ids the fold gives them; a step
-        back along the tree adds nothing, as the back path of ``y`` already
-        reads ``x`` and then the back path of ``y_next``, unless it steps
-        down the spur, whose top edge then joins the arc.
+        back along the tree adds nothing, as the back path already reads
+        ``x`` and then the back path of ``y_next``, unless it steps down the
+        spur, whose top edge then joins the arc.
         """
-        n, b, h = len(y), self.boundary, self.depth
-        if len(y_next) < n:
+        b, h = self.boundary, self.depth
+        if n_next < n:
             if n == h:
-                self._lower(h - 1, [(y, y.letters[-1])])
+                self._lower(h - 1, [self.alphabet.inverse[x]])
             return
         at = len(b) - (n - h)
         if n > h:
             src = self.traverse(b[at])[0]
         else:  # the spur's top vertex
-            src = h + 1 if h else self.basepoint
+            src = h + 1
+            self.spur_refs.add(src)
         vid, eid = self.vmax + n + 2, self.emax + n + 1
-        self.add_vertex(vid, y_next)
-        self.add_edge(eid, src, vid, x)
+        self.events.append((vid, y_next, eid, src, x))
+        self.edge_map[eid] = (src, vid, x)
+        self.vmax, self.emax = vid, eid
         b[at:at] = (eid, -eid)
 
-    def glue(self, p: "_DiagramBuilder", flip: bool, y: Word) -> None:
+    def glue(self, p: "_DiagramBuilder", flip: bool, y, n: int) -> None:
         """Fold on the piece ``p``, mirrored if ``flip``, along the back
-        path of ``y``, with the ids and boundary of folding on the whole
-        piece."""
-        source, target = p.ends
-        if (target if flip else source).letters != y.letters:
+        path of the node ``y`` at depth ``n``, with the ids and boundary of
+        folding on the whole piece."""
+        if p.ends[flip] != y:
             raise DiagramError(f"the piece glued at {y} starts at another vertex")
-        self._fold(p, p.arc(flip), len(y))
+        self._fold(p, p.arc(flip), n)
 
     def _fold(self, p: "_DiagramBuilder", arc: list[int], n: int) -> None:
-        """Fold on the diagram ``p`` with the arc ``arc``, whose out path of
+        """Fold on the piece ``p`` with the arc ``arc``, whose out path of
         length ``n`` is identified with the back path at the end of this
         boundary.
 
         The entries of the back path are found by their index in the
         boundary: the one at depth d, above the spur, is the (d - depth)-th
-        from the end and leads from depth d to depth d - 1.  New vertices,
-        edges and faces get ``vmax + vid``, ``emax + eid`` and
-        ``fmax + fid``.  Edges may end on p's spur, but faces and arcs never
-        use spur edges: an arc is built from tree steps, caps and the arcs
-        of pieces, all above their spurs.
+        from the end and leads from depth d to depth d - 1.  The fold maps
+        the piece's vertices on the shared path, its basepoint and the spur
+        vertices its cells use onto vertices here, and the other cells get
+        ``vmax + vid``, ``emax + eid`` and ``fmax + fid``; only the arc is
+        mapped now.  Faces and arcs never use spur edges: an arc is built
+        from tree steps, caps and the arcs of pieces, all above their spurs.
         """
         hp = p.depth
+        pe, se = p.edge_map, self.edge_map
         if hp < self.depth:
-            # p's out path supplies the words and letters of this spur above hp
-            steps = [p.traverse(u)[1:] for u in arc[: self.depth - hp]]
-            self._lower(hp, [(p.vertex_words[v], x) for v, x in steps])
+            # p's out path reads the letters of this spur above hp
+            self._lower(hp, [pe[u][2] if u > 0 else self.alphabet.inverse[pe[-u][2]]
+                             for u in arc[: self.depth - hp]])
         b, h = self.boundary, self.depth
         end = len(b)
-        vmap = {p.basepoint: self.basepoint}  # p vertex -> vertex here
+        vmap = {1: 1}  # p vertex -> vertex here
         emap: dict[int, int] = {}  # traversal in p -> traversal here
-        for d in range(hp + 1, n + 1):
-            u, t = arc[d - hp - 1], -b[end - (d - h)]
+        for k in range(n - hp):  # the shared edge at depth hp + 1 + k
+            u, t = arc[k], -b[end - (hp + 1 + k - h)]
             emap[u], emap[-u] = t, -t
-            vmap[p.traverse(u)[1]] = self.traverse(t)[1]
-
+            vmap[pe[u][1] if u > 0 else pe[-u][0]] = se[t][1] if t > 0 else se[-t][0]
+        for v in p.spur_refs:  # p's spur vertex at depth v - 1
+            if v - 1 <= h:
+                vmap[v] = v
+                self.spur_refs.add(v)
+            else:
+                vmap[v] = self.traverse(b[end - (v - 1 - h)])[0]
         v_off, e_off, f_off = self.vmax, self.emax, self.fmax
-
-        def spur_vertex(v: int) -> int:  # p's spur vertex at depth v - 1
-            return v if v - 1 <= h else self.traverse(b[end - (v - 1 - h)])[0]
-
-        def remap(walk) -> tuple[int, ...]:
-            return tuple([emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in walk])
-
-        vertices = [(v_off + vid, w) for vid, w in p.vertices if vid not in vmap]
-        vmap.update((vid - v_off, vid) for vid, _ in vertices)  # p's id -> new id
+        self.events.append(_Glue(p, v_off, e_off, f_off, vmap, emap))
         get = vmap.get
-        edges = [
-            (e_off + eid, get(src) or spur_vertex(src), get(dst) or spur_vertex(dst), x)
-            for eid, src, dst, x in p.edges
-            if eid not in emap
+        for e in p.arc_edges:  # the lookups of p's arc beyond the shared path
+            if e not in emap:
+                src, dst, c = pe[e]
+                se[e + e_off] = (get(src, src + v_off), get(dst, dst + v_off), c)
+        b[end - (n - h) : end - (hp - h)] = [
+            emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in arc[n - hp :]
         ]
-        faces = [(f_off + fid, remap(walk)) for fid, walk in p.faces]
-        self.vertices += vertices
-        self.vertex_words.update(vertices)
-        self.edges += edges
-        self.edge_map.update((eid, (src, dst, x)) for eid, src, dst, x in edges)
-        self.faces += faces
-        # ids are unique, so the largest tuple has the largest id
-        self.vmax = max(self.vmax, max(vertices, default=(0,))[0])
-        self.emax = max(self.emax, max(edges, default=(0,))[0])
-        self.fmax = max(self.fmax, max(faces, default=(0,))[0])
-        b[end - (n - h) : end - (hp - h)] = remap(arc[n - hp :])
+        # The largest ids of the cells written, which the identified ones are
+        # not.  p's largest edge is its cap, which lies between the two out
+        # paths of its arc and so is never identified.
+        self.vmax = v_off + next(v for v in p.vtop if v not in vmap)
+        self.emax, self.fmax = e_off + p.emax, f_off + p.fmax
 
     def cap(self, out_len: int, mid_len: int, a: int) -> None:
         """Close the arc of ``mid_len`` boundary entries after the first
@@ -358,84 +377,171 @@ class _DiagramBuilder:
         b, i = self.boundary, out_len - self.depth
         mid = tuple(b[i : i + mid_len])
         eid, fid = self.emax + 1, self.fmax + 1
-        self.add_edge(eid, self.traverse(mid[0])[0], self.traverse(mid[-1])[1], a)
-        self.add_face(fid, mid + (-eid,))
+        src, dst = self.traverse(mid[0])[0], self.traverse(mid[-1])[1]
+        self.spur_refs.update(v for v in (src, dst) if v <= self.depth + 1)
+        self.events.append((eid, src, dst, a, fid, mid + (-eid,)))
+        self.edge_map[eid] = (src, dst, a)
+        self.emax, self.fmax = eid, fid
         b[i : i + mid_len] = (eid,)
 
-    def freeze(self) -> VanKampenDiagram:
-        d = VanKampenDiagram(
+    def finish(self, ends: tuple) -> None:
+        """Make this builder, just capped, the piece of the edge with end
+        nodes ``ends``, and keep what gluing it reads: its arc's vertices
+        and edges, the spur vertices its cells use, and ``vtop``, its
+        vertex ids in decreasing order down to the largest that is not on
+        the arc, or 0 if all are (the largest that a fold writes is the
+        first that it does not identify).
+
+        Ids grow from one event to the next, and the lowered spur has the
+        smallest, so ``vtop`` is read off the events backwards; an interior
+        vertex of a glued piece stays interior, so the piece's own ``vtop``
+        ends every scan that reaches it.
+        """
+        self.ends = ends
+        top = self.depth + 1  # ids up to the spur's top vertex are spur vertices
+        edge_map = self.edge_map
+        self.arc_edges = set(map(abs, self.boundary))
+        self.arc_vertices = {v for e in self.arc_edges for v in edge_map[e][:2] if v > top}
+        self.spur_refs = tuple(v for v in self.spur_refs if v <= top)
+        arc, vtop = self.arc_vertices, []
+        for ev in reversed(self.events):
+            if type(ev) is _Glue:
+                skip, off = ev.vmap or (), ev.v_off
+                ids = [v + off for v in ev.piece.vtop if v and v not in skip]
+            elif len(ev) == 5:  # a tree step
+                ids = ev[:1]
+            else:  # a cap adds no vertex
+                continue
+            for v in ids:
+                vtop.append(v)
+                if v not in arc:
+                    self.vtop = vtop
+                    return
+        for v in range(self.top + 1, self.depth + 1, -1):  # the lowered spur
+            vtop.append(v)
+            if v not in arc:
+                self.vtop = vtop
+                return
+        vtop.append(0)
+        self.vtop = vtop
+
+    def freeze(self, tree) -> VanKampenDiagram:
+        """The whole diagram: the spur, then every cell once, with the nodes
+        spelled as words.  The builder is left as it is."""
+        word, parent = tree.word, tree.parent
+        h = self.depth
+        letters = word(self.start).letters[:h]
+        nodes = [tree.root, *tree.walk(tree.root, letters)]
+        vertices = [(i + 1, word(y)) for i, y in enumerate(nodes)]
+        edges = [(i + 1, i + 1, i + 2, x) for i, x in enumerate(letters)]
+        faces: list[tuple[int, tuple[int, ...]]] = []
+
+        def spill(b: _DiagramBuilder, frame: tuple) -> None:
+            """The cells of b's lowered spur that no fold identified."""
+            vm, ov, em, oe, _ = frame
+            lowered = range(b.depth + 1, b.top + 1)
+            if all(d + 1 in vm and d in em for d in lowered):
+                return
+            y = b.start  # its ancestors label the spur
+            for _ in range(tree.depth(y) - b.top):
+                y = parent(y)
+            labels = {}
+            for d in reversed(lowered):
+                labels[d] = y
+                y = parent(y)
+            for d in lowered:
+                if d + 1 not in vm:
+                    vertices.append((d + 1 + ov, word(labels[d])))
+                if d not in em:
+                    edges.append((d + oe, vm.get(d, d + ov), vm.get(d + 1, d + 1 + ov), b.edge_map[d][2]))
+
+        frame = ({}, 0, {}, 0, 0)
+        spill(self, frame)
+        stack = [(iter(self.events), frame)]
+        while stack:
+            events, frame = stack[-1]
+            vm, ov, em, oe, of = frame
+            for ev in events:
+                if type(ev) is _Glue:
+                    inner = ev.frame(frame)
+                    spill(ev.piece, inner)
+                    stack.append((iter(ev.piece.events), inner))
+                    break
+                if len(ev) == 5:  # a tree step
+                    vid, y, eid, src, x = ev
+                    if vid not in vm:
+                        vertices.append((vid + ov, word(y)))
+                    if eid not in em:
+                        edges.append((eid + oe, vm.get(src, src + ov), vm.get(vid, vid + ov), x))
+                else:  # a cap
+                    eid, src, dst, a, fid, walk = ev
+                    if eid not in em:
+                        edges.append((eid + oe, vm.get(src, src + ov), vm.get(dst, dst + ov), a))
+                    if em or oe:
+                        walk = tuple([em.get(x) or (x + oe if x > 0 else x - oe) for x in walk])
+                    faces.append((fid + of, walk))
+            else:
+                stack.pop()
+        return VanKampenDiagram(
             self.alphabet,
-            tuple(self.vertices),
-            tuple(self.edges),
-            tuple(self.faces),
-            self.basepoint,
-            tuple(self.boundary),
+            tuple(vertices),
+            tuple(edges),
+            tuple(faces),
+            1,
+            tuple(range(1, h + 1)) + tuple(self.boundary) + tuple(range(-h, 0)),
         )
-        # seed the diagram's cached lookups with the ones built here
-        d.__dict__.update(vertex_words=self.vertex_words, edge_map=self.edge_map)
-        return d
-
-
-def _piece_diagram(s: StackingStructure, p: _DiagramBuilder, flip: bool) -> VanKampenDiagram:
-    """The whole diagram of the piece ``p``, mirrored if ``flip``: its spur,
-    with the normal forms of the prefixes of y_g as words, then the rest."""
-    y, h = p.ends[0], p.depth
-    d = VanKampenDiagram(
-        p.alphabet,
-        tuple((i + 1, s.normal_form(y[:i])) for i in range(h + 1)) + tuple(p.vertices),
-        tuple((i, i, i + 1, y.letters[i - 1]) for i in range(1, h + 1)) + tuple(p.edges),
-        tuple(p.faces),
-        1,
-        tuple(range(1, h + 1)) + tuple(p.boundary) + tuple(range(-h, 0)),
-    )
-    return d.mirror() if flip else d
 
 
 def _seashell_walk(
-    s: StackingStructure, b: _DiagramBuilder | None, start: Word, word: Word
-) -> Generator[tuple[Word, int], tuple[_DiagramBuilder, bool], _DiagramBuilder]:
-    """Fold one normal-form diagram per letter of ``word`` into ``b`` (or
-    start it from the first one), each at the normal form of the prefix read
-    so far from ``start``, which must be a normal form.
+    s: StackingStructure, b: _DiagramBuilder | None, start, letters: Word
+) -> Generator[tuple[Hashable, int], tuple[_DiagramBuilder, bool], _DiagramBuilder]:
+    """Fold one normal-form diagram per letter of ``letters`` into ``b`` (or
+    start it from the first one), each at the tree node of the prefix read
+    so far from the node ``start``.
 
-    A generator: it yields each recursive edge as a (source, letter) pair,
-    is sent that edge's piece and whether to mirror it, and returns the
+    A generator: it yields each recursive edge as a (node, letter) pair, is
+    sent that edge's piece and whether to mirror it, and returns the
     builder.  A walk that starts with a tree letter starts from a spur that
     spells ``start``.
     """
-    cur = start
-    for x in word:
-        nxt = s.normal_form(cur.append(x))
-        if classify(cur, x, nxt) is EdgeKind.DEGENERATE:
+    tree = s.tree
+    step, degenerate, depth = tree.step, tree.degenerate, tree.depth
+    cur, n = start, depth(start)
+    for x in letters.letters:
+        nxt = step(cur, x)
+        n_next = depth(nxt)
+        if degenerate(cur, x, nxt):
             if b is None:
                 # no ids in use, so the step's ids are the segment's own
-                b = _DiagramBuilder(s.alphabet, len(cur), 0, 0)
-            b.tree_step(cur, x, nxt)
+                b = _DiagramBuilder(s.alphabet, cur, n, 0, 0)
+            b.tree_step(n, x, nxt, n_next)
         else:
             p, flip = yield cur, x
             if b is None:
                 b = _DiagramBuilder.of_piece(p, flip)
             else:
-                b.glue(p, flip, cur)
-        cur = nxt
+                b.glue(p, flip, cur, n)
+        cur, n = nxt, n_next
     return b
 
 
 def _recursive_diagram(
-    pair: tuple[Word, int], s: StackingStructure, memo: dict, state: dict
+    pair: tuple[Hashable, int], s: StackingStructure, memo: dict, state: dict
 ) -> tuple[_DiagramBuilder, bool]:
-    """Piece of the recursive edge ``pair`` from a normal form, and whether
-    it is the memoized piece of the reverse orientation, to be mirrored.
+    """Piece of the recursive edge ``pair`` from a tree node, and whether it
+    is the memoized piece of the reverse orientation, to be mirrored.
 
     The edges under construction sit on an explicit stack, each with its
     suspended seashell walk, so the depth of the flow is not limited by
     Python's recursion limit.
     """
-    frames: list[tuple[Word, Word, int, tuple, int, Generator]] = []
+    tree = s.tree
+    step, word, inverse = tree.step, tree.word, s.alphabet.inverse
+    frames: list[tuple] = []
     while True:
         y_g, a = pair
-        y_ga = s.normal_form(y_g.append(a))
-        fwd, bwd = (y_g.letters, a), (y_ga.letters, s.alphabet.inv(a))
+        y_ga = step(y_g, a)
+        fwd, bwd = (word(y_g).letters, a), (word(y_ga).letters, inverse[a])
         key = min(fwd, bwd), max(fwd, bwd)
         if key in memo:
             stored_pair, p = memo[key]
@@ -443,19 +549,23 @@ def _recursive_diagram(
         else:
             if key in state["in_progress"]:
                 raise BudgetExceededError(
-                    f"cyclic flow at edge ({y_g}, {s.alphabet.tokens[a]}): "
+                    f"cyclic flow at edge ({word(y_g)}, {s.alphabet.tokens[a]}): "
                     "well-foundedness violated"
                 )
             state["budget"] -= 1
             if state["budget"] < 0:
                 raise BudgetExceededError("diagram recursion budget exceeded")
             state["in_progress"].add(key)
-            phi = s.phi(y_g, a)
+            phi = s.phi_fn(y_g, a)
+            if phi.letters == (a,):
+                raise StructureError(
+                    f"phi on ({word(y_g)}, {s.alphabet.tokens[a]}) returned the edge label itself"
+                )
             walk = _seashell_walk(s, None, y_g, phi)
-            frames.append((y_g, y_ga, a, key, len(phi), walk))
+            frames.append((y_g, y_ga, fwd, key, len(phi), walk))
             d = None  # a new walk is started by sending it None
         while frames:
-            y_g, y_ga, a, key, mid_len, walk = frames[-1]
+            y_g, y_ga, fwd, key, mid_len, walk = frames[-1]
             try:
                 pair = walk.send(d)
                 break
@@ -465,12 +575,12 @@ def _recursive_diagram(
                 # entry per phi letter][back y_{ga}^-1]; capping the phi arc
                 # with a new a-edge encloses the 2-cell labeled phi a^-1.
                 p = done.value
-                p.cap(len(y_g), mid_len, a)
-                p.ends = (y_g, y_ga)
+                p.cap(len(fwd[0]), mid_len, fwd[1])
+                p.finish((y_g, y_ga))
                 d = (p, False)
             frames.pop()
             state["in_progress"].discard(key)
-            memo[key] = ((y_g.letters, a), p)
+            memo[key] = (fwd, p)
         else:
             return d
 
@@ -483,7 +593,8 @@ def seashell_glue(
     d1's boundary must end with a subpath labeled shared^{-1} and d2's must
     begin with one labeled shared; the two subpaths are identified edge by
     edge, basepoints merged, and the new boundary is d1's with its tail
-    excised followed by d2's with its head excised.
+    excised followed by d2's with its head excised.  d2's other cells get
+    ids above d1's largest.
     """
     if d1.alphabet != d2.alphabet:
         raise DiagramError("cannot glue diagrams over different alphabets")
@@ -496,6 +607,8 @@ def seashell_glue(
     # against its boundary direction.
     v1_prev, v2_prev = d1.basepoint, d2.basepoint
     seen_path = {d1.basepoint}
+    vmap = {d2.basepoint: d1.basepoint}  # d2 vertex -> d1 vertex
+    emap: dict[int, int] = {}  # traversal in d2 -> traversal in d1
     for k in range(1, n + 1):
         t, u = b1[-k], b2[k - 1]
         letter = shared.letters[k - 1]
@@ -516,9 +629,26 @@ def seashell_glue(
                 f"vs {d2.vertex_words[a2_end]}"
             )
         v1_prev, v2_prev = a1_end, a2_end
-    b = _DiagramBuilder.of_diagram(d1)
-    b._fold(_DiagramBuilder.of_diagram(d2), list(b2), n)
-    return b.freeze()
+        emap[u], emap[-u] = -t, t
+        vmap[a2_end] = a1_end
+    v_off, e_off = max(d1.vertex_words, default=0), max(d1.edge_map, default=0)
+    f_off = max((fid for fid, _ in d1.faces), default=0)
+
+    def remap(walk) -> tuple[int, ...]:
+        return tuple([emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in walk])
+
+    return VanKampenDiagram(
+        d1.alphabet,
+        d1.vertices + tuple((v_off + vid, w) for vid, w in d2.vertices if vid not in vmap),
+        d1.edges + tuple(
+            (e_off + eid, vmap.get(src, v_off + src), vmap.get(dst, v_off + dst), x)
+            for eid, src, dst, x in d2.edges
+            if eid not in emap
+        ),
+        d1.faces + tuple((f_off + fid, remap(walk)) for fid, walk in d2.faces),
+        d1.basepoint,
+        b1[: len(b1) - n] + remap(b2[n:]),
+    )
 
 
 def build_filling_diagram(
@@ -531,13 +661,13 @@ def build_filling_diagram(
     filling): one normal-form diagram per letter of w, glued in sequence
     along the normal forms of the prefixes.  Each letter's recursive piece
     gets its own ``budget``."""
-    if len(s.normal_form(w)) != 0:
+    tree = s.tree
+    if tree.depth(tree._node(w)) != 0:
         raise DiagramError(f"word {w} is not trivial in the group")
     if memo is None:
         memo = {}
-    walk = _seashell_walk(
-        s, _DiagramBuilder.of_diagram(_empty_diagram(s.alphabet)), s.alphabet.empty(), w
-    )
+    # the empty diagram: a spur of depth 0 at the basepoint, vertex 1
+    walk = _seashell_walk(s, _DiagramBuilder(s.alphabet, tree.root, 0, 1, 0), tree.root, w)
     d = None
     try:
         while True:
@@ -545,7 +675,7 @@ def build_filling_diagram(
             d = _recursive_diagram(pair, s, memo, _fresh_state(budget))
     except StopIteration as done:
         # close up: the final back path spells the normal form of w, which is empty
-        return done.value.freeze()
+        return done.value.freeze(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -718,28 +848,48 @@ def validate_diagram(
 # Export / import.
 
 
-def _diagram_json_obj(d: VanKampenDiagram) -> dict:
-    return {
-        "basepoint": d.basepoint,
-        "vertices": [
-            {"id": vid, "word": str(w)} for vid, w in sorted(d.vertices)
-        ],
-        "edges": [
-            {"id": eid, "from": src, "to": dst, "label": d.alphabet.tokens[label]}
-            for eid, src, dst, label in sorted(d.edges)
-        ],
-        "faces": [
-            {"id": fid, "boundary": list(walk)} for fid, walk in sorted(d.faces)
-        ],
-        "boundary": list(d.boundary),
-    }
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of the encoded ``items`` as ``json.dumps(..., indent=2)``
+    lays it out at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _diagram_json(d: VanKampenDiagram) -> str:
+    """The json export's text, written directly in the layout of
+    ``json.dumps(obj, indent=2)`` (whose indented form runs the pure-Python
+    encoder): ``%d`` for ids and the C string encoder for words and tokens."""
+    tokens = [encode_basestring_ascii(t) for t in d.alphabet.tokens]
+    vertices = [
+        '{\n      "id": %d,\n      "word": %s\n    }' % (vid, encode_basestring_ascii(str(w)))
+        for vid, w in sorted(d.vertices)
+    ]
+    edges = [
+        '{\n      "id": %d,\n      "from": %d,\n      "to": %d,\n      "label": %s\n    }'
+        % (eid, src, dst, tokens[label])
+        for eid, src, dst, label in sorted(d.edges)
+    ]
+    faces = [
+        '{\n      "id": %d,\n      "boundary": %s\n    }'
+        % (fid, _json_list(["%d" % x for x in walk], "      "))
+        for fid, walk in sorted(d.faces)
+    ]
+    return '{\n  "basepoint": %d,\n  "vertices": %s,\n  "edges": %s,\n  "faces": %s,\n  "boundary": %s\n}\n' % (
+        d.basepoint,
+        _json_list(vertices, "  "),
+        _json_list(edges, "  "),
+        _json_list(faces, "  "),
+        _json_list(["%d" % x for x in d.boundary], "  "),
+    )
 
 
 def export_diagram(d: VanKampenDiagram, format: str = "json") -> bytes:
     """Serialize: full combinatorial map (json), labeled 1-skeleton (dot),
     or a Tutte-style planar drawing with shaded faces (svg)."""
     if format == "json":
-        return (json.dumps(_diagram_json_obj(d), indent=2) + "\n").encode()
+        return _diagram_json(d).encode()
     if format == "dot":
         lines = ["graph diagram {"]
         for vid, w in sorted(d.vertices):

@@ -105,6 +105,11 @@ class Word:
     alphabet: Alphabet
     letters: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        # Equal words have equal letters.  The alphabet is left out: hashing
+        # its token and inverse tuples on every call costs five times more.
+        return hash(self.letters)
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -12,7 +12,8 @@ language evaluated directly, the seashell filling built letter by letter
 from whole diagrams, the basepoint-path check of a diagram's vertex words
 walked from the basepoint one vertex at a time, a structure's normal-form
 tree stepped from its root, stacking reduction on whole words, and Cayley
-balls and flow verification on whole words.
+balls and flow verification on whole words, edges classified by comparing
+words, and the object a diagram's json export encodes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from stackings import (
     VanKampenDiagram,
     Word,
     alpha,
-    classify,
     degenerate_diagram,
     seashell_glue,
 )
@@ -284,6 +284,11 @@ def thompson_f_direct(w: Word) -> bool:
 # piece by plain recursion on the flow, memoized per undirected edge.
 
 
+def empty_diagram(alphabet: Alphabet) -> VanKampenDiagram:
+    """The diagram of the empty word: the basepoint alone."""
+    return VanKampenDiagram(alphabet, ((1, alphabet.empty()),), (), (), 1, ())
+
+
 def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
     """(diagram, memo) of the seashell filling of the trivial word ``w``."""
     memo: dict = {}
@@ -320,9 +325,25 @@ def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
             cur = s.normal_form(cur.append(x))
         return d
 
-    al = s.alphabet
-    empty = VanKampenDiagram(al, ((1, al.empty()),), (), (), 1, ())
-    return walk(empty, al.empty(), w), memo
+    return walk(empty_diagram(s.alphabet), s.alphabet.empty(), w), memo
+
+
+# ---------------------------------------------------------------------------
+# A diagram's json export as the object that ``json.dumps(obj, indent=2)``
+# encodes: ids in order, words and letters as text.
+
+
+def diagram_json_obj(d: VanKampenDiagram) -> dict:
+    return {
+        "basepoint": d.basepoint,
+        "vertices": [{"id": vid, "word": str(w)} for vid, w in sorted(d.vertices)],
+        "edges": [
+            {"id": eid, "from": src, "to": dst, "label": d.alphabet.tokens[label]}
+            for eid, src, dst, label in sorted(d.edges)
+        ],
+        "faces": [{"id": fid, "boundary": list(walk)} for fid, walk in sorted(d.faces)],
+        "boundary": list(d.boundary),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +418,15 @@ def stacking_reduce_reference(s, w: Word, budget: int = 10**6) -> tuple[Word, in
 # classifies an edge by comparing words; the verifier asks the structure's
 # word-level oracle for each flow label and for the normal form of the
 # source times the label.
+
+
+def classify(y_g: Word, label: int, y_ga: Word) -> EdgeKind:
+    """Degenerate iff y_g a = y_{ga} or y_g = y_{ga} a^{-1} as words."""
+    if y_g.append(label) == y_ga:
+        return EdgeKind.DEGENERATE
+    if y_g == y_ga.append(y_g.alphabet.inv(label)):
+        return EdgeKind.DEGENERATE
+    return EdgeKind.RECURSIVE
 
 
 def build_ball_reference(oracle, n: int, max_elements: int = 10**6) -> Ball:

@@ -5,6 +5,7 @@ from hypothesis import strategies as hs
 from oracles import (
     affine_eval,
     all_words,
+    classify,
     fold,
     leftmost_reduce,
     shortlex_representatives,
@@ -26,7 +27,6 @@ from stackings import (
     almost_convexity_check,
     bs12_system,
     bs1p_structure,
-    classify,
     crs_structure,
     expsum_x0,
     free_group_oracle,

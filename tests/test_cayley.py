@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import ball_reference, build_ball_reference
+from oracles import ball_reference, build_ball_reference, classify
 from stackings import (
     EdgeKind,
     FunctionOracle,
@@ -15,7 +15,6 @@ from stackings import (
     alpha,
     ball_to_json,
     build_ball,
-    classify,
     free_group_oracle,
     reduce_to_irreducible,
     tree_path,

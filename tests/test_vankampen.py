@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import basepoint_path_details, random_trivial_words, seashell_fill_reference
+from oracles import (
+    basepoint_path_details,
+    diagram_json_obj,
+    empty_diagram,
+    random_trivial_words,
+    seashell_fill_reference,
+)
 from stackings import (
+    Alphabet,
     BudgetExceededError,
     DiagramError,
     FormatError,
@@ -24,7 +31,46 @@ from stackings import (
     stacking_relation_set,
     validate_diagram,
 )
-from stackings.vankampen import _empty_diagram
+from stackings import vankampen
+
+
+def commutator(al, n):
+    """[t^n a T^n, a], trivial in BS(1,p) since conjugates of a commute."""
+    u = ["t"] * n + ["a"] + ["T"] * n
+    u_inv = ["t"] * n + ["A"] + ["T"] * n
+    return al.word(" ".join(u + ["a"] + u_inv + ["A"]))
+
+
+# Structures of each kind whose fillings are checked against the reference
+# fold, with defining relators to draw trivial words from: the normal forms
+# of the shortlex structure are a ball's, so its words stay short.
+FILL_STRUCTURES = {
+    "bs1p:3": ["t a T A A A"],
+    "crs:bs12": ["t a T A A", "d A A"],
+    "shortlex-ac:z2:8:2": ["a b A B"],
+}
+
+
+@pytest.fixture(scope="session")
+def fill_structures(structures):
+    return {name: structures[name]() for name in FILL_STRUCTURES}
+
+
+def fill_words(s, name, count, max_len, seed):
+    al = s.alphabet
+    words = random_trivial_words(al, [al.word(r) for r in FILL_STRUCTURES[name]], count, max_len, seed)
+    if name.startswith("shortlex"):
+        return words + [
+            al.word(" ".join(["a"] * i + ["b"] * j + ["A"] * i + ["B"] * j))
+            for i in range(4) for j in range(4)
+        ]
+    return words + [commutator(al, n) for n in range(5)]
+
+
+def assert_json_export(d):
+    """The hand-written json export is what ``json.dumps`` prints."""
+    expected = json.dumps(diagram_json_obj(d), indent=2) + "\n"
+    assert export_diagram(d, "json") == expected.encode()
 
 
 class TestDegenerateDiagram:
@@ -99,7 +145,7 @@ class TestSeashellGlue:
     def test_wedge_on_empty_shared_path(self, bs2):
         al = bs2.alphabet
         seg = degenerate_diagram((al.empty(), al.index("a")), bs2)
-        g = seashell_glue(_empty_diagram(al), seg, al.empty())
+        g = seashell_glue(empty_diagram(al), seg, al.empty())
         assert str(g.boundary_word()) == "a A"
 
     def test_label_mismatch_rejected(self, bs2):
@@ -169,16 +215,15 @@ class TestAgainstFoldReference:
         memo = {}
         d = build_filling_diagram(s, w, memo=memo)
         assert export_diagram(d, "json") == export_diagram(expected, "json")
+        assert d == expected  # the cells in the same order, too
+        assert_json_export(d)
         assert [(k, v[0]) for k, v in memo.items()] == [
             (k, v[0]) for k, v in expected_memo.items()
         ]
 
     @pytest.mark.parametrize("n", range(7))
     def test_bs12_commutators(self, bs2, n):
-        al = bs2.alphabet
-        u = ["t"] * n + ["a"] + ["T"] * n
-        u_inv = ["t"] * n + ["A"] + ["T"] * n
-        self.assert_same_filling(bs2, al.word(" ".join(u + ["a"] + u_inv + ["A"])))
+        self.assert_same_filling(bs2, commutator(bs2.alphabet, n))
 
     def test_random_trivial_words(self, bs2):
         al = bs2.alphabet
@@ -191,6 +236,23 @@ class TestAgainstFoldReference:
         al = z2struct.alphabet
         text = " ".join(["a"] * i + ["b"] * j + ["A"] * i + ["B"] * j)
         self.assert_same_filling(z2struct, al.word(text))
+
+    @pytest.mark.parametrize("name", FILL_STRUCTURES)
+    def test_other_structures(self, fill_structures, name):
+        # bs1p:3, the rewriting system of BS(1,2), and a structure without
+        # a tree of its own (its nodes are its normal-form words)
+        s = fill_structures[name]
+        for w in fill_words(s, name, 20, 24, seed=3):
+            self.assert_same_filling(s, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=hs.sampled_from(["bs1p:2", *FILL_STRUCTURES]), seed=hs.integers(0, 2**32))
+    def test_random_trivial_words_hypothesis(self, bs2, fill_structures, name, seed):
+        s = bs2 if name == "bs1p:2" else fill_structures[name]
+        al = s.alphabet
+        relators = ["t a T A A"] if name == "bs1p:2" else FILL_STRUCTURES[name]
+        (w,) = random_trivial_words(al, [al.word(r) for r in relators], 1, 30, seed)
+        self.assert_same_filling(s, w)
 
 
 def conjugate_commutators(al, count, seed):
@@ -228,16 +290,14 @@ class TestPiecesAgainstFoldReference:
                 got = recursive_diagram(e, s, memo=memo)
                 assert export_diagram(got, "json") == export_diagram(expected, "json")
                 assert got == expected
+                assert_json_export(got)
         assert [(k, v[0]) for k, v in memo.items()] == [
             (k, v[0]) for k, v in expected_memo.items()
         ]
 
     @pytest.mark.parametrize("n", range(6))
     def test_bs12_commutators(self, bs2, n):
-        al = bs2.alphabet
-        u = ["t"] * n + ["a"] + ["T"] * n
-        u_inv = ["t"] * n + ["A"] + ["T"] * n
-        self.assert_same_pieces(bs2, al.word(" ".join(u + ["a"] + u_inv + ["A"])))
+        self.assert_same_pieces(bs2, commutator(bs2.alphabet, n))
 
     def test_conjugate_commutators(self, bs2):
         for w in conjugate_commutators(bs2.alphabet, 12, seed=6):
@@ -249,6 +309,37 @@ class TestPiecesAgainstFoldReference:
             for j in range(5):
                 text = " ".join(["a"] * i + ["b"] * j + ["A"] * i + ["B"] * j)
                 self.assert_same_pieces(z2struct, al.word(text))
+
+    @pytest.mark.parametrize("name", FILL_STRUCTURES)
+    def test_other_structures(self, fill_structures, name):
+        s = fill_structures[name]
+        for w in fill_words(s, name, 8, 20, seed=5):
+            self.assert_same_pieces(s, w)
+
+
+class TestGlueByReference:
+    """A glue keeps a reference to its piece, so the builders record each
+    cell of a filling once, where a tree step or a cap makes it; lowering a
+    spur records none, and ``freeze`` writes the lowered cells that no fold
+    identified.  Copying each glued piece into the next recorded every cell
+    once per level of the flow above it (n = 8: about ten times V+E+F)."""
+
+    def test_cells_recorded_once(self, monkeypatch):
+        builders = []
+        init = vankampen._DiagramBuilder.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            builders.append(self)
+
+        monkeypatch.setattr(vankampen._DiagramBuilder, "__init__", recording_init)
+        s = bs1p_structure(2)
+        d = build_filling_diagram(s, commutator(s.alphabet, 8))
+        # a tree step records a vertex and an edge, a cap an edge and a face
+        recorded = sum(2 * sum(type(ev) is tuple for ev in b.events) for b in builders)
+        cells = len(d.vertices) + len(d.edges) + len(d.faces)
+        assert area(d) == 2**9 - 2
+        assert recorded <= 1.5 * cells
 
 
 class TestDeepFlow:
@@ -272,7 +363,7 @@ class TestValidation:
     def test_empty_diagram_for_empty_word(self, bs2):
         al = bs2.alphabet
         rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
-        report = validate_diagram(_empty_diagram(al), rels, al.empty(), bs2)
+        report = validate_diagram(empty_diagram(al), rels, al.empty(), bs2)
         assert report.passed
 
     def test_corrupted_face_fails_incidence(self, bs2):
@@ -430,6 +521,32 @@ class TestBasepointPathsAgainstReference:
         details = self.assert_same_details(bs2, bad, w)
         assert details[0] == f"vertex {i} word t a is not a normal form"
         assert len(details) == 2
+
+
+class TestJsonExport:
+    """``export_diagram(d, "json")`` writes the text of
+    ``json.dumps(obj, indent=2)`` itself; the fillings checked against the
+    reference fold above are checked the same way."""
+
+    def testempty_diagram(self, bs2):
+        assert_json_export(empty_diagram(bs2.alphabet))
+
+    def test_one_edge_segment(self, bs2):
+        al = bs2.alphabet
+        assert_json_export(degenerate_diagram((al.empty(), al.index("a")), bs2))
+
+    def test_no_faces(self, bs2):
+        d = build_filling_diagram(bs2, bs2.alphabet.word("a t T A"))
+        assert area(d) == 0 and d.edges
+        assert_json_export(d)
+
+    def test_tokens_that_need_escapes(self):
+        al = Alphabet.from_pairs(['q"', "Q\\", "\u00e9", "\u00c9"], [('q"', "Q\\"), ("\u00e9", "\u00c9")])
+        d = VanKampenDiagram(
+            al, ((1, al.empty()), (2, al.word('q"')), (3, al.word("q\" \u00e9"))),
+            ((1, 1, 2, 0), (2, 2, 3, 2)), (), 1, (1, 2, -2, -1),
+        )
+        assert_json_export(d)
 
 
 class TestExportImport:
