@@ -23,7 +23,6 @@ from .cayley import (
     EdgeKind,
     FunctionOracle,
     GroupElement,
-    NormalFormOracle,
     NormalFormTree,
     alpha,
     ball_to_json,
@@ -80,14 +79,6 @@ from .vankampen import (
     seashell_glue,
     validate_diagram,
 )
-from .words import (
-    Alphabet,
-    Presentation,
-    Word,
-    cyclic_rotations,
-    load_presentation,
-    parse_sections,
-    symmetrize,
-)
+from .words import Alphabet, Word, cyclic_rotations, parse_sections
 
 __version__ = "0.1.0"

@@ -9,8 +9,8 @@
   prefix-rewriting rule).
 * ``shortlex_ac_structure``: the shortlex stacking of an almost convex
   pair, defined on a precomputed ball.
-* ``almost_convexity_check``: brute-force check of the almost convexity
-  condition on spheres up to a radius.
+* ``almost_convexity_check``: check of the almost convexity condition on
+  spheres up to a radius, by bounded searches of one ball.
 * ``thompson_f_in_C``: the deterministic PDA recognizer for the normal
   form language of Thompson's group F (recognizer only; no stacking map).
 """
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
-from .cayley import NormalFormOracle, NormalFormTree, build_ball
+from .cayley import Ball, NormalFormTree, build_ball
 from .errors import (
     AlmostConvexityError,
     BudgetExceededError,
@@ -274,15 +273,14 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
 
 
 class _ShortlexBall:
-    """Shortlex normal forms and distances on B(radius), from a word-problem
-    oracle presented as a normal-form function used only for element
-    identity."""
+    """Shortlex normal forms and distances on B(radius), from a normal-form
+    tree (or anything with a ``tree``) used only for element identity."""
 
-    def __init__(self, oracle: NormalFormOracle, radius: int):
-        self.alphabet = oracle.alphabet
+    def __init__(self, oracle, radius: int):
+        self.tree = getattr(oracle, "tree", oracle)
+        self.alphabet = self.tree.alphabet
         self.radius = radius
-        self.oracle = oracle
-        ball = build_ball(oracle, radius)
+        self.ball = ball = build_ball(self.tree, radius)
         # slex maps an oracle key to its shortlex word.  The shortlex word of
         # h is the least slex(g) a over the edges g -a-> h that step one
         # sphere out; sources are taken sphere by sphere, so slex(g) is
@@ -296,12 +294,11 @@ class _ShortlexBall:
             best = self.slex.get(h.canonical.letters)
             if best is None or z.letters < best.letters:
                 self.slex[h.canonical.letters] = z
-        self.dist: dict[tuple[int, ...], int] = {  # shortlex letters -> distance
-            z.letters: ball.elements[key].distance for key, z in self.slex.items()
-        }
+        # key maps a shortlex word's letters back to the oracle key.
+        self.key = {z.letters: key for key, z in self.slex.items()}
 
     def canonical(self, w: Word) -> Word:
-        key = self.oracle.normal_form(w).letters
+        key = self.tree.normal_form(w).letters
         try:
             return self.slex[key]
         except KeyError:
@@ -310,7 +307,7 @@ class _ShortlexBall:
             ) from None
 
     def distance(self, canonical: Word) -> int:
-        return self.dist[canonical.letters]
+        return self.ball.elements[self.key[canonical.letters]].distance
 
     def least_connecting_word(
         self, start: Word, goal: Word, max_len: int, ball_bound: int
@@ -322,44 +319,66 @@ class _ShortlexBall:
         both on the bounding sphere, since their midpoints fall outside;
         this is what makes alpha strictly decrease along the result.
         """
-        for n in range(max_len + 1):
-            for combo in product(range(len(self.alphabet)), repeat=n):
-                cur = start
-                prev_dist = self.distance(start)
-                ok = True
-                for b in combo:
-                    try:
-                        cur = self.canonical(cur.append(b))
-                    except OutsideExploredRegionError:
-                        ok = False
-                        break
-                    d = self.distance(cur)
-                    if d > ball_bound or (d == ball_bound and prev_dist == ball_bound):
-                        ok = False
-                        break
-                    prev_dist = d
-                if ok and cur == goal:
-                    return Word(self.alphabet, combo)
-        return None
+        way = _paths_to(self.ball, self.key[goal.letters], ball_bound, max_len, False)
+        g = self.key[start.letters]
+        if g not in way:
+            return None
+        letters = []
+        while way[g] is not None:
+            b, g = way[g]
+            letters.append(b)
+        return Word(self.alphabet, tuple(letters))
 
 
-def shortlex_ac_structure(
-    oracle: NormalFormOracle, ball_radius: int, k_ac: int
-) -> StackingStructure:
+def _paths_to(
+    ball: Ball, goal: tuple[int, ...], bound: int, max_len: int, sphere_edges: bool
+) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]] | None]:
+    """The shortest paths to ``goal`` of at most ``max_len`` edges inside
+    B(bound), by the key of each element of ``ball`` that has one: the
+    first letter and the next element's key of the shortlex least of them
+    (None at ``goal``).
+
+    A path may start anywhere, but each of its edges must enter B(bound)
+    and, unless ``sphere_edges``, not join two elements of the sphere
+    S(bound).  Edges come in inverse pairs, so the search runs back from
+    ``goal``, one distance to it at a time.
+    """
+    elements, edge_index = ball.elements, ball.edge_index
+    inverse = ball.alphabet.inverse
+    way: dict = {goal: None}
+    frontier = [goal]
+    for _ in range(max_len):
+        found: dict = {}
+        for v in frontier:
+            d = elements[v].distance
+            if d > bound:
+                continue
+            along_sphere = not sphere_edges and d == bound
+            for b, a in enumerate(inverse):  # v -b-> u is u -a-> v reversed
+                e = edge_index.get((v, b))
+                if e is None or (along_sphere and e.target.distance == bound):
+                    continue
+                u = e.target.canonical.letters
+                if u not in way and (u not in found or a < found[u][0]):
+                    found[u] = (a, v)
+        way.update(found)
+        frontier = list(found)
+    return way
+
+
+def shortlex_ac_structure(oracle, ball_radius: int, k_ac: int) -> StackingStructure:
     """Shortlex stacking of an almost convex pair, defined on B(ball_radius).
 
-    ``oracle`` solves the word problem (any normal-form function works; its
-    forms are used only to identify elements).  The normal forms of the
-    structure are the shortlex least representatives; phi images are found
-    by exhaustive shortlex search constrained to stay in the right ball.
+    ``oracle`` is a normal-form tree, or has one as its ``tree``, of a
+    solution to the word problem (its forms are used only to identify
+    elements).  The normal forms of the structure are the shortlex least
+    representatives; phi images are the shortlex least connecting words
+    found by searching the ball, constrained to stay in the right ball.
     Raises :class:`AlmostConvexityError` when no in-ball connecting word of
     length <= k_ac exists, refuting almost convexity at this radius.
     """
     box = _ShortlexBall(oracle, ball_radius)
     alphabet = box.alphabet
-
-    def normal_form(w: Word) -> Word:
-        return box.canonical(w)
 
     def phi(y: Word, a: int) -> Word:
         y_ga = box.canonical(y.append(a))
@@ -387,7 +406,7 @@ def shortlex_ac_structure(
 
     return StackingStructure(
         alphabet,
-        normal_form,
+        box.canonical,
         phi,
         bound_k=k_ac + 1,
         name=f"shortlex-ac(r={ball_radius},k={k_ac})",
@@ -434,63 +453,34 @@ class ACReport:
 
 
 def almost_convexity_check(
-    oracle: NormalFormOracle, n_max: int, k_ac: int, max_elements: int = 10**6
+    oracle, n_max: int, k_ac: int, max_elements: int = 10**6
 ) -> ACReport:
     """For every n <= n_max and every pair of sphere-S(n) elements at Cayley
     distance <= 2, search for a connecting path of length <= k_ac inside
-    B(n); failures are reported with witness pairs."""
+    B(n); failures are reported with witness pairs.  ``oracle`` is a
+    normal-form tree, or has one as its ``tree``."""
     report = ACReport(n_max=n_max, k=k_ac)
     if n_max == 0:
         return report
     ball = build_ball(oracle, n_max + 1, max_elements=max_elements)
-
-    neighbors: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for e in ball.edges:
-        neighbors.setdefault(e.source.canonical.letters, []).append(
-            e.target.canonical.letters
-        )
-
+    elements = ball.elements
+    by_shortlex = ball.sorted_elements()
     for n in range(1, n_max + 1):
-        sphere = [g for g in ball.sorted_elements() if g.distance == n]
-        in_ball_n = {
-            g.canonical.letters for g in ball.elements.values() if g.distance <= n
-        }
-        for g in sphere:
+        for g in by_shortlex:
+            if g.distance != n:
+                continue
             gl = g.canonical.letters
-            close: set[tuple[int, ...]] = set()
-            for u in neighbors.get(gl, ()):
-                if ball.elements[u].distance == n:
-                    close.add(u)
-                for v in neighbors.get(u, ()):
-                    if ball.elements[v].distance == n:
-                        close.add(v)
-            close.discard(gl)
-            for hl in sorted(close):
-                if hl < gl:
-                    continue  # unordered pairs once
+            close = _paths_to(ball, gl, n_max + 1, 2, True)  # all of B(n_max + 1)
+            pairs = sorted(hl for hl in close if hl > gl and elements[hl].distance == n)
+            if not pairs:
+                continue
+            # paths inside B(n), the combinatorial ball, may run along S(n)
+            reach = _paths_to(ball, gl, n, k_ac, True)
+            for hl in pairs:
                 report.pairs_checked += 1
-                # breadth-first search within B(n), depth <= k_ac
-                frontier = {gl}
-                seen = {gl}
-                found = hl == gl
-                for _ in range(k_ac):
-                    nxt: set[tuple[int, ...]] = set()
-                    for u in frontier:
-                        for v in neighbors.get(u, ()):
-                            if v in in_ball_n and v not in seen:
-                                nxt.add(v)
-                                seen.add(v)
-                    if hl in nxt:
-                        found = True
-                        break
-                    frontier = nxt
-                if not found:
+                if hl not in reach:
                     report.failures.append(
-                        {
-                            "n": n,
-                            "g": str(ball.elements[gl].canonical),
-                            "h": str(ball.elements[hl].canonical),
-                        }
+                        {"n": n, "g": str(g.canonical), "h": str(elements[hl].canonical)}
                     )
     return report
 

@@ -3,11 +3,11 @@
 The normal forms of a stacking are prefix-closed, so they are the nodes of
 the tree that the degenerate edges span (a :class:`NormalFormTree`).  A ball
 is one breadth-first search over the nodes of such a tree: a stacking
-structure's own, or the tree of normal-form words of any other oracle.  The
-oracle is queried once per element and letter.  An edge is degenerate when
-one endpoint is the other's parent by the edge's letter, and recursive
-otherwise.  Elements are keyed by their canonical (normal form) word, so
-construction is deterministic.
+structure's own, or a :class:`FunctionOracle`, the tree of the normal-form
+words of a function.  The tree is stepped once per element and letter.  An
+edge is degenerate when one endpoint is the other's parent by the edge's
+letter, and recursive otherwise.  Elements are keyed by their canonical
+(normal form) word, so construction is deterministic.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import StackingsError, StructureError
 from .words import Alphabet, Word
 
 __all__ = [
-    "NormalFormOracle",
     "FunctionOracle",
     "free_group_oracle",
     "NormalFormTree",
@@ -37,29 +36,6 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class NormalFormOracle(Protocol):
-    """Anything that maps a word to the canonical word of its group element."""
-
-    alphabet: Alphabet
-
-    def normal_form(self, w: Word) -> Word: ...
-
-
-@dataclass(frozen=True)
-class FunctionOracle:
-    alphabet: Alphabet
-    fn: Callable[[Word], Word]
-
-    def normal_form(self, w: Word) -> Word:
-        return self.fn(w)
-
-
-def free_group_oracle(alphabet: Alphabet) -> FunctionOracle:
-    """Free reduction as a normal-form oracle (free group on the pairs)."""
-    return FunctionOracle(alphabet, lambda w: w.free_reduce())
-
-
 class NormalFormTree:
     """The normal forms of a stacking as the nodes of the tree that its
     degenerate edges span.
@@ -70,11 +46,13 @@ class NormalFormTree:
     ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
     Every node spells its normal form as the tuple ``node.letters``.
 
-    The tree spells each node once: ``word`` keeps the ``Word`` of every
-    node it spelled, with the node of every such word.  Word-level normal
-    forms are a fold of ``step`` from the nearest kept node, so the normal
-    form of ``y a`` for a kept ``y`` costs one step.  A tree whose steps
-    spend a budget spends one budget on a whole ``walk``.
+    The tree is the memo of its normal forms: it keeps the node of every
+    word it resolved or spelled.  ``word`` keeps the ``Word`` of every node
+    it spelled, so it spells each node once.  The node of a new word is one
+    ``step`` from the node of its prefix one letter shorter if that is kept,
+    and a fold of ``step`` from the root otherwise, so the normal form of
+    ``y a`` for a kept ``y`` costs one step.  A tree whose steps spend a
+    budget spends one budget on a whole ``walk``.
     """
 
     def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
@@ -120,34 +98,47 @@ class NormalFormTree:
             self._nodes[y.letters] = node
         return y
 
-    def _node(self, w: Word):
-        """The node of the element that ``w`` spells."""
+    def node(self, w: Word):
+        """The node of the element that ``w`` spells, kept for ``w``."""
         letters = w.letters
         node = self._nodes.get(letters)
-        if node is not None:
-            return node
-        node = self._nodes.get(letters[:-1])
-        if node is not None:
-            return self.step(node, letters[-1])
-        node = self.root
-        for node in self.walk(node, letters):
-            pass
+        if node is None:
+            node = self._nodes.get(letters[:-1])
+            if node is None:
+                node = self.root
+                for node in self.walk(node, letters):
+                    pass
+            else:
+                node = self.step(node, letters[-1])
+            self._nodes[letters] = node
         return node
 
     def normal_form(self, w: Word) -> Word:
-        return self.word(self._node(w))
+        return self.word(self.node(w))
 
 
-class _WordTree(NormalFormTree):
-    """The tree of an oracle given only as a normal-form function: its nodes
-    are the oracle's normal-form words, and a step asks the oracle once."""
+class FunctionOracle(NormalFormTree):
+    """The tree of the normal-form words of ``fn``, a pure function from a
+    word to the normal form of its element: a node is such a word, and a
+    step asks ``fn`` once.
 
-    def __init__(self, oracle: NormalFormOracle) -> None:
-        super().__init__(oracle.alphabet, oracle.alphabet.empty())
-        self._oracle = oracle
+    ``fn`` is asked once per distinct word, the empty word included, so a
+    bad normal form of the empty word is found.
+    """
+
+    def __init__(self, alphabet: Alphabet, fn: Callable[[Word], Word]) -> None:
+        super().__init__(alphabet, alphabet.empty())
+        self.fn = fn
+        self._nodes = {}
+
+    def node(self, w: Word) -> Word:
+        y = self._nodes.get(w.letters)
+        if y is None:
+            y = self._nodes[w.letters] = self.fn(w)
+        return y
 
     def step(self, y: Word, a: int) -> Word:
-        return self._oracle.normal_form(y.append(a))
+        return self.node(y.append(a))
 
     def parent(self, y: Word) -> Word | None:
         return y[:-1] if y.letters else None
@@ -167,8 +158,10 @@ class _WordTree(NormalFormTree):
     def word(self, y: Word) -> Word:
         return y
 
-    def _node(self, w: Word) -> Word:
-        return self._oracle.normal_form(w)
+
+def free_group_oracle(alphabet: Alphabet) -> FunctionOracle:
+    """Free reduction as a normal-form oracle (free group on the pairs)."""
+    return FunctionOracle(alphabet, lambda w: w.free_reduce())
 
 
 @dataclass(frozen=True)
@@ -253,16 +246,16 @@ class Ball:
         )
 
 
-def build_ball(oracle: NormalFormOracle, n: int, max_elements: int = 10**6) -> Ball:
+def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     """Breadth-first construction of B(n); distances are exact graph metric.
 
-    The search runs over the nodes of the oracle's ``tree`` if it has one (a
-    stacking structure), and otherwise over the tree of the oracle's
-    normal-form words; edges are classified by the tree's ``degenerate``.
+    ``oracle`` is a :class:`NormalFormTree`, or has one as its ``tree`` (a
+    stacking structure).  The search runs over the tree's nodes, and edges
+    are classified by the tree's ``degenerate``.
     """
-    tree = getattr(oracle, "tree", None) or _WordTree(oracle)
+    tree = getattr(oracle, "tree", oracle)
     alphabet = tree.alphabet
-    if tree.depth(tree._node(alphabet.empty())) != 0:
+    if tree.depth(tree.node(alphabet.empty())) != 0:
         raise StructureError("normal form of the empty word must be empty")
     step, degenerate, word = tree.step, tree.degenerate, tree.word
     letters = range(len(alphabet))

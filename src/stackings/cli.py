@@ -78,7 +78,11 @@ def resolve_structure(spec: str, budget: int = DEFAULT_BUDGET) -> StackingStruct
 
 
 def _crs_from_file(path: str, budget: int) -> StackingStructure:
-    return crs_structure(load_rewriting_system(Path(path).read_text()), budget)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return crs_structure(load_rewriting_system(text), budget)
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -238,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, OutsideExploredRegionError, FileNotFoundError) as exc:
+    except (FormatError, OutsideExploredRegionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (StructureError, DiagramError, AlmostConvexityError) as exc:

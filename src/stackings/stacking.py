@@ -23,9 +23,9 @@ from .cayley import (
     Ball,
     DirectedEdge,
     EdgeKind,
+    FunctionOracle,
     GroupElement,
     NormalFormTree,
-    _WordTree,
     alpha,
 )
 from .errors import BudgetExceededError, StructureError
@@ -53,8 +53,9 @@ class StackingStructure:
 
     ``phi_fn(node, a)`` receives the ``tree`` node of the source and the
     edge label and is consulted only on recursive edges.  Without a
-    ``tree``, the nodes are the normal-form words of ``normal_form_fn``.
-    Oracles must be pure; word-level normal forms are memoized internally.
+    ``tree``, the tree is the :class:`FunctionOracle` of ``normal_form_fn``,
+    looked up on each call.  Oracles must be pure; word-level normal forms
+    are the tree's, and the tree keeps them.
     """
 
     alphabet: Alphabet
@@ -63,33 +64,28 @@ class StackingStructure:
     bound_k: int
     name: str = ""
     tree: NormalFormTree | None = field(default=None, repr=False)
-    _nf_cache: dict[tuple[int, ...], Word] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.tree is None:
-            self.tree = _WordTree(self)
+            self.tree = FunctionOracle(self.alphabet, lambda w: self.normal_form_fn(w))
         if len(self.normal_form(self.alphabet.empty())) != 0:
             raise StructureError("normal form of the empty word must be empty")
 
     def normal_form(self, w: Word) -> Word:
-        cached = self._nf_cache.get(w.letters)
-        if cached is None:
-            cached = self.normal_form_fn(w)
-            self._nf_cache[w.letters] = cached
-        return cached
+        return self.tree.normal_form(w)
 
     def in_normal_forms(self, w: Word) -> bool:
         return self.normal_form(w) == w
 
     def is_degenerate(self, w: Word, a: int) -> bool:
         tree = self.tree
-        y = tree._node(w)
+        y = tree.node(w)
         return tree.degenerate(y, a, tree.step(y, a))
 
     def phi(self, w: Word, a: int) -> Word:
         """Stacking map image for the recursive edge from rep(w) labeled a."""
         tree = self.tree
-        y = tree._node(w)
+        y = tree.node(w)
         if tree.degenerate(y, a, tree.step(y, a)):
             raise StructureError(
                 f"phi undefined on degenerate edge ({tree.word(y)}, {self.alphabet.tokens[a]})"
@@ -324,7 +320,7 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
     tree, phi_fn = s.tree, s.phi_fn
     step, degenerate = tree.step, tree.degenerate
     letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
-    node = {key: tree._node(g.canonical) for key, g in region.elements.items()}
+    node = {key: tree.node(g.canonical) for key, g in region.elements.items()}
     steps = {
         (node[e.source.canonical.letters], e.label): (e, node[e.target.canonical.letters])
         for e in region.edges
@@ -333,7 +329,7 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
 
     def node_of(g: GroupElement) -> Hashable:
         y = node.get(g.canonical.letters)
-        return tree._node(g.canonical) if y is None else y
+        return tree.node(g.canonical) if y is None else y
 
     def flow_edge(e: DirectedEdge) -> _FlowEdge:
         y, a = node_of(e.source), e.label

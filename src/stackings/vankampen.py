@@ -125,7 +125,7 @@ def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDi
     y_g a y_{ga}^{-1} with the doubled step collapsed into the segment."""
     w, a = e
     tree = s.tree
-    y_g = tree._node(w)
+    y_g = tree.node(w)
     y_ga = tree.step(y_g, a)
     if not tree.degenerate(y_g, a, y_ga):
         raise DiagramError(
@@ -152,7 +152,7 @@ def recursive_diagram(
         memo = {}
     w, a = e
     tree = s.tree
-    y_g = tree._node(w)
+    y_g = tree.node(w)
     if tree.degenerate(y_g, a, tree.step(y_g, a)):
         raise DiagramError(f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not recursive")
     p, flip = _recursive_diagram((y_g, a), s, memo, _fresh_state(budget))
@@ -662,7 +662,7 @@ def build_filling_diagram(
     along the normal forms of the prefixes.  Each letter's recursive piece
     gets its own ``budget``."""
     tree = s.tree
-    if tree.depth(tree._node(w)) != 0:
+    if tree.depth(tree.node(w)) != 0:
         raise DiagramError(f"word {w} is not trivial in the group")
     if memo is None:
         memo = {}
@@ -907,8 +907,8 @@ def export_diagram(d: VanKampenDiagram, format: str = "json") -> bytes:
 
 def import_diagram(data: bytes | str, alphabet: Alphabet) -> VanKampenDiagram:
     """Inverse of the json export (the alphabet is supplied externally)."""
-    obj = json.loads(data)
     try:
+        obj = json.loads(data)
         vertices = tuple(
             (v["id"], alphabet.word(v["word"])) for v in obj["vertices"]
         )
@@ -920,7 +920,7 @@ def import_diagram(data: bytes | str, alphabet: Alphabet) -> VanKampenDiagram:
         return VanKampenDiagram(
             alphabet, vertices, edges, faces, obj["basepoint"], tuple(obj["boundary"])
         )
-    except (KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed diagram json: {exc}") from None
 
 

@@ -1,4 +1,5 @@
-"""Inverse-closed alphabets, words, free reduction, and symmetrized presentations.
+"""Inverse-closed alphabets, words, free reduction, symmetrized relator sets,
+and the sectioned text format of structure files.
 
 Generators are whole tokens ("a", "T", "x0"), so multi-character names parse
 unambiguously; a word in text form is a whitespace-separated token sequence.
@@ -17,11 +18,8 @@ from .errors import FormatError
 __all__ = [
     "Alphabet",
     "Word",
-    "Presentation",
-    "symmetrize",
     "cyclic_rotations",
     "parse_sections",
-    "load_presentation",
 ]
 
 
@@ -167,32 +165,6 @@ def cyclic_rotations(w: Word) -> list[Word]:
     return [Word(w.alphabet, w.letters[i:] + w.letters[:i]) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A group presentation over a symmetric alphabet."""
-
-    alphabet: Alphabet
-    relators: frozenset[Word]
-
-    def is_symmetrized(self) -> bool:
-        rels = self.relators
-        for r in rels:
-            if len(r) == 0 or not r.is_freely_reduced():
-                return False
-            if r.inverse() not in rels:
-                return False
-            if any(c not in rels for c in cyclic_rotations(r)):
-                return False
-        return True
-
-
-def symmetrize(p: Presentation) -> Presentation:
-    """Close the relator set under formal inversion and cyclic conjugation,
-    freely reducing throughout and discarding the empty word."""
-    closed = symmetrized_closure(p.relators)
-    return Presentation(p.alphabet, frozenset(closed))
-
-
 def symmetrized_closure(seed: Iterable[Word]) -> set[Word]:
     """Closure of a word set under inversion, cyclic conjugation, and free
     reduction, except the empty word."""
@@ -211,8 +183,8 @@ def symmetrized_closure(seed: Iterable[Word]) -> set[Word]:
 
 
 # ---------------------------------------------------------------------------
-# File format: sections [generators] / [inverses] / [relators] / [rules],
-# '#' comments, blank lines ignored.
+# File format: sections such as [generators] / [inverses] / [rules], '#'
+# comments, blank lines ignored.
 
 
 def parse_sections(text: str) -> dict[str, list[str]]:
@@ -247,11 +219,3 @@ def alphabet_from_sections(sections: dict[str, list[str]]) -> Alphabet:
             raise FormatError(f"self-inverse generator not allowed: {parts[0]!r}")
         pairs.append((parts[0], parts[1]))
     return Alphabet.from_pairs(tokens, pairs)
-
-
-def load_presentation(text: str) -> Presentation:
-    """Parse the presentation file format (generators, inverses, relators)."""
-    sections = parse_sections(text)
-    alphabet = alphabet_from_sections(sections)
-    relators = frozenset(alphabet.word(line) for line in sections.get("relators", []))
-    return Presentation(alphabet, relators)

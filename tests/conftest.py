@@ -74,6 +74,25 @@ def bs12S():
 
 
 @pytest.fixture(scope="session")
+def c3_oracle():
+    """Cyclic group of order 3, in which an edge joins two elements of S(1)."""
+    S = load_rewriting_system(
+        """
+        [generators]
+        a A
+        [inverses]
+        a A
+        [rules]
+        a a -> A
+        A A -> a
+        a A ->
+        A a ->
+        """
+    )
+    return FunctionOracle(S.alphabet, lambda w: reduce_to_irreducible(S, w))
+
+
+@pytest.fixture(scope="session")
 def c5_oracle():
     """Cyclic group of order 5, in which B(2) is not convex."""
     S = load_rewriting_system(

@@ -13,7 +13,9 @@ from whole diagrams, the basepoint-path check of a diagram's vertex words
 walked from the basepoint one vertex at a time, a structure's normal-form
 tree stepped from its root, stacking reduction on whole words, and Cayley
 balls and flow verification on whole words, edges classified by comparing
-words, and the object a diagram's json export encodes.
+words, the object a diagram's json export encodes, almost convexity by
+trying every word and searching every pair, and symmetrized relator sets
+by their definition.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from fractions import Fraction
 from itertools import product
 
 from stackings import (
+    ACReport,
     Ball,
     DirectedEdge,
     EdgeKind,
     FlowReport,
     GeodesicReport,
     GroupElement,
+    OutsideExploredRegionError,
     StackingsError,
     StructureError,
     VanKampenDiagram,
@@ -37,7 +41,7 @@ from stackings import (
     degenerate_diagram,
     seashell_glue,
 )
-from stackings.words import Alphabet, symmetrized_closure
+from stackings.words import Alphabet, cyclic_rotations, symmetrized_closure
 
 
 # ---------------------------------------------------------------------------
@@ -598,3 +602,75 @@ def verify_geodesic_reference(flow, ball: Ball, region: Ball | None = None) -> G
                     }
                 )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Almost convexity by trying every word: the shortlex least connecting word
+# is the first word, in shortlex order, whose path stays in the ball; the
+# check searches, per sphere pair, breadth first along enumerated edges.
+
+
+def least_connecting_word_reference(
+    box, start: Word, goal: Word, max_len: int, ball_bound: int
+) -> Word | None:
+    """Shortlex least word of length <= max_len labeling a path from start
+    to goal in B(ball_bound) of ``box`` (a shortlex ball), never along an
+    edge with both ends on the bounding sphere."""
+    for w in all_words(box.alphabet, max_len):
+        cur, prev_dist, ok = start, box.distance(start), True
+        for b in w.letters:
+            try:
+                cur = box.canonical(cur.append(b))
+            except OutsideExploredRegionError:
+                ok = False
+                break
+            d = box.distance(cur)
+            if d > ball_bound or (d == ball_bound and prev_dist == ball_bound):
+                ok = False
+                break
+            prev_dist = d
+        if ok and cur == goal:
+            return w
+    return None
+
+
+def almost_convexity_reference(oracle, n_max: int, k_ac: int) -> ACReport:
+    """The almost convexity report from the enumerated ball B(n_max + 1):
+    every pair of S(n) elements at distance <= 2, in shortlex order of the
+    first and key order of the second, searched breadth first in B(n)."""
+    report = ACReport(n_max=n_max, k=k_ac)
+    if n_max == 0:
+        return report
+    dist, edges, _ = ball_reference(oracle, n_max + 1)
+    neighbors: dict = {}
+    for g, _, h, _ in edges:
+        neighbors.setdefault(g, set()).add(h)
+    words = {g: Word(oracle.alphabet, g) for g in dist}
+    for n in range(1, n_max + 1):
+        for g in sorted((g for g in dist if dist[g] == n), key=lambda g: (len(g), g)):
+            close = {v for u in neighbors[g] for v in neighbors[u] | {u} if dist[v] == n}
+            for h in sorted(close - {g}):
+                if h < g:
+                    continue
+                report.pairs_checked += 1
+                seen, frontier = {g}, {g}
+                for _ in range(k_ac):
+                    frontier = {
+                        v for u in frontier for v in neighbors[u] if dist[v] <= n
+                    } - seen
+                    seen |= frontier
+                if h not in seen:
+                    report.failures.append({"n": n, "g": str(words[g]), "h": str(words[h])})
+    return report
+
+
+def is_symmetrized(relators: set[Word]) -> bool:
+    """Whether every relator is nonempty and freely reduced, and the set
+    holds its inverse and its cyclic rotations."""
+    return all(
+        len(r) > 0
+        and r.is_freely_reduced()
+        and r.inverse() in relators
+        and all(c in relators for c in cyclic_rotations(r))
+        for r in relators
+    )

@@ -5,8 +5,10 @@ from hypothesis import strategies as hs
 from oracles import (
     affine_eval,
     all_words,
+    almost_convexity_reference,
     classify,
     fold,
+    least_connecting_word_reference,
     leftmost_reduce,
     shortlex_representatives,
     thompson_f_direct,
@@ -110,13 +112,13 @@ class TestBS1pStep:
         x = data.draw(hs.integers(0, 3))
         y = s.normal_form(u)
         # u's prefix is seldom a normal form returned before; y's always is.
-        # The oracle functions are called directly, past the structure's memo.
+        # The oracle functions are called directly.
         for w in (u, y.append(x)):
             nf = s.normal_form_fn(w)
             assert affine_eval(nf, p) == affine_eval(w, p)
             assert nf == bs1p_structure(p).normal_form_fn(w)  # replayed
         if not s.is_degenerate(y, x):
-            g = s.tree._node(y)  # kept by the memo
+            g = s.tree.node(y)  # kept by the memo
             fresh = bs1p_structure(p)
             assert g == fold(fresh, y)  # replayed
             img = s.phi_fn(g, x)
@@ -162,7 +164,7 @@ class TestCrsStructure:
         # one step from the node the memo kept for y, and a fold on a new trie
         w = y.append(x)
         want = leftmost_reduce(S, w)
-        node = s.tree.step(s.tree._node(y), x)
+        node = s.tree.step(s.tree.node(y), x)
         assert s.tree.word(node) == want
         assert fold(crs_structure(S), w).letters == node.letters
         # starting from y fires no rule, so the step spends the prefix
@@ -314,7 +316,9 @@ class TestShortlexAC:
             oracle.alphabet, lambda w: oracle.normal_form(w).letters, radius
         )
         assert box.slex == expected
-        assert box.dist == {w.letters: len(w) for w in expected.values()}
+        assert {z.letters: box.distance(z) for z in box.slex.values()} == {
+            w.letters: len(w) for w in expected.values()
+        }
 
     def test_normal_forms_are_shortlex_least(self, z2oracle):
         st = shortlex_ac_structure(z2oracle, ball_radius=3, k_ac=2)
@@ -340,25 +344,11 @@ class TestShortlexAC:
         with pytest.raises(StructureError):
             st.phi(al.word("a"), al.index("b"))
 
-    def test_case1_avoids_edge_on_sphere(self):
+    def test_case1_avoids_edge_on_sphere(self, c3_oracle):
         # cyclic of order 3: the edge a -> a^2 joins two sphere-S(1)
         # elements; the connecting path must dip into B(0), so phi is the
         # detour "A A", never the edge label itself
-        C3 = load_rewriting_system(
-            """
-            [generators]
-            a A
-            [inverses]
-            a A
-            [rules]
-            a a -> A
-            A A -> a
-            a A ->
-            A a ->
-            """
-        )
-        oracle = FunctionOracle(C3.alphabet, lambda w: reduce_to_irreducible(C3, w))
-        st = shortlex_ac_structure(oracle, ball_radius=2, k_ac=2)
+        st = shortlex_ac_structure(c3_oracle, ball_radius=2, k_ac=2)
         al = st.alphabet
         assert str(st.phi(al.word("a"), al.index("a"))) == "A A"
 
@@ -381,7 +371,62 @@ class TestShortlexAC:
             st.normal_form(st.alphabet.word("a a a a"))
 
 
+def z2_reordered_oracle() -> FunctionOracle:
+    """Z^2 over the order a < b < B < A, in which a letter's inverse comes
+    after the other pair's: normal forms a^x b^y, by exponent sums."""
+    al = Alphabet.from_pairs(("a", "b", "B", "A"), [("a", "A"), ("b", "B")])
+    sign = {"a": (1, 0), "A": (-1, 0), "b": (0, 1), "B": (0, -1)}
+
+    def nf(w: Word) -> Word:
+        x = sum(sign[al.tokens[i]][0] for i in w)
+        y = sum(sign[al.tokens[i]][1] for i in w)
+        a, b = al.index("a" if x > 0 else "A"), al.index("b" if y > 0 else "B")
+        return Word(al, (a,) * abs(x) + (b,) * abs(y))
+
+    return FunctionOracle(al, nf)
+
+
+class TestLeastConnectingWord:
+    """The search over the ball's edges finds the word that trying every
+    word in shortlex order finds, for every pair of elements of B(bound)."""
+
+    @pytest.mark.parametrize(
+        "group, radius",
+        [("z2", 4), ("z2-reordered", 3), ("bs12", 3), ("f2", 3), ("c3", 2), ("c5", 3)],
+    )
+    def test_agrees_with_trying_every_word(
+        self, group, radius, z2oracle, bs2, c3_oracle, c5_oracle
+    ):
+        f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+        oracle = {
+            "z2": z2oracle, "z2-reordered": z2_reordered_oracle(), "bs12": bs2,
+            "f2": free_group_oracle(f2), "c3": c3_oracle, "c5": c5_oracle,
+        }[group]
+        box = _ShortlexBall(oracle, radius)
+        words = sorted(box.slex.values(), key=Word.shortlex_key)
+        for bound in range(radius + 1):
+            inside = [z for z in words if box.distance(z) <= bound]
+            for k in (1, 2, 3):
+                for start in inside:
+                    for goal in inside:
+                        assert box.least_connecting_word(
+                            start, goal, k, bound
+                        ) == least_connecting_word_reference(box, start, goal, k, bound)
+
+
 class TestAlmostConvexityCheck:
+    @pytest.mark.parametrize(
+        "group, n_max, k",
+        [("z2", 3, 1), ("z2", 3, 2), ("f2", 3, 2), ("c5", 2, 2), ("c5", 3, 4), ("bs12", 3, 2)],
+    )
+    def test_report_equals_the_search_per_pair(self, group, n_max, k, z2oracle, bs2, c5_oracle):
+        # BS(1,2) is not almost convex: at k = 2 some pairs of S(3) are
+        # joined only through S(4)
+        f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+        oracle = {"z2": z2oracle, "f2": free_group_oracle(f2), "c5": c5_oracle, "bs12": bs2}[group]
+        report = almost_convexity_check(oracle, n_max, k)
+        assert report.to_json() == almost_convexity_reference(oracle, n_max, k).to_json()
+
     def test_z2_passes_with_k2(self, z2oracle):
         report = almost_convexity_check(z2oracle, n_max=3, k_ac=2)
         assert report.passed and report.pairs_checked > 0

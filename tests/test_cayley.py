@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import ball_reference, build_ball_reference, classify
+from oracles import all_words, ball_reference, build_ball_reference, classify
 from stackings import (
     EdgeKind,
     FunctionOracle,
@@ -14,6 +14,7 @@ from stackings import (
     StructureError,
     alpha,
     ball_to_json,
+    bs1p_structure,
     build_ball,
     free_group_oracle,
     reduce_to_irreducible,
@@ -176,6 +177,23 @@ class TestEdgesAndAlpha:
         assert alpha(e) == Fraction(3, 2)
         e0 = ball.edge(al.empty(), al.index("a"))
         assert alpha(e0) == Fraction(1, 2)
+
+    def test_function_oracle_asks_once_per_distinct_word(self, z2S):
+        calls = []
+        oracle = FunctionOracle(
+            z2S.alphabet, lambda w: calls.append(w.letters) or reduce_to_irreducible(z2S, w)
+        )
+        words = list(all_words(z2S.alphabet, 3))
+        for w in words + words:
+            assert oracle.normal_form(w) == reduce_to_irreducible(z2S, w)
+        assert sorted(calls) == sorted(w.letters for w in words)
+
+    def test_tree_keeps_the_node_of_each_word(self):
+        s = bs1p_structure(2)
+        w = s.alphabet.word("t a T a")
+        nf = s.normal_form(w)
+        s.tree.step = None  # a kept word takes no step
+        assert s.normal_form(w) is nf
 
     def test_bad_oracle_rejected(self):
         al = Alphabet.from_pairs(("a", "A"), [("a", "A")])

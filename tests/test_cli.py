@@ -203,6 +203,16 @@ class TestErrors:
         code, _, _ = run(capsys, "nf", "--structure", "crs:/no/such/file", "--word", "a")
         assert code == 2
 
+    def test_directory_as_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "nf", "--structure", f"crs:{tmp_path}", "--word", "a")
+        assert code == 2 and err.startswith("error: ")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.rs"
+        path.write_bytes(b"[generators]\n\xe9 \xc9\n")
+        code, _, err = run(capsys, "nf", "--structure", f"crs:{path}", "--word", "a")
+        assert code == 2 and err.startswith("error: ") and "UTF-8" in err
+
     def test_bad_word_token(self, capsys):
         code, _, _ = run(capsys, "nf", "--structure", "bs1p:2", "--word", "q")
         assert code == 2

@@ -57,6 +57,20 @@ class TestStackingReduce:
         al = z2S.alphabet
         assert str(stacking_reduce(z2struct, al.word("b a"))) == "a b"
 
+    def test_bad_empty_normal_form_rejected_without_tree(self, bs2):
+        al = bs2.alphabet
+        with pytest.raises(StructureError, match="empty word"):
+            StackingStructure(al, lambda w: al.word("a"), bs2.phi, bound_k=4)
+
+    def test_normal_form_fn_looked_up_on_each_call_without_tree(self, bs2):
+        al = bs2.alphabet
+        s = StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=4)
+        calls, fn = [], s.normal_form_fn
+        s.normal_form_fn = lambda w: calls.append(w) or fn(w)
+        w = al.word("t a T")
+        assert s.normal_form(w) == s.normal_form(w) == al.word("a a")
+        assert calls == [w]
+
     def test_budget_raised_on_cyclic_phi(self, bs2):
         al = bs2.alphabet
         # phi that sends the recursive edge (t, a) to a word spelling a

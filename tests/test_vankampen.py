@@ -558,16 +558,23 @@ class TestExportImport:
         assert restored == d
         assert export_diagram(restored, "json") == blob
 
-    @pytest.mark.parametrize("field, index, key", [
-        ("vertices", 1, "word"), ("edges", 0, "label"),
+    @pytest.mark.parametrize("field, index, key, value", [
+        pytest.param("vertices", 1, "word", "z", id="vertices-1-word"),
+        pytest.param("edges", 0, "label", "z", id="edges-0-label"),
+        pytest.param("vertices", 1, "word", 5, id="vertices-1-word-not-text"),
+        pytest.param(None, None, None, None, id="not-json"),
     ])
-    def test_import_rejects_unknown_token(self, bs2, field, index, key):
+    def test_import_rejects_unknown_token(self, bs2, field, index, key, value):
         al = bs2.alphabet
         d = build_filling_diagram(bs2, al.word("t a T A A"))
         obj = json.loads(export_diagram(d, "json"))
-        obj[field][index][key] = "z"
+        if field is None:
+            text = "{not json"
+        else:
+            obj[field][index][key] = value
+            text = json.dumps(obj)
         with pytest.raises(FormatError):
-            import_diagram(json.dumps(obj), al)
+            import_diagram(text, al)
 
     def test_exports_deterministic(self, bs2):
         al = bs2.alphabet

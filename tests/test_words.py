@@ -2,17 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from oracles import free_reduce_all_orders
+from oracles import free_reduce_all_orders, is_symmetrized
 from stackings import (
     Alphabet,
     FormatError,
-    Presentation,
     Word,
     cyclic_rotations,
-    load_presentation,
+    load_rewriting_system,
     parse_sections,
-    symmetrize,
 )
+from stackings.words import symmetrized_closure
 
 AB = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
 
@@ -98,19 +97,17 @@ def test_inverse_reduces_to_inverse(u):
 
 class TestSymmetrize:
     def test_commutator_closure_has_eight_members(self):
-        p = Presentation(AB, frozenset({w("a b A B")}))
-        closed = symmetrize(p)
-        assert len(closed.relators) == 8
-        assert closed.is_symmetrized()
-        assert w("b A B a") in closed.relators
-        assert w("b a B A") in closed.relators
+        closed = symmetrized_closure({w("a b A B")})
+        assert len(closed) == 8
+        assert is_symmetrized(closed)
+        assert w("b A B a") in closed
+        assert w("b a B A") in closed
 
     def test_unreduced_and_empty_seeds(self):
-        p = Presentation(AB, frozenset({w("a A"), w("a a A b A B a A")}))
-        closed = symmetrize(p)
-        assert all(len(r) > 0 and r.is_freely_reduced() for r in closed.relators)
+        closed = symmetrized_closure({w("a A"), w("a a A b A B a A")})
+        assert all(len(r) > 0 and r.is_freely_reduced() for r in closed)
         # a a A b A B a A freely reduces to the commutator a b A B
-        assert w("a b A B") in closed.relators
+        assert w("a b A B") in closed
 
     def test_cyclic_rotations(self):
         assert [str(c) for c in cyclic_rotations(w("a b B"))] == [
@@ -132,21 +129,21 @@ class TestFileFormat:
         with pytest.raises(FormatError):
             parse_sections("a A\n[generators]\n")
 
-    def test_load_presentation(self):
-        p = load_presentation(
+    def test_load_rewriting_system_sections(self):
+        S = load_rewriting_system(
             """
             [generators]
             a A b B
             [inverses]
             a A
             b B
-            [relators]
-            a b A B
+            [rules]
+            b a -> a b
             """
         )
-        assert len(p.alphabet) == 4
-        assert p.alphabet.word("a b A B") in p.relators
+        assert len(S.alphabet) == 4
+        assert [(str(r.lhs), str(r.rhs)) for r in S.rules] == [("b a", "a b")]
 
     def test_self_inverse_generator_rejected(self):
         with pytest.raises(FormatError):
-            load_presentation("[generators]\ns\n[inverses]\ns s\n")
+            load_rewriting_system("[generators]\ns\n[inverses]\ns s\n")
