@@ -28,7 +28,6 @@ from .cayley import (
     ball_to_json,
     build_ball,
     free_group_oracle,
-    tree_path,
 )
 from .errors import (
     AlmostConvexityError,

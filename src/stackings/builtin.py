@@ -42,7 +42,6 @@ __all__ = [
     "ACReport",
     "almost_convexity_check",
     "thompson_alphabet",
-    "PdaState",
     "expsum_x0",
     "thompson_f_in_C",
 ]
@@ -493,31 +492,6 @@ def thompson_alphabet() -> Alphabet:
     return Alphabet.from_pairs(("x0", "X0", "x1", "X1"), [("x0", "X0"), ("x1", "X1")])
 
 
-@dataclass
-class PdaState:
-    """Counter PDA: pushes an x0^-1 on reading X0, pops on x0, fails on a
-    pop at the stack-start symbol.  Fail is absorbing; acceptance means the
-    machine is still in its initial state."""
-
-    failed: bool = False
-    stack: int = 0
-
-    def step(self, token: str) -> None:
-        if self.failed:
-            return
-        if token == "X0":
-            self.stack += 1
-        elif token == "x0":
-            if self.stack == 0:
-                self.failed = True
-            else:
-                self.stack -= 1
-
-    @property
-    def accepting(self) -> bool:
-        return not self.failed
-
-
 def expsum_x0(w: Word) -> int:
     """Exponent sum of x0 in w."""
     toks = w.alphabet.tokens
@@ -533,22 +507,24 @@ def _require_f_alphabet(w: Word) -> tuple[int, int, int, int]:
 
 def thompson_f_in_C(w: Word) -> bool:
     """Membership in the normal form language for Thompson's F: product of
-    the forbidden-subword automaton with the x0-counter PDA."""
+    the forbidden-subword automaton with the x0-counter PDA, which pushes an
+    x0^-1 on reading X0 and pops on x0.  Both reject for good, the PDA on a
+    pop at the stack-start symbol, so the word is rejected at the first
+    rejection of either."""
     x0, X0, x1, X1 = _require_f_alphabet(w)
-    pda = PdaState()
-    prev1: int | None = None
-    prev2: int | None = None
-    regular_ok = True
     inv = {x0: X0, X0: x0, x1: X1, X1: x1}
+    prev2 = prev1 = None
+    stack = 0
     for c in w:
-        if regular_ok:
-            if prev1 is not None and inv[prev1] == c:
-                regular_ok = False
-            elif prev2 == x0 and prev1 == x0 and c in (x1, X1):
-                regular_ok = False
-        if not regular_ok and pda.failed:
+        if prev1 is not None and inv[prev1] == c:
             return False
-        pda.step(w.alphabet.tokens[c])
+        if prev2 == x0 and prev1 == x0 and c in (x1, X1):
+            return False
+        if c == X0:
+            stack += 1
+        elif c == x0:
+            if stack == 0:
+                return False
+            stack -= 1
         prev2, prev1 = prev1, c
-    return regular_ok and pda.accepting
-
+    return True

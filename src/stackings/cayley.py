@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -31,7 +31,6 @@ __all__ = [
     "Ball",
     "build_ball",
     "alpha",
-    "tree_path",
     "ball_to_json",
 ]
 
@@ -193,20 +192,13 @@ class DirectedEdge:
 
 @dataclass
 class Ball:
-    """The exact metric ball B(radius) with all edges between its elements.
-
-    ``tree_parent`` maps a non-identity element to the degenerate edge from
-    its normal form's one-letter-shorter prefix; entries exist only when
-    that prefix element also lies in the ball (always, when normal forms
-    are geodesic).
-    """
+    """The exact metric ball B(radius) with all edges between its elements."""
 
     radius: int
     alphabet: Alphabet
     elements: dict[tuple[int, ...], GroupElement]
     edges: list[DirectedEdge]
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge]
-    tree_parent: dict[tuple[int, ...], DirectedEdge] = field(default_factory=dict)
 
     def element(self, canonical: Word) -> GroupElement:
         try:
@@ -231,18 +223,15 @@ class Ball:
         :func:`build_ball` would search: its spheres are found first, and in
         the same order, by the search for a larger radius."""
         within = max(radius, 0)  # the search keeps the root at any radius
-
-        def inside(e: DirectedEdge) -> bool:
-            return e.source.distance <= within and e.target.distance <= within
-
-        edges = [e for e in self.edges if inside(e)]
+        edges = [
+            e for e in self.edges if e.source.distance <= within and e.target.distance <= within
+        ]
         return Ball(
             radius,
             self.alphabet,
             {k: g for k, g in self.elements.items() if g.distance <= within},
             edges,
             {(e.source.canonical.letters, e.label): e for e in edges},
-            {k: e for k, e in self.tree_parent.items() if inside(e)},
         )
 
 
@@ -298,42 +287,22 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
                 e = edge_index[g.canonical.letters, a] = DirectedEdge(g, a, h, kind)
                 edges.append(e)
 
-    tree_parent: dict[tuple[int, ...], DirectedEdge] = {}
+    # The tree's edge from each element's parent, where both lie in the
+    # ball, must be degenerate.
     for y, g in element.items():
         p = element.get(tree.parent(y)) if g.distance else None
         e = edge_index.get((p.canonical.letters, tree.last(y))) if p is not None else None
-        if e is not None:
-            if e.classification is not EdgeKind.DEGENERATE:
-                raise StructureError(f"prefix edge {e} is not degenerate")
-            tree_parent[g.canonical.letters] = e
+        if e is not None and e.classification is not EdgeKind.DEGENERATE:
+            raise StructureError(f"prefix edge {e} is not degenerate")
 
     elements = {g.canonical.letters: g for g in element.values()}
-    return Ball(n, alphabet, elements, edges, edge_index, tree_parent)
+    return Ball(n, alphabet, elements, edges, edge_index)
 
 
 def alpha(e: DirectedEdge) -> Fraction:
     """Average distance of the edge's endpoints to the identity; lies in
     the half-integers."""
     return Fraction(e.source.distance + e.target.distance, 2)
-
-
-def tree_path(ball: Ball, g: GroupElement) -> Word:
-    """Spell the normal form of g by following tree-parent edges to the
-    identity; agrees with g's canonical word."""
-    letters: list[int] = []
-    cur = g
-    while len(cur.canonical) != 0:
-        e = ball.tree_parent.get(cur.canonical.letters)
-        if e is None:
-            raise StackingsError(
-                f"tree parent of {cur.canonical} not explored in this ball"
-            )
-        letters.append(e.label)
-        cur = e.source
-    word = Word(ball.alphabet, tuple(reversed(letters)))
-    if word != g.canonical:
-        raise StructureError(f"tree path {word} disagrees with canonical {g.canonical}")
-    return word
 
 
 def ball_to_json(ball: Ball) -> str:

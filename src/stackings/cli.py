@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: nf, wp, vkd, verify, ac-check, thompson-nf, export-ball.
-Structures are addressed by name: ``bs1p:<p>``, ``crs:<file>``,
+Structures are addressed by name: ``bs1p:<p>``, ``crs:<file>`` and
 ``shortlex-ac:<file>:<radius>:<k>`` (the file holds a rewriting system used
-as the word-problem oracle), and ``thompson-f`` (recognizer only).
+as the word-problem oracle).
 
 Exit codes: 0 success/true, 1 false/verification failed, 2 precondition
 violation, 3 budget exceeded, 4 internal validation failure.
@@ -124,12 +124,9 @@ def cmd_vkd(args) -> int:
         return EXIT_PRECONDITION
     memo: dict = {}
     d = build_filling_diagram(s, w, memo=memo, budget=args.budget)
-    if memo:
-        relators = stacking_relation_set(
-            s, [(Word(s.alphabet, src), a) for (src, a), _ in memo.values()]
-        )
-    else:
-        relators = set()
+    relators = stacking_relation_set(
+        s, [(Word(s.alphabet, src), a) for (src, a), _ in memo.values()]
+    )
     report = validate_diagram(d, relators, w, s)
     _write_report(report.to_json(), args.report)
     if not report.passed:

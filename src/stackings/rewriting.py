@@ -265,40 +265,29 @@ def minimize(
     ``z_a`` is the irreducible word representing ``a`` (found by a bounded
     breadth-first search for a word cancelling the inverse letter).
     """
-    rules = list(S.rules)
+    # One pass against S reaches the fixpoint (Sims 1994, ch. 2).  A rule
+    # whose lhs properly contains another lhs is dropped.  Every lhs contains
+    # an lhs with no reducible proper subword, and that one is kept, so the
+    # reducible words, and with them the irreducible forms, stay the same.
+    # A second pass would then drop no rule and change no rhs, since each
+    # rhs is reduced once, to an irreducible word.  No lhs equals its reduced
+    # rhs, because an lhs is reducible.
     alphabet = S.alphabet
+    rules: list[RewriteRule] = []
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for rule in S.rules:
+        if _proper_subword_reducible(S, rule.lhs):
+            continue
+        rhs = reduce_to_irreducible(S, rule.rhs, budget)
+        key = (rule.lhs.letters, rhs.letters)
+        if key not in seen:
+            seen.add(key)
+            rules.append(RewriteRule(rule.lhs, rhs))
 
-    def fixpoint(rules: list[RewriteRule]) -> list[RewriteRule]:
-        while True:
-            sys = RewritingSystem(alphabet, tuple(rules), claimed_complete=True)
-            changed = False
-            out: list[RewriteRule] = []
-            seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-            for rule in rules:
-                # A rule whose lhs properly contains another lhs is redundant:
-                # completeness makes both routes reach the same irreducible.
-                if _proper_subword_reducible(sys, rule.lhs):
-                    changed = True
-                    continue
-                rhs = reduce_to_irreducible(sys, rule.rhs, budget)
-                if rhs != rule.rhs:
-                    changed = True
-                if rule.lhs == rhs:
-                    changed = True
-                    continue
-                key = (rule.lhs.letters, rhs.letters)
-                if key in seen:
-                    changed = True
-                    continue
-                seen.add(key)
-                out.append(RewriteRule(rule.lhs, rhs))
-            rules = out
-            if not changed:
-                return rules
-
-    rules = fixpoint(rules)
-
-    # Drop letters that represent the identity (rules a -> empty).
+    # Drop letters that represent the identity (rules a -> empty).  Such a
+    # letter is itself an lhs, so no longer kept lhs contains it (that lhs
+    # would have been dropped) and no reduced rhs does (it is irreducible).
+    # The rules left keep their letters and need no second pass.
     identity = {r.lhs.letters[0] for r in rules if len(r.lhs) == 1 and len(r.rhs) == 0}
     for a in list(identity):
         b = alphabet.inv(a)
@@ -313,20 +302,12 @@ def minimize(
             tuple(alphabet.tokens[i] for i in keep),
             tuple(keep.index(alphabet.inverse[i]) for i in keep),
         )
-        new_rules: list[RewriteRule] = []
-        for rule in rules:
-            if len(rule.lhs) == 1 and rule.lhs.letters[0] in identity:
-                continue
-            # Identity letters cannot occur in other minimal rules; erase
-            # defensively and re-reduce below if they do.
-            def strip(w: Word) -> Word:
-                return Word(alphabet, tuple(i for i in w.letters if i not in identity))
-
-            new_rules.append(
-                RewriteRule(_remap_word(strip(rule.lhs), new_alphabet), _remap_word(strip(rule.rhs), new_alphabet))
-            )
+        rules = [
+            RewriteRule(_remap_word(rule.lhs, new_alphabet), _remap_word(rule.rhs, new_alphabet))
+            for rule in rules
+            if not (len(rule.lhs) == 1 and rule.lhs.letters[0] in identity)
+        ]
         alphabet = new_alphabet
-        rules = fixpoint(new_rules)
 
     # Inverse closure: letters that occur in no rule get a defining rule.
     sys = RewritingSystem(alphabet, tuple(rules), claimed_complete=True)

@@ -403,34 +403,39 @@ def verify_flow_properties(
             for p in path or ()
             if p.classification is EdgeKind.RECURSIVE
         ]
-    color: dict[tuple[tuple[int, ...], int], int] = {}
-    stack_trace: list[tuple[tuple[int, ...], int]] = []
-
-    def visit(node) -> list | None:
-        color[node] = 1
-        stack_trace.append(node)
-        for nxt in successors.get(node, ()):
-            c = color.get(nxt, 0)
-            if c == 1:
-                return stack_trace[stack_trace.index(nxt) :]
-            if c == 0:
-                cyc = visit(nxt)
-                if cyc is not None:
-                    return cyc
-        stack_trace.pop()
-        color[node] = 2
-        return None
-
-    for node in successors:
-        if color.get(node, 0) == 0:
-            cyc = visit(node)
-            if cyc is not None:
-                report.cycle = [
-                    _edge_name(s.alphabet, Word(s.alphabet, ltrs), a)
-                    for ltrs, a in cyc
-                ]
-                break
+    cyc = _first_cycle(successors)
+    if cyc is not None:
+        report.cycle = [_edge_name(al, Word(al, ltrs), a) for ltrs, a in cyc]
     return report
+
+
+def _first_cycle(successors: dict) -> list | None:
+    """The first cycle that a depth-first search of ``successors`` meets,
+    from the node where it closes to the last node on the search's path.
+
+    The search starts from each node in turn, in the dict's order, and keeps
+    its path on an explicit stack, so a long flow chain needs no recursion.
+    """
+    state: dict = {}  # 1 while a node is on the path, 2 once it is done
+    for start in successors:
+        if start in state:
+            continue
+        state[start] = 1
+        path, todo = [start], [iter(successors[start])]
+        while todo:
+            for nxt in todo[-1]:
+                seen = state.get(nxt)
+                if seen == 1:
+                    return path[path.index(nxt) :]
+                if seen is None:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    todo.append(iter(successors.get(nxt, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                todo.pop()
+    return None
 
 
 @dataclass

@@ -181,10 +181,9 @@ def all_words(alphabet: Alphabet, max_len: int):
 
 
 def ball_reference(oracle, radius: int):
-    """(distances, edges, tree_parent) of B(radius): element letters ->
-    distance; (source, label, target, degenerate?) for every edge between
-    elements, sources in shortlex order, then by label; normal form ->
-    (prefix, last letter) where the prefix lies in the ball."""
+    """(distances, edges) of B(radius): element letters -> distance; and
+    (source, label, target, degenerate?) for every edge between elements,
+    sources in shortlex order, then by label."""
     al = oracle.alphabet
     dist: dict = {}
     for w in all_words(al, radius):
@@ -195,8 +194,7 @@ def ball_reference(oracle, radius: int):
             h = oracle.normal_form(Word(al, g).append(a)).letters
             if h in dist:
                 edges.append((g, a, h, g + (a,) == h or g == h + (al.inv(a),)))
-    parent = {g: (g[:-1], g[-1]) for g in dist if g and g[:-1] in dist}
-    return dist, edges, parent
+    return dist, edges
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +465,14 @@ def build_ball_reference(oracle, n: int, max_elements: int = 10**6) -> Ball:
             edges.append(e)
             edge_index[(g.canonical.letters, a)] = e
 
-    tree_parent = {}
     for g in elements.values():
         if len(g.canonical) == 0:
             continue
         prefix = g.canonical[: len(g.canonical) - 1]
         e = edge_index.get((prefix.letters, g.canonical.letters[-1]))
-        if e is not None:
-            if e.classification is not EdgeKind.DEGENERATE:
-                raise StructureError(f"prefix edge {e} is not degenerate")
-            tree_parent[g.canonical.letters] = e
-    return Ball(n, alphabet, elements, edges, edge_index, tree_parent)
+        if e is not None and e.classification is not EdgeKind.DEGENERATE:
+            raise StructureError(f"prefix edge {e} is not degenerate")
+    return Ball(n, alphabet, elements, edges, edge_index)
 
 
 def _edge_name(alphabet, src: Word, a: int) -> dict:
@@ -542,6 +537,16 @@ def verify_flow_reference(flow, ball: Ball, region: Ball | None = None) -> FlowR
             if p.classification is EdgeKind.RECURSIVE
         ]
 
+    cyc = first_cycle_reference(successors)
+    if cyc is not None:
+        report.cycle = [_edge_name(s.alphabet, Word(s.alphabet, ltrs), a) for ltrs, a in cyc]
+    return report
+
+
+def first_cycle_reference(successors: dict) -> list | None:
+    """The first cycle a recursive depth-first search of ``successors``
+    meets, from each node in dict order: the search path from the node
+    where the cycle closes to its end."""
     color = {}
     stack_trace = []
 
@@ -564,11 +569,8 @@ def verify_flow_reference(flow, ball: Ball, region: Ball | None = None) -> FlowR
         if color.get(node, 0) == 0:
             cyc = visit(node)
             if cyc is not None:
-                report.cycle = [
-                    _edge_name(s.alphabet, Word(s.alphabet, ltrs), a) for ltrs, a in cyc
-                ]
-                break
-    return report
+                return cyc
+    return None
 
 
 def verify_geodesic_reference(flow, ball: Ball, region: Ball | None = None) -> GeodesicReport:
@@ -641,7 +643,7 @@ def almost_convexity_reference(oracle, n_max: int, k_ac: int) -> ACReport:
     report = ACReport(n_max=n_max, k=k_ac)
     if n_max == 0:
         return report
-    dist, edges, _ = ball_reference(oracle, n_max + 1)
+    dist, edges = ball_reference(oracle, n_max + 1)
     neighbors: dict = {}
     for g, _, h, _ in edges:
         neighbors.setdefault(g, set()).add(h)

@@ -18,9 +18,32 @@ from stackings import (
     build_ball,
     free_group_oracle,
     reduce_to_irreducible,
-    tree_path,
 )
 from stackings.words import Alphabet
+
+
+def tree_walk(ball, word):
+    """The element reached from the identity by the ball's edges labelled
+    by the letters of ``word``; each edge is degenerate and ends at the
+    next prefix of ``word``."""
+    g = ball.element(ball.alphabet.empty())
+    for i, a in enumerate(word.letters):
+        e = ball.edge(g.canonical, a)
+        assert e.classification is EdgeKind.DEGENERATE
+        g = e.target
+        assert g.canonical == word[: i + 1]
+    return g
+
+
+class FirstLetterParent(FunctionOracle):
+    """Normal-form words whose tree is wrong: a word's parent drops its
+    first letter instead of its last."""
+
+    def parent(self, y):
+        return y[1:] if y.letters else None
+
+    def last(self, y):
+        return y.letters[0]
 
 
 class TestClassify:
@@ -69,14 +92,16 @@ class TestBallZ2:
         ball = build_ball(z2oracle, 4)
         for g in ball.elements.values():
             if len(g.canonical):
-                e = ball.tree_parent[g.canonical.letters]
+                e = ball.edge(g.canonical[:-1], g.canonical.letters[-1])
                 assert e.classification is EdgeKind.DEGENERATE
                 assert e.target.canonical == g.canonical
 
     def test_tree_path_spells_normal_form(self, z2oracle):
+        # the edges by the letters of a normal form lead from the identity
+        # to its element, each to a prefix one letter longer
         ball = build_ball(z2oracle, 3)
         for g in ball.sorted_elements():
-            assert tree_path(ball, g) == g.canonical
+            assert tree_walk(ball, g.canonical) == g
 
 
 class TestBallBS12:
@@ -84,7 +109,8 @@ class TestBallBS12:
         oracle = FunctionOracle(bs2.alphabet, bs2.normal_form)
         ball = build_ball(oracle, 3)
         g = ball.element(bs2.normal_form(bs2.alphabet.word("t a T")))
-        assert str(tree_path(ball, g)) == "a a"
+        assert str(g.canonical) == "a a"
+        assert tree_walk(ball, g.canonical) == g
 
     def test_normal_forms_not_geodesic(self, bs2):
         # a^8 = t^2 a t^-2 has distance 6 but canonical length 8
@@ -101,9 +127,6 @@ class TestBallBS12:
         g = ball.element(bs2.alphabet.word("T T T T T a a a a"))
         assert g.distance == 6
         assert bs2.alphabet.word("T T T T T a a a") not in ball
-        assert g.canonical.letters not in ball.tree_parent
-        with pytest.raises(StackingsError):
-            tree_path(ball, g)
 
     def test_edge_classifications_match_closed_forms(self, bs2):
         al = bs2.alphabet
@@ -141,16 +164,13 @@ class TestAgainstEnumeration:
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
         oracle = {"z2": z2oracle, "bs12": bs2, "f2": free_group_oracle(f2)}[group]
         ball = build_ball(oracle, radius)
-        dist, edges, parent = ball_reference(oracle, radius)
+        dist, edges = ball_reference(oracle, radius)
         assert {g: e.distance for g, e in ball.elements.items()} == dist
         assert [
             (e.source.canonical.letters, e.label, e.target.canonical.letters,
              e.classification is EdgeKind.DEGENERATE)
             for e in ball.edges
         ] == edges
-        assert {
-            g: (e.source.canonical.letters, e.label) for g, e in ball.tree_parent.items()
-        } == parent
 
     def test_one_oracle_call_per_element_and_letter(self, z2S):
         calls = []
@@ -201,6 +221,15 @@ class TestEdgesAndAlpha:
         with pytest.raises(StructureError):
             build_ball(bad, 1)
 
+    def test_prefix_edge_must_be_degenerate(self, z2S):
+        # this tree makes "b" the parent of "a b" by the letter a; the edge
+        # from "b" by a ends at "a b" (b a = a b), but "a b" is not "b"
+        # followed by a, so the edge is recursive
+        bad = FirstLetterParent(z2S.alphabet, lambda w: reduce_to_irreducible(z2S, w))
+        with pytest.raises(StructureError, match=r"prefix edge \(b --a--> a b\) is not degenerate"):
+            build_ball(bad, 2)
+        build_ball(bad, 1)  # a word of one letter has the root as parent either way
+
 
 class TestJsonDump:
     def test_deterministic_and_well_formed(self, z2oracle):
@@ -221,7 +250,6 @@ def shape(ball):
         list(ball.elements.items()),
         ball.edges,
         list(ball.edge_index.items()),
-        list(ball.tree_parent.items()),
     )
 
 
@@ -276,9 +304,13 @@ class TestRestriction:
 
     def test_drops_tree_parents_from_outside(self, bs2):
         # t^-5 a^4 lies at distance 6 and its prefix t^-5 a^3 at distance 7
-        restricted = build_ball(bs2, 7).restricted(6)
-        g = bs2.alphabet.word("T T T T T a a a a")
-        assert g in restricted and g.letters not in restricted.tree_parent
+        region = build_ball(bs2, 7)
+        restricted = region.restricted(6)
+        al = bs2.alphabet
+        g, prefix = al.word("T T T T T a a a a"), al.word("T T T T T a a a")
+        assert region.edge(prefix, al.index("a")).target.canonical == g
+        assert g in restricted and prefix not in restricted
+        assert restricted.edge(prefix, al.index("a")) is None
 
     def test_negative_radius_keeps_the_root(self, bs2):
         assert shape(build_ball(bs2, 2).restricted(-1)) == shape(build_ball(bs2, -1))

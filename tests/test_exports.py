@@ -1,0 +1,39 @@
+"""Every exported name exists, and the package re-exports only exported
+names, so a deleted name cannot linger in an ``__all__`` or an import."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import stackings
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(stackings.__path__))
+
+
+def exported(module) -> set[str]:
+    """The module's ``__all__``; its public names if it has none."""
+    names = getattr(module, "__all__", None)
+    if names is None:
+        return {n for n in vars(module) if not n.startswith("_")}
+    return set(names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"stackings.{name}")
+    names = getattr(module, "__all__", ())
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(module, n)] == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(Path(stackings.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"stackings.{node.module}")
+        missing = [a.name for a in node.names if a.name not in exported(module)]
+        assert missing == [], f"stackings.{node.module}"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -21,6 +23,79 @@ from stackings import (
     z2_system,
 )
 from stackings.words import Alphabet, Word
+
+# A generator e that represents the identity.
+IDENTITY_LETTER = """
+[generators]
+a A e E
+[inverses]
+a A
+e E
+[rules]
+e ->
+E ->
+a A ->
+A a ->
+"""
+
+# The cyclic group of order 3 written with only a-rules.
+C3_A_RULES = """
+[generators]
+a A
+[inverses]
+a A
+[rules]
+a a a ->
+"""
+
+# z2_system() without its rule B A -> A B.
+Z2_MISSING_RULE = """
+[generators]
+a A b B
+[inverses]
+a A
+b B
+[rules]
+a A ->
+A a ->
+b B ->
+B b ->
+b a -> a b
+b A -> A b
+B a -> a B
+"""
+
+EMPTY_RHS = "[generators]\na A\n[inverses]\na A\n[rules]\na A ->\n"
+
+
+def z2_with(*rules: tuple[str, str]) -> RewritingSystem:
+    """z2_system() with the rules ``lhs -> rhs`` appended."""
+    S = z2_system()
+    al = S.alphabet
+    extra = tuple(RewriteRule(al.word(lhs), al.word(rhs)) for lhs, rhs in rules)
+    return RewritingSystem(al, S.rules + extra, claimed_complete=True)
+
+
+def nonterminating() -> RewritingSystem:
+    al = Alphabet.from_pairs(("a", "A"), [("a", "A")])
+    return RewritingSystem(
+        al,
+        (RewriteRule(al.word("a A"), al.word("A a")),
+         RewriteRule(al.word("A a"), al.word("a A"))),
+    )
+
+
+# Every terminating system this file builds, by name.
+SYSTEMS = {
+    "z2": z2_system,
+    "bs12": bs12_system,
+    "z2+bba": lambda: z2_with(("b b a", "b a b")),
+    "z2+bbba": lambda: z2_with(("b b b a", "b b a b")),
+    "identity-letter": lambda: load_rewriting_system(IDENTITY_LETTER),
+    "c3": lambda: load_rewriting_system(C3_A_RULES),
+    "z2-missing-rule": lambda: load_rewriting_system(Z2_MISSING_RULE),
+    "empty-rhs": lambda: load_rewriting_system(EMPTY_RHS),
+}
 
 
 class TestBasics:
@@ -51,14 +126,9 @@ class TestBasics:
         assert not word_problem(z2S, al.word("a"), al.word("b"))
 
     def test_nonterminating_system_hits_budget(self):
-        al = Alphabet.from_pairs(("a", "A"), [("a", "A")])
-        S = RewritingSystem(
-            al,
-            (RewriteRule(al.word("a A"), al.word("A a")),
-             RewriteRule(al.word("A a"), al.word("a A"))),
-        )
+        S = nonterminating()
         with pytest.raises(BudgetExceededError):
-            reduce_to_irreducible(S, al.word("a A"), budget=100)
+            reduce_to_irreducible(S, S.word("a A"), budget=100)
 
     def test_budget_allows_exactly_budget_rewrites(self, z2S):
         al = z2S.alphabet
@@ -137,62 +207,51 @@ class TestMinimize:
         ]
 
     def test_redundant_rule_dropped(self, z2S):
-        al = z2S.alphabet
-        bloated = RewritingSystem(
-            al,
-            z2S.rules + (RewriteRule(al.word("b b a"), al.word("b a b")),),
-            claimed_complete=True,
-        )
-        M = minimize(bloated)
+        M = minimize(SYSTEMS["z2+bba"]())
         assert len(M.rules) == len(z2S.rules)
 
     def test_identity_letter_removed(self):
-        S = load_rewriting_system(
-            """
-            [generators]
-            a A e E
-            [inverses]
-            a A
-            e E
-            [rules]
-            e ->
-            E ->
-            a A ->
-            A a ->
-            """
-        )
-        M = minimize(S)
+        M = minimize(SYSTEMS["identity-letter"]())
         assert tuple(M.alphabet.tokens) == ("a", "A")
         assert all("e" not in str(r.lhs) for r in M.rules)
 
     def test_inverse_closure_adds_rule(self):
         # cyclic group of order 3 written with only a-rules: A gets A -> a a
-        S = load_rewriting_system(
-            """
-            [generators]
-            a A
-            [inverses]
-            a A
-            [rules]
-            a a a ->
-            """
-        )
-        M = minimize(S)
+        M = minimize(SYSTEMS["c3"]())
         assert any(
             str(r.lhs) == "A" and str(r.rhs) == "a a" for r in M.rules
         )
         assert str(reduce_to_irreducible(M, M.alphabet.word("A"))) == "a a"
 
-    def test_rhs_normalized(self, z2S):
-        al = z2S.alphabet
-        S = RewritingSystem(
-            al,
-            z2S.rules + (RewriteRule(al.word("b b b a"), al.word("b b a b")),),
-            claimed_complete=True,
-        )
-        M = minimize(S)
+    def test_rhs_normalized(self):
+        M = minimize(SYSTEMS["z2+bbba"]())
         for r in M.rules:
             assert is_irreducible(M, r.rhs)
+
+    @pytest.mark.parametrize("system", [z2_system, bs12_system], ids=["z2", "bs12"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_redundant_rules_leave_the_minimal_system(self, system, seed):
+        # rules u -> (irreducible form of u), for reducible words u, add
+        # nothing to a complete system: all of them go, in one pass, a
+        # copy of a rule of the system among them
+        S = system()
+        rng = random.Random(seed)
+        reducible = [w for w in all_words(S.alphabet, 5) if not is_irreducible(S, w)]
+        words = rng.sample(reducible, 12) + [r.lhs for r in rng.sample(S.rules, 2)]
+        rng.shuffle(words)
+        extra = tuple(RewriteRule(u, reduce_to_irreducible(S, u)) for u in words)
+        bloated = RewritingSystem(S.alphabet, S.rules + extra, claimed_complete=True)
+        assert minimize(bloated).rules == minimize(S).rules
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_idempotent(self, name):
+        M = minimize(SYSTEMS[name]())
+        again = minimize(M)
+        assert again.alphabet == M.alphabet and again.rules == M.rules
+
+    def test_nonterminating_system_hits_budget(self):
+        with pytest.raises(BudgetExceededError):
+            minimize(nonterminating(), budget=50)
 
 
 class TestCheckComplete:
@@ -202,35 +261,12 @@ class TestCheckComplete:
         assert rep.terminating and rep.locally_confluent and rep.unique_normal_forms
 
     def test_missing_rule_detected(self):
-        S = load_rewriting_system(
-            """
-            [generators]
-            a A b B
-            [inverses]
-            a A
-            b B
-            [rules]
-            a A ->
-            A a ->
-            b B ->
-            B b ->
-            b a -> a b
-            b A -> A b
-            B a -> a B
-            """
-        )  # B A -> A B missing
-        rep = check_complete(S, 4)
+        rep = check_complete(SYSTEMS["z2-missing-rule"](), 4)
         assert not rep.ok
         assert not rep.unique_normal_forms
 
     def test_nontermination_detected(self):
-        al = Alphabet.from_pairs(("a", "A"), [("a", "A")])
-        S = RewritingSystem(
-            al,
-            (RewriteRule(al.word("a A"), al.word("A a")),
-             RewriteRule(al.word("A a"), al.word("a A"))),
-        )
-        rep = check_complete(S, 2, budget=50)
+        rep = check_complete(nonterminating(), 2, budget=50)
         assert not rep.terminating
 
     def test_report_serializes(self, z2S):
@@ -266,9 +302,7 @@ class TestBS12System:
 
 class TestFileFormat:
     def test_load_empty_rhs(self):
-        S = load_rewriting_system(
-            "[generators]\na A\n[inverses]\na A\n[rules]\na A ->\n"
-        )
+        S = SYSTEMS["empty-rhs"]()
         assert len(S.rules[0].rhs) == 0
 
     def test_missing_arrow_rejected(self):

@@ -7,12 +7,14 @@ from hypothesis import strategies as hs
 
 from oracles import (
     build_ball_reference,
+    first_cycle_reference,
     random_trivial_words,
     stacking_reduce_reference,
     verify_flow_reference,
     verify_geodesic_reference,
 )
 from stackings import (
+    Alphabet,
     BudgetExceededError,
     FlowFunction,
     FunctionOracle,
@@ -32,7 +34,7 @@ from stackings import (
     word_problem_via_stacking,
     z2_system,
 )
-from stackings.stacking import stacking_reduce_steps
+from stackings.stacking import _first_cycle, stacking_reduce_steps
 
 
 class TestStackingReduce:
@@ -216,6 +218,24 @@ class TestVerification:
         # flow paths from radius-3 sources leave B(3)
         assert report.inconclusive > 0
 
+    @pytest.mark.parametrize("n", [20, 1200])
+    def test_long_flow_chain_passes(self, n):
+        # a chain of n flow edges, longer than Python's recursion limit at
+        # n = 1200, is searched for cycles without recursion
+        s = long_chain(n)
+        region = build_ball(s, n + 2)
+        report = verify_flow_properties(FlowFunction(s), region.restricted(n + 1), region)
+        assert report.passed and report.cycle is None and report.inconclusive == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hs.dictionaries(
+            hs.integers(0, 7), hs.lists(hs.integers(0, 9), max_size=3), max_size=8
+        )
+    )
+    def test_cycle_search_agrees_with_recursive_search(self, successors):
+        assert _first_cycle(successors) == first_cycle_reference(successors)
+
     def test_strictness_failure_reported(self, bs2):
         al = bs2.alphabet
         # phi sends every recursive edge to its own label
@@ -249,6 +269,26 @@ class TestVerification:
         assert report.passed and calls
         assert max(calls.values()) == 1
         assert set(calls) <= {(e.source.canonical.letters, e.label) for e in region.edges}
+
+
+def long_chain(n: int) -> StackingStructure:
+    """Z over a A b B with b = a, normal forms a^m and A^m, and a flow in
+    which the edge from a^m by B, for 0 <= m < n, runs through the edge
+    from a^(m+1) by B: every flow chain ends at a^n."""
+    al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+    a, A, b, B = range(4)
+
+    def normal_form(w: Word) -> Word:
+        m = sum(1 if c in (a, b) else -1 for c in w.letters)
+        return Word(al, (a,) * m if m >= 0 else (A,) * -m)
+
+    def phi(y: Word, c: int) -> Word:
+        if c == b:
+            return al.word("a")
+        m = len(y) if not y.letters or y.letters[0] == a else -len(y)
+        return al.word("a B A") if 0 <= m < n else al.word("A")
+
+    return StackingStructure(al, normal_form, phi, bound_k=3, name=f"chain:{n}")
 
 
 def defective(name: str) -> StackingStructure:
