@@ -451,9 +451,7 @@ class ACReport:
         return out
 
 
-def almost_convexity_check(
-    oracle, n_max: int, k_ac: int, max_elements: int = 10**6
-) -> ACReport:
+def almost_convexity_check(oracle, n_max: int, k_ac: int) -> ACReport:
     """For every n <= n_max and every pair of sphere-S(n) elements at Cayley
     distance <= 2, search for a connecting path of length <= k_ac inside
     B(n); failures are reported with witness pairs.  ``oracle`` is a
@@ -461,15 +459,23 @@ def almost_convexity_check(
     report = ACReport(n_max=n_max, k=k_ac)
     if n_max == 0:
         return report
-    ball = build_ball(oracle, n_max + 1, max_elements=max_elements)
-    elements = ball.elements
+    ball = build_ball(oracle, n_max + 1)
+    elements, edge_index = ball.elements, ball.edge_index
+    letters = range(len(ball.alphabet))
+
+    def neighbours(v: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [e.target.canonical.letters for a in letters if (e := edge_index.get((v, a)))]
+
     by_shortlex = ball.sorted_elements()
     for n in range(1, n_max + 1):
         for g in by_shortlex:
             if g.distance != n:
                 continue
             gl = g.canonical.letters
-            close = _paths_to(ball, gl, n_max + 1, 2, True)  # all of B(n_max + 1)
+            # the elements within two edges of g; the ball holds every path of
+            # two edges from g to S(n), whose middle lies in B(n + 1)
+            near = neighbours(gl)
+            close = {hl for v in near for hl in neighbours(v)}.union(near)
             pairs = sorted(hl for hl in close if hl > gl and elements[hl].distance == n)
             if not pairs:
                 continue
@@ -516,6 +522,8 @@ def thompson_f_in_C(w: Word) -> bool:
     prev2 = prev1 = None
     stack = 0
     for c in w:
+        if c not in inv:
+            raise FormatError(f"letter {w.alphabet.tokens[c]} is not one of x0/X0/x1/X1")
         if prev1 is not None and inv[prev1] == c:
             return False
         if prev2 == x0 and prev1 == x0 and c in (x1, X1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .errors import StackingsError, StructureError
+from .errors import BudgetExceededError, StackingsError, StructureError
 from .words import Alphabet, Word
 
 __all__ = [
@@ -240,7 +240,8 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
 
     ``oracle`` is a :class:`NormalFormTree`, or has one as its ``tree`` (a
     stacking structure).  The search runs over the tree's nodes, and edges
-    are classified by the tree's ``degenerate``.
+    are classified by the tree's ``degenerate``.  Finding more than
+    ``max_elements`` elements exceeds the search's budget.
     """
     tree = getattr(oracle, "tree", oracle)
     alphabet = tree.alphabet
@@ -267,7 +268,7 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
                 h = element.get(t)
                 if h is None:
                     if len(element) >= max_elements:
-                        raise StackingsError(
+                        raise BudgetExceededError(
                             f"memory cap of {max_elements} elements exceeded"
                         )
                     h = element[t] = GroupElement(word(t), dist)

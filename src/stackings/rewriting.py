@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+# The longest word ``minimize`` tries as the irreducible form of a letter.
+INVERSE_SEARCH_LEN = 12
 
 
 @dataclass(frozen=True)
@@ -251,11 +253,7 @@ def _remap_word(w: Word, target: Alphabet) -> Word:
     return Word(target, tuple(target.index(w.alphabet.tokens[i]) for i in w.letters))
 
 
-def minimize(
-    S: RewritingSystem,
-    budget: int = DEFAULT_BUDGET,
-    inverse_search_len: int = 12,
-) -> RewritingSystem:
+def minimize(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> RewritingSystem:
     """Transform a complete system into an equivalent minimal one.
 
     Minimal means: each rhs and every proper subword of each lhs is
@@ -318,10 +316,10 @@ def minimize(
         b = alphabet.inv(c)
         if b not in used:
             continue
-        z = _search_inverse_word(sys, b, exclude=c, max_len=inverse_search_len, budget=budget)
+        z = _search_inverse_word(sys, b, exclude=c, max_len=INVERSE_SEARCH_LEN, budget=budget)
         if z is None:
             raise StructureError(
-                f"no irreducible word of length <= {inverse_search_len} represents "
+                f"no irreducible word of length <= {INVERSE_SEARCH_LEN} represents "
                 f"{alphabet.tokens[c]!r}; cannot close the system under inversion"
             )
         rules.append(RewriteRule(alphabet.letter(c), z))
@@ -486,7 +484,7 @@ def check_complete(
 # empty rhs meaning the empty word.
 
 
-def load_rewriting_system(text: str, claimed_complete: bool = True) -> RewritingSystem:
+def load_rewriting_system(text: str) -> RewritingSystem:
     sections = parse_sections(text)
     alphabet = alphabet_from_sections(sections)
     rules: list[RewriteRule] = []
@@ -495,7 +493,7 @@ def load_rewriting_system(text: str, claimed_complete: bool = True) -> Rewriting
             raise FormatError(f"[rules] line missing '->': {line!r}")
         lhs_text, rhs_text = line.split("->", 1)
         rules.append(RewriteRule(alphabet.word(lhs_text), alphabet.word(rhs_text)))
-    return RewritingSystem(alphabet, tuple(rules), claimed_complete=claimed_complete)
+    return RewritingSystem(alphabet, tuple(rules), claimed_complete=True)
 
 
 def z2_system() -> RewritingSystem:

@@ -112,10 +112,6 @@ class FlowFunction:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @property
-    def bound_k(self) -> int:
-        return self.structure.bound_k
-
     def label(self, w: Word, a: int) -> Word:
         """The word labeling the flow path of the edge from rep(w) by a."""
         s = self.structure

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Generator, Hashable
 
 from .errors import BudgetExceededError, DiagramError, FormatError, StructureError
 from .rewriting import DEFAULT_BUDGET
@@ -145,8 +144,8 @@ def recursive_diagram(
     one 2-cell labeled by the stacking relator phi(e) a^{-1}.
 
     Memoized per undirected edge; the orientation constructed first is
-    stored and the reverse orientation is served as its mirror.  A cyclic
-    flow or an explosion of distinct edges exhausts ``budget``.
+    stored and the reverse orientation is its piece read backwards.  A
+    cyclic flow or an explosion of distinct edges exhausts ``budget``.
     """
     if memo is None:
         memo = {}
@@ -155,13 +154,7 @@ def recursive_diagram(
     y_g = tree.node(w)
     if tree.degenerate(y_g, a, tree.step(y_g, a)):
         raise DiagramError(f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not recursive")
-    p, flip = _recursive_diagram((y_g, a), s, memo, _fresh_state(budget))
-    d = p.freeze(tree)
-    return d.mirror() if flip else d
-
-
-def _fresh_state(budget: int) -> dict:
-    return {"budget": budget, "in_progress": set()}
+    return _seashell(s, None, y_g, (a,), memo, budget).freeze(tree)
 
 
 class _Glue:
@@ -315,16 +308,9 @@ class _DiagramBuilder:
 
     def glue(self, p: "_DiagramBuilder", flip: bool, y, n: int) -> None:
         """Fold on the piece ``p``, mirrored if ``flip``, along the back
-        path of the node ``y`` at depth ``n``, with the ids and boundary of
-        folding on the whole piece."""
-        if p.ends[flip] != y:
-            raise DiagramError(f"the piece glued at {y} starts at another vertex")
-        self._fold(p, p.arc(flip), n)
-
-    def _fold(self, p: "_DiagramBuilder", arc: list[int], n: int) -> None:
-        """Fold on the piece ``p`` with the arc ``arc``, whose out path of
-        length ``n`` is identified with the back path at the end of this
-        boundary.
+        path of the node ``y`` at depth ``n``: the out path of the piece's
+        arc, of length ``n``, is identified with the back path at the end of
+        this boundary.
 
         The entries of the back path are found by their index in the
         boundary: the one at depth d, above the spur, is the (d - depth)-th
@@ -335,6 +321,9 @@ class _DiagramBuilder:
         mapped now.  Faces and arcs never use spur edges: an arc is built
         from tree steps, caps and the arcs of pieces, all above their spurs.
         """
+        if p.ends[flip] != y:
+            raise DiagramError(f"the piece glued at {y} starts at another vertex")
+        arc = p.arc(flip)
         hp = p.depth
         pe, se = p.edge_map, self.edge_map
         if hp < self.depth:
@@ -492,97 +481,85 @@ class _DiagramBuilder:
         )
 
 
-def _seashell_walk(
-    s: StackingStructure, b: _DiagramBuilder | None, start, letters: Word
-) -> Generator[tuple[Hashable, int], tuple[_DiagramBuilder, bool], _DiagramBuilder]:
+def _seashell(
+    s: StackingStructure, b: _DiagramBuilder | None, start, letters, memo: dict, budget: int
+) -> _DiagramBuilder:
     """Fold one normal-form diagram per letter of ``letters`` into ``b`` (or
     start it from the first one), each at the tree node of the prefix read
-    so far from the node ``start``.
+    so far from the node ``start``, and return the builder.
 
-    A generator: it yields each recursive edge as a (node, letter) pair, is
-    sent that edge's piece and whether to mirror it, and returns the
-    builder.  A walk that starts with a tree letter starts from a spur that
-    spells ``start``.
+    A degenerate letter is a tree step.  A recursive letter glues its piece
+    from ``memo``, built first if missing by a walk over its phi image,
+    capped with the edge's 2-cell.  The suspended walks sit on an explicit
+    stack, so the depth of the flow is not limited by Python's recursion
+    limit.  The pieces built for one letter of ``letters`` spend one
+    ``budget``; an edge met again while its piece is built is a cyclic flow.
+    A walk that starts with a tree letter starts from a spur that spells
+    its first node.
     """
-    tree = s.tree
-    step, degenerate, depth = tree.step, tree.degenerate, tree.depth
-    cur, n = start, depth(start)
-    for x in letters.letters:
-        nxt = step(cur, x)
-        n_next = depth(nxt)
-        if degenerate(cur, x, nxt):
-            if b is None:
-                # no ids in use, so the step's ids are the segment's own
-                b = _DiagramBuilder(s.alphabet, cur, n, 0, 0)
-            b.tree_step(n, x, nxt, n_next)
-        else:
-            p, flip = yield cur, x
-            if b is None:
-                b = _DiagramBuilder.of_piece(p, flip)
-            else:
-                b.glue(p, flip, cur, n)
-        cur, n = nxt, n_next
-    return b
-
-
-def _recursive_diagram(
-    pair: tuple[Hashable, int], s: StackingStructure, memo: dict, state: dict
-) -> tuple[_DiagramBuilder, bool]:
-    """Piece of the recursive edge ``pair`` from a tree node, and whether it
-    is the memoized piece of the reverse orientation, to be mirrored.
-
-    The edges under construction sit on an explicit stack, each with its
-    suspended seashell walk, so the depth of the flow is not limited by
-    Python's recursion limit.
-    """
-    tree = s.tree
-    step, word, inverse = tree.step, tree.word, s.alphabet.inverse
-    frames: list[tuple] = []
+    tree, alphabet = s.tree, s.alphabet
+    step, degenerate, depth, word = tree.step, tree.degenerate, tree.depth, tree.word
+    inverse = alphabet.inverse
+    stack: list[tuple] = []  # the suspended walks
+    in_progress: set = set()  # the memo keys of their edges, empty with the stack
+    cur, n, todo, edge = start, depth(start), iter(letters), None
     while True:
-        y_g, a = pair
-        y_ga = step(y_g, a)
-        fwd, bwd = (word(y_g).letters, a), (word(y_ga).letters, inverse[a])
-        key = min(fwd, bwd), max(fwd, bwd)
-        if key in memo:
-            stored_pair, p = memo[key]
-            d = (p, stored_pair != fwd)
-        else:
-            if key in state["in_progress"]:
-                raise BudgetExceededError(
-                    f"cyclic flow at edge ({word(y_g)}, {s.alphabet.tokens[a]}): "
-                    "well-foundedness violated"
-                )
-            state["budget"] -= 1
-            if state["budget"] < 0:
-                raise BudgetExceededError("diagram recursion budget exceeded")
-            state["in_progress"].add(key)
-            phi = s.phi_fn(y_g, a)
-            if phi.letters == (a,):
-                raise StructureError(
-                    f"phi on ({word(y_g)}, {s.alphabet.tokens[a]}) returned the edge label itself"
-                )
-            walk = _seashell_walk(s, None, y_g, phi)
-            frames.append((y_g, y_ga, fwd, key, len(phi), walk))
-            d = None  # a new walk is started by sending it None
-        while frames:
-            y_g, y_ga, fwd, key, mid_len, walk = frames[-1]
-            try:
-                pair = walk.send(d)
-                break
-            except StopIteration as done:
-                # phi represents a nontrivial element, so phi != empty and
-                # the walk built a piece.  Its boundary is [out y_g][one
-                # entry per phi letter][back y_{ga}^-1]; capping the phi arc
-                # with a new a-edge encloses the 2-cell labeled phi a^-1.
-                p = done.value
-                p.cap(len(fwd[0]), mid_len, fwd[1])
-                p.finish((y_g, y_ga))
-                d = (p, False)
-            frames.pop()
-            state["in_progress"].discard(key)
+        x = next(todo, None)
+        if x is None:
+            if not stack:
+                return b
+            # The walk over phi(y_g, a) is over.  phi represents a nontrivial
+            # element, so phi != empty and the walk built a piece.  Its
+            # boundary is [out y_g][one entry per phi letter][back y_{ga}^-1];
+            # capping the phi arc with a new a-edge encloses the 2-cell
+            # labeled phi a^-1.
+            p, (nxt, fwd, key, mid_len) = b, edge
+            b, cur, n, todo, edge = stack.pop()
+            p.cap(n, mid_len, fwd[1])  # y_g is at depth n
+            p.finish((cur, nxt))
+            in_progress.discard(key)
             memo[key] = (fwd, p)
+            flip = False
         else:
-            return d
+            nxt = step(cur, x)
+            if degenerate(cur, x, nxt):
+                if b is None:
+                    # no ids in use, so the step's ids are the segment's own
+                    b = _DiagramBuilder(alphabet, cur, n, 0, 0)
+                n_next = depth(nxt)
+                b.tree_step(n, x, nxt, n_next)
+                cur, n = nxt, n_next
+                continue
+            fwd, bwd = (word(cur).letters, x), (word(nxt).letters, inverse[x])
+            key = min(fwd, bwd), max(fwd, bwd)
+            if key in memo:
+                stored, p = memo[key]
+                flip = stored != fwd
+            else:
+                if key in in_progress:
+                    raise BudgetExceededError(
+                        f"cyclic flow at edge ({word(cur)}, {alphabet.tokens[x]}): "
+                        "well-foundedness violated"
+                    )
+                if not stack:  # a letter of ``letters`` starts a new budget
+                    left = budget
+                left -= 1
+                if left < 0:
+                    raise BudgetExceededError("diagram recursion budget exceeded")
+                in_progress.add(key)
+                phi = s.phi_fn(cur, x)
+                if phi.letters == (x,):
+                    raise StructureError(
+                        f"phi on ({word(cur)}, {alphabet.tokens[x]}) returned the edge label itself"
+                    )
+                stack.append((b, cur, n, todo, edge))
+                b, todo, edge = None, iter(phi.letters), (nxt, fwd, key, len(phi))
+                continue
+        if b is None:
+            b = _DiagramBuilder.of_piece(p, flip)
+        else:
+            b.glue(p, flip, cur, n)
+        cur, n = nxt, depth(nxt)
 
 
 def seashell_glue(
@@ -666,16 +643,10 @@ def build_filling_diagram(
         raise DiagramError(f"word {w} is not trivial in the group")
     if memo is None:
         memo = {}
-    # the empty diagram: a spur of depth 0 at the basepoint, vertex 1
-    walk = _seashell_walk(s, _DiagramBuilder(s.alphabet, tree.root, 0, 1, 0), tree.root, w)
-    d = None
-    try:
-        while True:
-            pair = walk.send(d)
-            d = _recursive_diagram(pair, s, memo, _fresh_state(budget))
-    except StopIteration as done:
-        # close up: the final back path spells the normal form of w, which is empty
-        return done.value.freeze(tree)
+    # the empty diagram is a spur of depth 0 at the basepoint, vertex 1; the
+    # last back path spells the normal form of w, which is empty
+    empty = _DiagramBuilder(s.alphabet, tree.root, 0, 1, 0)
+    return _seashell(s, empty, tree.root, w.letters, memo, budget).freeze(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -924,9 +895,10 @@ def import_diagram(data: bytes | str, alphabet: Alphabet) -> VanKampenDiagram:
         raise FormatError(f"malformed diagram json: {exc}") from None
 
 
-def _render_svg(d: VanKampenDiagram, size: int = 480) -> bytes:
+def _render_svg(d: VanKampenDiagram) -> bytes:
     import numpy as np
 
+    size = 480  # pixels per side
     vids = [vid for vid, _ in sorted(d.vertices)]
     idx = {vid: i for i, vid in enumerate(vids)}
     n = len(vids)

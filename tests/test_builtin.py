@@ -477,3 +477,11 @@ class TestThompsonF:
         al = Alphabet.from_pairs(("a", "A"), [("a", "A")])
         with pytest.raises(FormatError):
             thompson_f_in_C(al.word("a"))
+
+    @pytest.mark.parametrize("text", ["y x0", "y"])
+    def test_foreign_letters_rejected(self, text):
+        al = Alphabet.from_pairs(
+            ("x0", "X0", "x1", "X1", "y", "Y"), [("x0", "X0"), ("x1", "X1"), ("y", "Y")]
+        )
+        with pytest.raises(FormatError, match="letter y is not one of"):
+            thompson_f_in_C(al.word(text))

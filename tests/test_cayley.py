@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from oracles import all_words, ball_reference, build_ball_reference, classify
 from stackings import (
+    BudgetExceededError,
     EdgeKind,
     FunctionOracle,
     StackingsError,
@@ -154,7 +155,7 @@ class TestFreeGroup:
 
     def test_max_elements_cap(self):
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        with pytest.raises(StackingsError):
+        with pytest.raises(BudgetExceededError, match="memory cap of 50 elements"):
             build_ball(free_group_oracle(al), 5, max_elements=50)
 
 

@@ -1,7 +1,8 @@
 import json
 import time
+from functools import partial
 
-from stackings import cli
+from stackings import build_ball, cli
 from stackings.cli import main
 
 
@@ -192,6 +193,14 @@ class TestExportBall:
         assert code == 0
         data = json.loads(out)
         assert data["radius"] == 2 and len(data["elements"]) > 1
+
+    def test_element_cap_is_a_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_ball", partial(build_ball, max_elements=50))
+        code, out, err = run(
+            capsys, "export-ball", "--structure", "bs1p:2", "--radius", "5"
+        )
+        assert code == 3 and out == ""
+        assert "budget exceeded: memory cap of 50 elements exceeded" in err
 
 
 class TestErrors:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -137,8 +138,18 @@ class TestRecursiveDiagram:
         bad = StackingStructure(
             al, bs2.normal_form, lambda y, a: al.word("a a A"), bound_k=4
         )
-        with pytest.raises(BudgetExceededError):
-            recursive_diagram((al.word("t"), al.index("a")), bad, budget=100)
+        # the budget is far from spent: the edge (t, a) is met again while
+        # its own piece is being built
+        with pytest.raises(BudgetExceededError, match="cyclic flow"):
+            recursive_diagram((al.word("t"), al.index("a")), bad, budget=10**6)
+
+    def test_one_budget_for_all_pieces(self, bs2):
+        # the piece of (t t, a) is built from three pieces, its own included
+        al = bs2.alphabet
+        e = (al.word("t t"), al.index("a"))
+        assert area(recursive_diagram(e, bs2, budget=3)) == 3
+        with pytest.raises(BudgetExceededError, match="recursion budget exceeded"):
+            recursive_diagram(e, bs2, budget=2)
 
 
 class TestSeashellGlue:
@@ -195,6 +206,27 @@ class TestFilling:
     def test_nontrivial_word_rejected(self, bs2):
         with pytest.raises(DiagramError):
             build_filling_diagram(bs2, bs2.alphabet.word("a"))
+
+    def test_budget_is_per_letter(self, bs2):
+        # The pieces each recursive letter of w builds, counted by filling
+        # its edge with recursive_diagram on one memo in the order of w, as
+        # the filling does: more in all than for any one letter.
+        al, tree = bs2.alphabet, bs2.tree
+        w = commutator(al, 2)
+        memo: dict = {}
+        counts, y = [], tree.root
+        for x in w.letters:
+            y_next = tree.step(y, x)
+            if not tree.degenerate(y, x, y_next):
+                before = len(memo)
+                recursive_diagram((tree.word(y), x), bs2, memo=memo)
+                counts.append(len(memo) - before)
+            y = y_next
+        most = max(counts)
+        assert len(memo) > most
+        assert build_filling_diagram(bs2, w, budget=most).boundary_word() == w
+        with pytest.raises(BudgetExceededError, match="recursion budget exceeded"):
+            build_filling_diagram(bs2, w, budget=most - 1)
 
     def test_filling_validates(self, bs2):
         al = bs2.alphabet
@@ -270,6 +302,23 @@ def conjugate_commutators(al, count, seed):
         u, v = conjugate(), conjugate()
         out.append((u * v * u.inverse() * v.inverse()).free_reduce())
     return out
+
+
+# The sha256 of the json export of the commutator fillings past the rows
+# that TestAgainstFoldReference folds: a change to how fillings are built
+# that keeps the diagrams keeps these bytes.
+COMMUTATOR_JSON_SHA256 = {
+    7: "b3f00b63f5f3ad6eba1840fe340d9715bec67e6e86f387863a43bbc26cbbac2a",
+    8: "cc64937aaff4b62ce171b314a191663783675425b33aea9af1e223a63c669f41",
+    9: "aa77cd841d25270af19f80ad27a4228a25dc8e34ec6624820894e073e279041e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMMUTATOR_JSON_SHA256))
+def test_commutator_exports_pinned(bs2, n):
+    d = build_filling_diagram(bs2, commutator(bs2.alphabet, n))
+    digest = hashlib.sha256(export_diagram(d, "json")).hexdigest()
+    assert digest == COMMUTATOR_JSON_SHA256[n]
 
 
 class TestPiecesAgainstFoldReference:
