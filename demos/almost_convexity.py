@@ -32,10 +32,8 @@ def main() -> None:
         print(f"  phi({src!r}, {lab}) = {str(s.phi(al.word(src), al.index(lab)))!r}")
 
     print("\n== geodesic stackability on B(3) ==")
-    inner = FunctionOracle(al, s.normal_form)
-    report = verify_geodesic_stacking(
-        FlowFunction(s), build_ball(inner, 3), build_ball(inner, 4)
-    )
+    region = build_ball(s, 4)
+    report = verify_geodesic_stacking(FlowFunction(s), region.restricted(3), region)
     print(" ", report.summary())
 
 

@@ -7,7 +7,6 @@ the normal-form tree, and iterating it solves the word problem.
 
 from stackings import (
     FlowFunction,
-    FunctionOracle,
     bs1p_structure,
     build_ball,
     stacking_reduce_steps,
@@ -31,10 +30,8 @@ def main() -> None:
     print(f"  all images bounded by k = {s.bound_k}")
 
     print("\n== verifying the flow-function axioms on B(4) ==")
-    oracle = FunctionOracle(al, s.normal_form)
-    report = verify_flow_properties(
-        FlowFunction(s), build_ball(oracle, 4), build_ball(oracle, 5)
-    )
+    region = build_ball(s, 5)
+    report = verify_flow_properties(FlowFunction(s), region.restricted(4), region)
     print(" ", report.summary())
 
 

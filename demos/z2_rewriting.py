@@ -7,7 +7,6 @@ along the flow — the well-founded order behind termination.
 
 from stackings import (
     FlowFunction,
-    FunctionOracle,
     build_ball,
     crs_structure,
     prefix_rewrite_length,
@@ -39,9 +38,8 @@ def main() -> None:
         print(f"    {tag} ({str(y)!r:8}, {al.tokens[x]}) prl = {prl}")
 
     print("\n== the induced normal forms tile the Cayley ball ==")
-    ball = build_ball(FunctionOracle(al, s.normal_form), 3)
-    print(f"  B(3) has {len(ball.elements)} elements, "
-          f"{sum(1 for _ in ball.edges)} directed edges")
+    ball = build_ball(s, 3)
+    print(f"  B(3) has {len(ball.elements)} elements, {len(ball.edges)} directed edges")
 
 
 if __name__ == "__main__":

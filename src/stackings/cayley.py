@@ -254,19 +254,20 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
         return found[1].canonical.shortlex_key()
 
     # The element of each node found, in the order of discovery; and the
-    # steps by each letter, with their elements, of the nodes whose letters
-    # the search tried.
+    # steps by each letter, with their elements, of every node.  The last
+    # pass steps the last sphere and finds no element.
     element = {tree.root: GroupElement(word(tree.root), 0)}
     steps: dict[Hashable, list[tuple[Hashable, GroupElement | None]]] = {}
     frontier = list(element.items())
-    for dist in range(1, n + 1):
+    last = max(n, 0) + 1
+    for dist in range(1, last + 1):
         nxt = []
         for y, _ in sorted(frontier, key=shortlex):
             targets = steps[y] = []
             for a in letters:
                 t = step(y, a)
                 h = element.get(t)
-                if h is None:
+                if h is None and dist < last:
                     if len(element) >= max_elements:
                         raise BudgetExceededError(
                             f"memory cap of {max_elements} elements exceeded"
@@ -279,10 +280,7 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     edges: list[DirectedEdge] = []
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge] = {}
     for y, g in sorted(element.items(), key=shortlex):
-        targets = steps.get(y)
-        if targets is None:  # y lies on the last sphere
-            targets = [(t, element.get(t)) for t in (step(y, a) for a in letters)]
-        for a, (t, h) in enumerate(targets):
+        for a, (t, h) in enumerate(steps[y]):
             if h is not None:
                 kind = EdgeKind.DEGENERATE if degenerate(y, a, t) else EdgeKind.RECURSIVE
                 e = edge_index[g.canonical.letters, a] = DirectedEdge(g, a, h, kind)

@@ -69,12 +69,6 @@ class RewritingSystem:
     rules: tuple[RewriteRule, ...]
     claimed_complete: bool = False
 
-    def word(self, text: str) -> Word:
-        return self.alphabet.word(text)
-
-    def empty(self) -> Word:
-        return self.alphabet.empty()
-
     @cached_property
     def _by_last_letter(self) -> dict[int, list[_IndexedRule]]:
         """Last letter of an lhs -> its rules, in rule order."""

@@ -74,9 +74,6 @@ class StackingStructure:
     def normal_form(self, w: Word) -> Word:
         return self.tree.normal_form(w)
 
-    def in_normal_forms(self, w: Word) -> bool:
-        return self.normal_form(w) == w
-
     def is_degenerate(self, w: Word, a: int) -> bool:
         tree = self.tree
         y = tree.node(w)
@@ -90,10 +87,16 @@ class StackingStructure:
             raise StructureError(
                 f"phi undefined on degenerate edge ({tree.word(y)}, {self.alphabet.tokens[a]})"
             )
+        return self.phi_at(y, a)
+
+    def phi_at(self, y: Hashable, a: int) -> Word:
+        """``phi_fn`` on the recursive edge from the tree node ``y`` by
+        ``a``; an image that is empty or the edge label itself is refused."""
         img = self.phi_fn(y, a)
-        if img.letters == (a,):
+        if img.letters in ((), (a,)):
+            got = "the edge label itself" if img.letters else "the empty word"
             raise StructureError(
-                f"phi on ({tree.word(y)}, {self.alphabet.tokens[a]}) returned the edge label itself"
+                f"phi on ({self.tree.word(y)}, {self.alphabet.tokens[a]}) returned {got}"
             )
         return img
 
@@ -166,7 +169,7 @@ def stacking_reduce_steps(
             f"stacking reduction needs more than {budget} steps on {w!r}: "
             f"a prefix has a normal form of length {deepest}"
         )
-    phi_fn = s.phi_fn
+    phi_at = s.phi_at
     unread = list(reversed(w.letters))
     y = tree.root
     steps = 0
@@ -176,11 +179,7 @@ def stacking_reduce_steps(
         if degenerate(y, a, y_next):
             y = y_next
             continue
-        img = phi_fn(y, a)
-        if img.letters == (a,):
-            raise StructureError(
-                f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned the edge label itself"
-            )
+        img = phi_at(y, a)
         if len(img.letters) > k:
             raise StructureError(
                 f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned {img}, "
@@ -296,10 +295,9 @@ class FlowReport:
 class _FlowEdge(NamedTuple):
     """The flow of one edge, on the structure's normal-form tree."""
 
-    source: Hashable  # the node of the edge's source
     target: Hashable  # the node of its step by the edge's letter
     label: Word  # the letter itself on a degenerate edge, phi on a recursive one
-    end: Hashable  # the node where the flow path from ``source`` ends
+    end: Hashable  # the node where the flow path from the edge's source ends
     path: list[DirectedEdge] | None  # the flow path's region edges; None if it leaves
 
 
@@ -345,14 +343,14 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
             else:
                 path.append(taken[0])
                 end = taken[1]
-        f = flows[y, a] = _FlowEdge(y, t, label, end, path)
+        f = flows[y, a] = _FlowEdge(t, label, end, path)
         return f
 
     return flow_edge
 
 
 def verify_flow_properties(
-    flow: FlowFunction, ball: Ball, region: Ball | None = None
+    flow: FlowFunction, ball: Ball, region: Ball
 ) -> FlowReport:
     """Check (F1), (F2d), boundedness, phi strictness, and ball-restricted
     acyclicity of the flow relation.
@@ -364,7 +362,6 @@ def verify_flow_properties(
     balls of the structure's own normal forms.
     """
     s = flow.structure
-    region = region or ball
     report = FlowReport(radius=ball.radius, k=s.bound_k)
     flow_edge = _flow_edges(flow, region)
 
@@ -475,12 +472,11 @@ class GeodesicReport:
 
 
 def verify_geodesic_stacking(
-    flow: FlowFunction, ball: Ball, region: Ball | None = None
+    flow: FlowFunction, ball: Ball, region: Ball
 ) -> GeodesicReport:
     """Check that normal forms are geodesic and that the edge weight alpha
     strictly decreases along the flow on recursive edges."""
     s = flow.structure
-    region = region or ball
     report = GeodesicReport(radius=ball.radius, k=s.bound_k)
     flow_edge = _flow_edges(flow, region)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
-from .errors import BudgetExceededError, DiagramError, FormatError, StructureError
+from .errors import BudgetExceededError, DiagramError, FormatError
 from .rewriting import DEFAULT_BUDGET
 from .stacking import StackingStructure
 from .words import Alphabet, Word
@@ -78,9 +78,6 @@ class VanKampenDiagram:
     def boundary_word(self) -> Word:
         return self.walk_word(self.boundary)
 
-    def face_word(self, face_walk: tuple[int, ...]) -> Word:
-        return self.walk_word(face_walk)
-
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
@@ -102,23 +99,6 @@ def area(d: VanKampenDiagram) -> int:
     return len(d.faces)
 
 
-def _segment_diagram(s: StackingStructure, y) -> VanKampenDiagram:
-    """Path diagram spelling the normal form of the tree node ``y`` from the
-    basepoint, boundary going out along the path and straight back."""
-    tree = s.tree
-    letters = tree.word(y).letters
-    nodes = [tree.root, *tree.walk(tree.root, letters)]
-    m = len(letters)
-    return VanKampenDiagram(
-        s.alphabet,
-        tuple((i + 1, tree.word(node)) for i, node in enumerate(nodes)),
-        tuple((i + 1, i + 1, i + 2, x) for i, x in enumerate(letters)),
-        (),
-        1,
-        tuple(range(1, m + 1)) + tuple(range(-m, 0)),
-    )
-
-
 def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDiagram:
     """Zero-face segment for a degenerate edge; boundary word is
     y_g a y_{ga}^{-1} with the doubled step collapsed into the segment."""
@@ -130,7 +110,19 @@ def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDi
         raise DiagramError(
             f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not degenerate"
         )
-    return _segment_diagram(s, y_ga if tree.depth(y_ga) > tree.depth(y_g) else y_g)
+    # The path spelling the longer of the two normal forms from the
+    # basepoint; the boundary goes out along it and straight back.
+    letters = tree.word(y_ga if tree.depth(y_ga) > tree.depth(y_g) else y_g).letters
+    nodes = [tree.root, *tree.walk(tree.root, letters)]
+    m = len(letters)
+    return VanKampenDiagram(
+        s.alphabet,
+        tuple((i + 1, tree.word(node)) for i, node in enumerate(nodes)),
+        tuple((i + 1, i + 1, i + 2, x) for i, x in enumerate(letters)),
+        (),
+        1,
+        tuple(range(1, m + 1)) + tuple(range(-m, 0)),
+    )
 
 
 def recursive_diagram(
@@ -508,11 +500,10 @@ def _seashell(
         if x is None:
             if not stack:
                 return b
-            # The walk over phi(y_g, a) is over.  phi represents a nontrivial
-            # element, so phi != empty and the walk built a piece.  Its
-            # boundary is [out y_g][one entry per phi letter][back y_{ga}^-1];
-            # capping the phi arc with a new a-edge encloses the 2-cell
-            # labeled phi a^-1.
+            # The walk over phi(y_g, a) is over.  phi_at refused an empty
+            # image, so the walk built a piece.  Its boundary is
+            # [out y_g][one entry per phi letter][back y_{ga}^-1]; capping the
+            # phi arc with a new a-edge encloses the 2-cell labeled phi a^-1.
             p, (nxt, fwd, key, mid_len) = b, edge
             b, cur, n, todo, edge = stack.pop()
             p.cap(n, mid_len, fwd[1])  # y_g is at depth n
@@ -547,11 +538,7 @@ def _seashell(
                 if left < 0:
                     raise BudgetExceededError("diagram recursion budget exceeded")
                 in_progress.add(key)
-                phi = s.phi_fn(cur, x)
-                if phi.letters == (x,):
-                    raise StructureError(
-                        f"phi on ({word(cur)}, {alphabet.tokens[x]}) returned the edge label itself"
-                    )
+                phi = s.phi_at(cur, x)
                 stack.append((b, cur, n, todo, edge))
                 b, todo, edge = None, iter(phi.letters), (nxt, fwd, key, len(phi))
                 continue
@@ -798,7 +785,7 @@ def validate_diagram(
             return frontier
 
         for vid, word in d.vertices:
-            if not s.in_normal_forms(word):
+            if s.normal_form(word) != word:
                 paths_ok = False
                 details.append(f"vertex {vid} word {word} is not a normal form")
             elif vid not in spelled(word.letters):

@@ -363,7 +363,7 @@ def basepoint_path_details(d: VanKampenDiagram, s) -> list[str]:
         outgoing[dst].append((d.alphabet.inv(label), src))
     details = []
     for vid, word in d.vertices:
-        if not s.in_normal_forms(word):
+        if s.normal_form(word) != word:
             details.append(f"vertex {vid} word {word} is not a normal form")
             continue
         frontier = {d.basepoint}

@@ -179,10 +179,10 @@ class TestCrsStructure:
 
     def test_budget_counts_the_rewrites_of_a_whole_word(self, z2S):
         # b^3 a^3 takes nine prefix rewriting steps, at most three for one letter
-        w = z2S.word("b b b a a a")
+        w = z2S.alphabet.word("b b b a a a")
         s = crs_structure(z2S, budget=9)
-        assert s.normal_form(w) == z2S.word("a a a b b b")
-        assert stacking_reduce_steps(s, w) == (z2S.word("a a a b b b"), 9)
+        assert s.normal_form(w) == z2S.alphabet.word("a a a b b b")
+        assert stacking_reduce_steps(s, w) == (z2S.alphabet.word("a a a b b b"), 9)
         s = crs_structure(z2S, budget=8)
         with pytest.raises(BudgetExceededError):
             s.normal_form(w)

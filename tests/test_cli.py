@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from functools import partial
@@ -232,6 +233,14 @@ class TestErrors:
         )
         assert code == 2 and "budget" in err
 
+    def test_out_of_memory_is_a_budget(self, capsys):
+        # the phi images of BS(1,p) have p + 2 letters
+        code, out, err = run(
+            capsys, "nf", "--structure", "bs1p:99999999999999", "--word", "a t"
+        )
+        assert code == 3 and out == ""
+        assert err == "budget exceeded: out of memory\n"
+
     def test_budget_exceeded(self, capsys, z2_rules_file):
         code, _, err = run(
             capsys, "nf", "--structure", f"crs:{z2_rules_file}",
@@ -261,3 +270,58 @@ class TestErrors:
             "--radius", "2",
         )
         assert code == 4 and "almost convexity refuted" in err
+
+
+# Fixed calls covering every subcommand and structure kind, with the files
+# each one writes.  ``{tmp}`` stands for the test's temporary directory and
+# ``{z2}`` for a file holding the Z^2 system.  The svg export is left out:
+# its float layout depends on numpy.
+PINNED_CALLS = [
+    ("nf", "--structure", "bs1p:2", "--word", "t a T t A t"),
+    ("nf", "--structure", "crs:{z2}", "--word", "b a B a b"),
+    ("nf", "--structure", "shortlex-ac:{z2}:4:2", "--word", "b a B A b"),
+    ("wp", "--structure", "bs1p:2", "--word", "t a T A A"),
+    ("wp", "--structure", "bs1p:3", "--word", "t a T A"),
+    ("wp", "--structure", "crs:{z2}", "--word", "a b A B"),
+    ("vkd", "--structure", "bs1p:2", "--word", "t a T A A"),
+    ("vkd", "--structure", "bs1p:2", "--word", "t t a T T A A A A",
+     "--format", "dot", "--out", "{tmp}/d.dot", "--report", "{tmp}/r.json"),
+    ("vkd", "--structure", "crs:{z2}", "--word", "a b A B",
+     "--out", "{tmp}/d.json", "--report", "{tmp}/r.json"),
+    ("vkd", "--structure", "shortlex-ac:{z2}:4:2", "--word", "a b b A B B"),
+    ("vkd", "--structure", "bs1p:2", "--word", "t a"),
+    ("verify", "--structure", "bs1p:2", "--radius", "3", "--report", "{tmp}/r.json"),
+    ("verify", "--structure", "crs:{z2}", "--radius", "3"),
+    ("verify", "--structure", "shortlex-ac:{z2}:4:2", "--radius", "2",
+     "--report", "{tmp}/r.json"),
+    ("ac-check", "--structure", "crs:{z2}", "--radius", "4", "--k", "2",
+     "--report", "{tmp}/r.json"),
+    ("ac-check", "--structure", "crs:{z2}", "--radius", "4", "--k", "1",
+     "--report", "{tmp}/r.json"),
+    ("ac-check", "--structure", "bs1p:2", "--radius", "2", "--k", "3"),
+    ("thompson-nf", "--word", "X0 x1 x0"),
+    ("thompson-nf", "--word", "x1 x0"),
+    ("export-ball", "--structure", "bs1p:2", "--radius", "2", "--out", "{tmp}/b.json"),
+    ("export-ball", "--structure", "crs:{z2}", "--radius", "2"),
+    ("nf", "--structure", "crs:{z2}", "--word", "b a b a b a b a", "--budget", "2"),
+    ("nf", "--structure", "crs:{tmp}/missing.rs", "--word", "a"),
+]
+PINNED_SHA256 = "db099e6bc9bbf70897a79bdb7a580bd4f9ac2aec8b6df0561f9afd0adab9ee9b"
+
+
+def test_pinned_outputs(capsys, tmp_path, z2_rules_file):
+    """Exit code, stdout, stderr and written files of the pinned calls hash
+    to a fixed digest, so a change to any output of the CLI fails here."""
+    tmp = str(tmp_path)
+    digest = hashlib.sha256()
+    for call in PINNED_CALLS:
+        argv = [a.format(tmp=tmp, z2=z2_rules_file) for a in call]
+        code, out, err = run(capsys, *argv)
+        files = {}
+        for path in sorted(tmp_path.iterdir()):
+            if path.is_file() and path != z2_rules_file:
+                files[path.name] = path.read_text()
+                path.unlink()
+        record = [list(call), code, out.replace(tmp, "{tmp}"), err.replace(tmp, "{tmp}"), files]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == PINNED_SHA256

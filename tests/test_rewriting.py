@@ -128,7 +128,7 @@ class TestBasics:
     def test_nonterminating_system_hits_budget(self):
         S = nonterminating()
         with pytest.raises(BudgetExceededError):
-            reduce_to_irreducible(S, S.word("a A"), budget=100)
+            reduce_to_irreducible(S, S.alphabet.word("a A"), budget=100)
 
     def test_budget_allows_exactly_budget_rewrites(self, z2S):
         al = z2S.alphabet

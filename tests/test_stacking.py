@@ -24,7 +24,9 @@ from stackings import (
     bs1p_structure,
     bs12_system,
     build_ball,
+    build_filling_diagram,
     crs_structure,
+    recursive_diagram,
     reduce_to_irreducible,
     s_phi_membership,
     stacking_reduce,
@@ -123,6 +125,46 @@ class TestPhiAndMembership:
         )
         with pytest.raises(StructureError):
             bad.phi(al.word("t"), al.index("a"))
+
+
+# A stacking map on BS(1,2) whose every image is bad, and the message that
+# refuses it; and the calls that read phi on the recursive edge (t, a).
+BAD_IMAGES = {
+    "empty": (lambda al, a: al.empty(), "returned the empty word"),
+    "label": (lambda al, a: Word(al, (a,)), "returned the edge label itself"),
+}
+PHI_READERS = {
+    "phi": lambda s: s.phi(s.alphabet.word("t"), s.alphabet.index("a")),
+    "reduce": lambda s: stacking_reduce_steps(s, s.alphabet.word("t a T A A")),
+    "filling": lambda s: build_filling_diagram(s, s.alphabet.word("t a T A A")),
+    "recursive": lambda s: recursive_diagram(
+        (s.alphabet.word("t"), s.alphabet.index("a")), s
+    ),
+}
+
+
+class TestStackingMapContract:
+    """Every reader of the stacking map refuses an image that is empty or
+    the edge label itself; verification reports such images instead."""
+
+    @staticmethod
+    def bad(bs2, image):
+        al = bs2.alphabet
+        make = BAD_IMAGES[image][0]
+        return StackingStructure(al, bs2.normal_form, lambda y, a: make(al, a), bound_k=4)
+
+    @pytest.mark.parametrize("reader", sorted(PHI_READERS))
+    @pytest.mark.parametrize("image", sorted(BAD_IMAGES))
+    def test_bad_image_is_a_structure_error(self, bs2, image, reader):
+        with pytest.raises(StructureError, match=r"phi on \(t, a\) " + BAD_IMAGES[image][1]):
+            PHI_READERS[reader](self.bad(bs2, image))
+
+    def test_empty_image_is_reported_by_verification(self, bs2):
+        s = self.bad(bs2, "empty")
+        region = build_ball(s, 3)
+        report = verify_flow_properties(FlowFunction(s), region.restricted(2), region)
+        assert {"source": "t", "label": "a"} in report.f1_failures
+        assert not report.strictness_failures and not report.passed
 
 
 class TestFlowFunction:

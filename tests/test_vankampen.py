@@ -102,7 +102,7 @@ class TestRecursiveDiagram:
         d = recursive_diagram((al.word("t"), al.index("a")), bs2)
         assert area(d) == 1
         assert str(d.boundary_word()) == "t a T A A"
-        assert str(d.face_word(d.faces[0][1])) == "T a a t A"
+        assert str(d.walk_word(d.faces[0][1])) == "T a a t A"
         assert len(d.vertices) == 5 and len(d.edges) == 5
 
     def test_rejects_degenerate_edge(self, bs2):
@@ -114,7 +114,7 @@ class TestRecursiveDiagram:
         al = z2struct.alphabet
         d = recursive_diagram((al.word("b"), al.index("a")), z2struct)
         assert area(d) == 1
-        assert str(d.face_word(d.faces[0][1])) == "B a b A"
+        assert str(d.walk_word(d.faces[0][1])) == "B a b A"
 
     def test_memo_serves_reverse_orientation_as_mirror(self, bs2):
         al = bs2.alphabet
@@ -448,7 +448,7 @@ class TestValidation:
         w = al.word("t a T A A")
         d = build_filling_diagram(bs2, w)
         ((fid, walk),) = d.faces
-        fw = d.face_word(walk)
+        fw = d.walk_word(walk)
         rotated = Word(al, fw.letters[2:] + fw.letters[:2])
         for r in (rotated, rotated.inverse()):
             report = validate_diagram(d, {r}, w, bs2)
