@@ -75,7 +75,6 @@ from .vankampen import (
     export_diagram,
     import_diagram,
     recursive_diagram,
-    seashell_glue,
     validate_diagram,
 )
 from .words import Alphabet, Word, cyclic_rotations, parse_sections

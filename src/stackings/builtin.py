@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .cayley import Ball, NormalFormTree, build_ball
@@ -117,20 +118,27 @@ def _is_child(g: BS1pElement, a: int, h: BS1pElement) -> bool:
 
 class _BS1pTree(NormalFormTree):
     """A node is its element (i, m, k), so a step is one multiplication and
-    the parent, last letter and depth of a node are arithmetic."""
+    the parent, last letter and depth of a node are arithmetic.  The phi
+    images have p + 2 letters each, so they are built on first use."""
 
     def __init__(self, p: int) -> None:
         super().__init__(bs1p_alphabet(), BS1pElement(0, 0, 0))
         self.p = p
-        al = self.alphabet
-        # phi of t^eta from t^-i a^m, by (m > 0, letter): (a^{-nu p} t a^nu)^eta
-        self._t_images: dict[tuple[bool, int], Word] = {}
+
+    @cached_property
+    def _t_images(self) -> dict[tuple[bool, int], Word]:
+        """phi of t^eta from t^-i a^m, by (m > 0, letter): (a^{-nu p} t a^nu)^eta."""
+        images = {}
         for positive, a, a_inv in ((True, _A, _A_INV), (False, _A_INV, _A)):
-            img = Word(al, (a_inv,) * p + (_T, a))
-            self._t_images[positive, _T] = img
-            self._t_images[positive, _T_INV] = img.inverse()
-        # phi of a^eta from t^-i a^m t^k (k > 0): t^-1 a^{eta p} t
-        self._a_images = {a: Word(al, (_T_INV,) + (a,) * p + (_T,)) for a in (_A, _A_INV)}
+            img = Word(self.alphabet, (a_inv,) * self.p + (_T, a))
+            images[positive, _T] = img
+            images[positive, _T_INV] = img.inverse()
+        return images
+
+    @cached_property
+    def _a_images(self) -> dict[int, Word]:
+        """phi of a^eta from t^-i a^m t^k (k > 0): t^-1 a^{eta p} t."""
+        return {a: Word(self.alphabet, (_T_INV,) + (a,) * self.p + (_T,)) for a in (_A, _A_INV)}
 
     def step(self, g: BS1pElement, a: int) -> BS1pElement:
         return _bs_mul(self.p, g, *_DELTAS[a])
@@ -374,8 +382,11 @@ def shortlex_ac_structure(oracle, ball_radius: int, k_ac: int) -> StackingStruct
     representatives; phi images are the shortlex least connecting words
     found by searching the ball, constrained to stay in the right ball.
     Raises :class:`AlmostConvexityError` when no in-ball connecting word of
-    length <= k_ac exists, refuting almost convexity at this radius.
+    length <= k_ac exists, refuting almost convexity at this radius.  A
+    negative ``k_ac`` is a :class:`FormatError`.
     """
+    if k_ac < 0:
+        raise FormatError("shortlex-ac requires k >= 0")
     box = _ShortlexBall(oracle, ball_radius)
     alphabet = box.alphabet
 

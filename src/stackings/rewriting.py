@@ -330,14 +330,45 @@ def minimize(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> RewritingSyste
 def _search_inverse_word(
     S: RewritingSystem, b: int, exclude: int, max_len: int, budget: int
 ) -> Word | None:
-    """Shortest (shortlex) word z, avoiding the letter ``exclude``, with
-    b z =_G empty; returns the irreducible form of z."""
+    """The irreducible form of the shortlex least word z of at most
+    ``max_len`` letters, avoiding the letter ``exclude``, with b z =_G
+    empty; None if there is none.
+
+    A breadth-first search on the trie of irreducible words: the node of
+    b z is one step by the last letter of z from the node of b z minus that
+    letter, so z is a path from the node of b to the root.  Each node is
+    visited once, the nodes of one level in the order of their least words
+    and the letters in index order, so the root is first reached along the
+    shortlex least z.  A step spends one of ``budget`` and each of its
+    rewrites one more.
+    """
+    root = S._trie
     letters = [i for i in range(len(S.alphabet)) if i != exclude]
-    for n in range(1, max_len + 1):
-        for combo in itertools.product(letters, repeat=n):
-            z = Word(S.alphabet, combo)
-            if len(reduce_to_irreducible(S, S.alphabet.letter(b) * z, budget)) == 0:
-                return reduce_to_irreducible(S, z, budget)
+    spent = 0
+
+    def step(y: Irreducible, a: int) -> Irreducible:
+        nonlocal spent
+        node, spent = _rewrite(S, y, a, budget, spent + 1)
+        if node is None or spent > budget:
+            raise BudgetExceededError(
+                f"the search for a word cancelling {S.alphabet.tokens[b]!r} exceeded its budget"
+            )
+        return node
+
+    start = step(root, b)
+    least: dict[Irreducible, tuple[int, ...]] = {start: ()}  # node -> least z to it
+    frontier = [start]
+    for _ in range(max_len):
+        found = []
+        for y in frontier:
+            for a in letters:
+                node = step(y, a)
+                if node not in least:
+                    least[node] = least[y] + (a,)
+                    if node is root:
+                        return reduce_to_irreducible(S, Word(S.alphabet, least[node]), budget)
+                    found.append(node)
+        frontier = found
     return None
 
 

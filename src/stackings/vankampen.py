@@ -3,13 +3,15 @@
 A diagram stores vertices labeled by normal-form words, one record per
 undirected edge with a signed-id traversal convention (+k traverses edge k
 along its stored direction, -k against it), faces as closed signed walks,
-a basepoint, and the boundary walk.  All construction goes through one
-mutable builder on the structure's normal-form tree nodes that folds on tree
-segments, and by reference on recursive pieces, along basepoint paths
-(seashell gluing) and caps each recursive edge with its 2-cell, so
-planarity and contractibility hold by construction; freezing the builder
-writes each cell once, with its node spelled as a word, and
-``validate_diagram`` audits the result via the Euler characteristic.
+a basepoint, and the boundary walk.  All construction, a degenerate edge's
+segment included, goes through one mutable builder on the structure's
+normal-form tree nodes that folds on tree segments, and by reference on
+recursive pieces, along basepoint paths (seashell gluing) and caps each
+recursive edge with its 2-cell, so planarity and contractibility hold by
+construction; freezing the builder writes every diagram the library makes
+(``import_diagram`` reads one), each cell once, with its node spelled as a
+word, and ``validate_diagram`` audits the result via the Euler
+characteristic.
 
 Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 """
@@ -30,7 +32,6 @@ __all__ = [
     "VanKampenDiagram",
     "degenerate_diagram",
     "recursive_diagram",
-    "seashell_glue",
     "build_filling_diagram",
     "ValidationReport",
     "validate_diagram",
@@ -81,18 +82,6 @@ class VanKampenDiagram:
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
-    def mirror(self) -> "VanKampenDiagram":
-        """Same complex with the boundary walk reversed; the boundary word
-        becomes its formal inverse."""
-        return VanKampenDiagram(
-            self.alphabet,
-            self.vertices,
-            self.edges,
-            self.faces,
-            self.basepoint,
-            tuple(-s for s in reversed(self.boundary)),
-        )
-
 
 def area(d: VanKampenDiagram) -> int:
     """Number of 2-cells."""
@@ -100,8 +89,9 @@ def area(d: VanKampenDiagram) -> int:
 
 
 def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDiagram:
-    """Zero-face segment for a degenerate edge; boundary word is
-    y_g a y_{ga}^{-1} with the doubled step collapsed into the segment."""
+    """Zero-face segment for a degenerate edge, built as one tree step of
+    the builder; boundary word is y_g a y_{ga}^{-1} with the doubled step
+    collapsed into the segment."""
     w, a = e
     tree = s.tree
     y_g = tree.node(w)
@@ -110,19 +100,7 @@ def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDi
         raise DiagramError(
             f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not degenerate"
         )
-    # The path spelling the longer of the two normal forms from the
-    # basepoint; the boundary goes out along it and straight back.
-    letters = tree.word(y_ga if tree.depth(y_ga) > tree.depth(y_g) else y_g).letters
-    nodes = [tree.root, *tree.walk(tree.root, letters)]
-    m = len(letters)
-    return VanKampenDiagram(
-        s.alphabet,
-        tuple((i + 1, tree.word(node)) for i, node in enumerate(nodes)),
-        tuple((i + 1, i + 1, i + 2, x) for i, x in enumerate(letters)),
-        (),
-        1,
-        tuple(range(1, m + 1)) + tuple(range(-m, 0)),
-    )
+    return _seashell(s, None, y_g, (a,), {}, DEFAULT_BUDGET).freeze(tree)
 
 
 def recursive_diagram(
@@ -547,72 +525,6 @@ def _seashell(
         else:
             b.glue(p, flip, cur, n)
         cur, n = nxt, depth(nxt)
-
-
-def seashell_glue(
-    d1: VanKampenDiagram, d2: VanKampenDiagram, shared: Word
-) -> VanKampenDiagram:
-    """Fold d2 onto d1 along a shared simple path from the basepoints.
-
-    d1's boundary must end with a subpath labeled shared^{-1} and d2's must
-    begin with one labeled shared; the two subpaths are identified edge by
-    edge, basepoints merged, and the new boundary is d1's with its tail
-    excised followed by d2's with its head excised.  d2's other cells get
-    ids above d1's largest.
-    """
-    if d1.alphabet != d2.alphabet:
-        raise DiagramError("cannot glue diagrams over different alphabets")
-    b1, b2 = d1.boundary, d2.boundary
-    n = len(shared)
-    if n > len(b1) or n > len(b2):
-        raise DiagramError("shared path longer than a boundary")
-    # d1 side: walking backward from the basepoint spells `shared`; the
-    # k-th shared edge (k = 1..n) is boundary entry -k from the end,
-    # against its boundary direction.
-    v1_prev, v2_prev = d1.basepoint, d2.basepoint
-    seen_path = {d1.basepoint}
-    vmap = {d2.basepoint: d1.basepoint}  # d2 vertex -> d1 vertex
-    emap: dict[int, int] = {}  # traversal in d2 -> traversal in d1
-    for k in range(1, n + 1):
-        t, u = b1[-k], b2[k - 1]
-        letter = shared.letters[k - 1]
-        a1_start, a1_end, a1_letter = d1.traverse(-t)
-        a2_start, a2_end, a2_letter = d2.traverse(u)
-        if a1_letter != letter or a2_letter != letter:
-            raise DiagramError(
-                f"fold label mismatch at position {k} of shared path {shared}"
-            )
-        if a1_start != v1_prev or a2_start != v2_prev:
-            raise DiagramError(f"shared path is not a boundary subpath at position {k}")
-        if a1_end in seen_path:
-            raise DiagramError(f"shared path {shared} is not simple")
-        seen_path.add(a1_end)
-        if d1.vertex_words[a1_end] != d2.vertex_words[a2_end]:
-            raise DiagramError(
-                f"vertex label mismatch along fold: {d1.vertex_words[a1_end]} "
-                f"vs {d2.vertex_words[a2_end]}"
-            )
-        v1_prev, v2_prev = a1_end, a2_end
-        emap[u], emap[-u] = -t, t
-        vmap[a2_end] = a1_end
-    v_off, e_off = max(d1.vertex_words, default=0), max(d1.edge_map, default=0)
-    f_off = max((fid for fid, _ in d1.faces), default=0)
-
-    def remap(walk) -> tuple[int, ...]:
-        return tuple([emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in walk])
-
-    return VanKampenDiagram(
-        d1.alphabet,
-        d1.vertices + tuple((v_off + vid, w) for vid, w in d2.vertices if vid not in vmap),
-        d1.edges + tuple(
-            (e_off + eid, vmap.get(src, v_off + src), vmap.get(dst, v_off + dst), x)
-            for eid, src, dst, x in d2.edges
-            if eid not in emap
-        ),
-        d1.faces + tuple((f_off + fid, remap(walk)) for fid, walk in d2.faces),
-        d1.basepoint,
-        b1[: len(b1) - n] + remap(b2[n:]),
-    )
 
 
 def build_filling_diagram(

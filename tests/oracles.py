@@ -1,21 +1,23 @@
 """Independent oracles used to freeze derived values into the tests.
 
-Everything here is deliberately naive and written against definitions, not
-against the library's algorithms: affine-map evaluation for BS(1,2) and its
-companion rewriting system, brute-force free reduction by trying all
-cancellation orders, pseudo-random trivial-word generation by relator and
-cancellation insertion, an exhaustive minimal-area search by bounded
-relator application, shortlex representatives by enumerating all words,
-Cayley balls by enumerating all words, leftmost-occurrence rewriting with a
-brute-force subword search, the two clauses of the Thompson's F normal form
-language evaluated directly, the seashell filling built letter by letter
-from whole diagrams, the basepoint-path check of a diagram's vertex words
-walked from the basepoint one vertex at a time, a structure's normal-form
-tree stepped from its root, stacking reduction on whole words, and Cayley
-balls and flow verification on whole words, edges classified by comparing
-words, the object a diagram's json export encodes, almost convexity by
-trying every word and searching every pair, and symmetrized relator sets
-by their definition.
+Everything here is deliberately naive and written against definitions,
+not against the library's algorithms: affine-map evaluation for BS(1,2)
+and its companion rewriting system, brute-force free reduction by trying
+all cancellation orders, pseudo-random trivial-word generation by
+relator and cancellation insertion, an exhaustive minimal-area search by
+bounded relator application, the word that cancels a letter by trying
+every word, shortlex representatives by enumerating all words, Cayley
+balls by enumerating all words, leftmost-occurrence rewriting with a
+brute-force subword search, the two clauses of the Thompson's F normal
+form language evaluated directly, the seashell filling built letter by
+letter from whole diagrams, with its own segments, mirror and gluing,
+the basepoint-path check of a diagram's vertex words walked from the
+basepoint one vertex at a time, a structure's normal-form tree stepped
+from its root, stacking reduction on whole words, and Cayley balls and
+flow verification on whole words, edges classified by comparing words,
+the object a diagram's json export encodes, almost convexity by trying
+every word and searching every pair, and symmetrized relator sets by
+their definition.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from itertools import product
 from stackings import (
     ACReport,
     Ball,
+    DiagramError,
     DirectedEdge,
     EdgeKind,
     FlowReport,
@@ -38,8 +41,6 @@ from stackings import (
     VanKampenDiagram,
     Word,
     alpha,
-    degenerate_diagram,
-    seashell_glue,
 )
 from stackings.words import Alphabet, cyclic_rotations, symmetrized_closure
 
@@ -239,6 +240,25 @@ def leftmost_reduce(S, w: Word, budget: int = 10**6) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# The irreducible form of a letter by trying every word: the shortlex least
+# word z, avoiding one letter, whose product with the inverse letter b
+# rewrites to the empty word.
+
+
+def search_inverse_word_reference(S, b: int, exclude: int, max_len: int) -> Word | None:
+    """The leftmost-rewriting irreducible form of the shortlex least word z
+    of at most ``max_len`` letters, none of them ``exclude``, with b z
+    rewriting to the empty word; None if there is none."""
+    letters = [i for i in range(len(S.alphabet)) if i != exclude]
+    for n in range(1, max_len + 1):
+        for combo in product(letters, repeat=n):
+            z = Word(S.alphabet, combo)
+            if len(leftmost_reduce(S, S.alphabet.letter(b) * z)) == 0:
+                return leftmost_reduce(S, z)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Shortlex representatives: enumerate every word of length <= radius in
 # shortlex order and keep the first one per element.
 
@@ -281,14 +301,114 @@ def thompson_f_direct(w: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Seashell filling letter by letter: each degenerate segment is built whole
-# by `degenerate_diagram` and folded on by `seashell_glue`, each recursive
-# piece by plain recursion on the flow, memoized per undirected edge.
+# Seashell filling letter by letter, on whole diagrams: each degenerate
+# segment is written out as a path from the basepoint and back, each
+# recursive piece is built by plain recursion on the flow, memoized per
+# undirected edge, and every diagram is folded onto the one before it by
+# `seashell_glue`.
 
 
 def empty_diagram(alphabet: Alphabet) -> VanKampenDiagram:
     """The diagram of the empty word: the basepoint alone."""
     return VanKampenDiagram(alphabet, ((1, alphabet.empty()),), (), (), 1, ())
+
+
+def segment(s, y: Word, a: int) -> VanKampenDiagram:
+    """The zero-face diagram of the degenerate edge (y, a): the path that
+    spells the longer of y and the normal form of y a, out from the
+    basepoint and back.  Vertex i + 1 is its prefix of length i."""
+    y_ga = s.normal_form(y.append(a))
+    if classify(y, a, y_ga) is not EdgeKind.DEGENERATE:
+        raise DiagramError(f"edge ({y}, {s.alphabet.tokens[a]}) is not degenerate")
+    z = max(y, y_ga, key=len)
+    m = len(z)
+    return VanKampenDiagram(
+        s.alphabet,
+        tuple((i + 1, z[:i]) for i in range(m + 1)),
+        tuple((i + 1, i + 1, i + 2, x) for i, x in enumerate(z.letters)),
+        (),
+        1,
+        tuple(range(1, m + 1)) + tuple(range(-m, 0)),
+    )
+
+
+def mirror(d: VanKampenDiagram) -> VanKampenDiagram:
+    """Same complex with the boundary walk reversed; the boundary word
+    becomes its formal inverse."""
+    return VanKampenDiagram(
+        d.alphabet,
+        d.vertices,
+        d.edges,
+        d.faces,
+        d.basepoint,
+        tuple(-x for x in reversed(d.boundary)),
+    )
+
+
+def seashell_glue(
+    d1: VanKampenDiagram, d2: VanKampenDiagram, shared: Word
+) -> VanKampenDiagram:
+    """Fold d2 onto d1 along a shared simple path from the basepoints.
+
+    d1's boundary must end with a subpath labeled shared^{-1} and d2's must
+    begin with one labeled shared; the two subpaths are identified edge by
+    edge, basepoints merged, and the new boundary is d1's with its tail
+    excised followed by d2's with its head excised.  d2's other cells get
+    ids above d1's largest.
+    """
+    if d1.alphabet != d2.alphabet:
+        raise DiagramError("cannot glue diagrams over different alphabets")
+    b1, b2 = d1.boundary, d2.boundary
+    n = len(shared)
+    if n > len(b1) or n > len(b2):
+        raise DiagramError("shared path longer than a boundary")
+    # d1 side: walking backward from the basepoint spells `shared`; the
+    # k-th shared edge (k = 1..n) is boundary entry -k from the end,
+    # against its boundary direction.
+    v1_prev, v2_prev = d1.basepoint, d2.basepoint
+    seen_path = {d1.basepoint}
+    vmap = {d2.basepoint: d1.basepoint}  # d2 vertex -> d1 vertex
+    emap: dict[int, int] = {}  # traversal in d2 -> traversal in d1
+    for k in range(1, n + 1):
+        t, u = b1[-k], b2[k - 1]
+        letter = shared.letters[k - 1]
+        a1_start, a1_end, a1_letter = d1.traverse(-t)
+        a2_start, a2_end, a2_letter = d2.traverse(u)
+        if a1_letter != letter or a2_letter != letter:
+            raise DiagramError(
+                f"fold label mismatch at position {k} of shared path {shared}"
+            )
+        if a1_start != v1_prev or a2_start != v2_prev:
+            raise DiagramError(f"shared path is not a boundary subpath at position {k}")
+        if a1_end in seen_path:
+            raise DiagramError(f"shared path {shared} is not simple")
+        seen_path.add(a1_end)
+        if d1.vertex_words[a1_end] != d2.vertex_words[a2_end]:
+            raise DiagramError(
+                f"vertex label mismatch along fold: {d1.vertex_words[a1_end]} "
+                f"vs {d2.vertex_words[a2_end]}"
+            )
+        v1_prev, v2_prev = a1_end, a2_end
+        emap[u], emap[-u] = -t, t
+        vmap[a2_end] = a1_end
+    v_off, e_off = max(d1.vertex_words, default=0), max(d1.edge_map, default=0)
+    f_off = max((fid for fid, _ in d1.faces), default=0)
+
+    def remap(walk) -> tuple[int, ...]:
+        return tuple([emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in walk])
+
+    return VanKampenDiagram(
+        d1.alphabet,
+        d1.vertices + tuple((v_off + vid, w) for vid, w in d2.vertices if vid not in vmap),
+        d1.edges + tuple(
+            (e_off + eid, vmap.get(src, v_off + src), vmap.get(dst, v_off + dst), x)
+            for eid, src, dst, x in d2.edges
+            if eid not in emap
+        ),
+        d1.faces + tuple((f_off + fid, remap(walk)) for fid, walk in d2.faces),
+        d1.basepoint,
+        b1[: len(b1) - n] + remap(b2[n:]),
+    )
 
 
 def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
@@ -301,7 +421,7 @@ def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
         key = (min(fwd, bwd), max(fwd, bwd))
         if key in memo:
             stored, d = memo[key]
-            return d if stored == fwd else d.mirror()
+            return d if stored == fwd else mirror(d)
         phi = s.phi(y, a)
         d = walk(None, y, phi)
         # the boundary reads [out y][phi][back]: close phi with an a-edge
@@ -319,12 +439,13 @@ def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
 
     def walk(d, cur: Word, word: Word) -> VanKampenDiagram:
         for x in word:
-            if s.is_degenerate(cur, x):
-                p = degenerate_diagram((cur, x), s)
+            nxt = s.normal_form(cur.append(x))
+            if classify(cur, x, nxt) is EdgeKind.DEGENERATE:
+                p = segment(s, cur, x)
             else:
                 p = piece(cur, x)
             d = p if d is None else seashell_glue(d, p, cur)
-            cur = s.normal_form(cur.append(x))
+            cur = nxt
         return d
 
     return walk(empty_diagram(s.alphabet), s.alphabet.empty(), w), memo

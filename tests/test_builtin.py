@@ -370,6 +370,11 @@ class TestShortlexAC:
         with pytest.raises(OutsideExploredRegionError):
             st.normal_form(st.alphabet.word("a a a a"))
 
+    def test_negative_constant_rejected(self):
+        # before the ball is searched: the oracle is never read
+        with pytest.raises(FormatError, match="k >= 0"):
+            shortlex_ac_structure(None, ball_radius=3, k_ac=-1)
+
 
 def z2_reordered_oracle() -> FunctionOracle:
     """Z^2 over the order a < b < B < A, in which a letter's inverse comes

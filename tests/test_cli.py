@@ -3,6 +3,8 @@ import json
 import time
 from functools import partial
 
+import pytest
+
 from stackings import build_ball, cli
 from stackings.cli import main
 
@@ -234,12 +236,31 @@ class TestErrors:
         assert code == 2 and "budget" in err
 
     def test_out_of_memory_is_a_budget(self, capsys):
-        # the phi images of BS(1,p) have p + 2 letters
+        # the phi images of BS(1,p) have p + 2 letters, and the edge from t
+        # by a is recursive
         code, out, err = run(
-            capsys, "nf", "--structure", "bs1p:99999999999999", "--word", "a t"
+            capsys, "nf", "--structure", "bs1p:99999999999999", "--word", "t a"
         )
         assert code == 3 and out == ""
         assert err == "budget exceeded: out of memory\n"
+
+    def test_no_phi_image_is_built_before_it_is_used(self, capsys):
+        # every edge of "a t" is degenerate
+        code, out, err = run(
+            capsys, "nf", "--structure", "bs1p:99999999999999", "--word", "a t"
+        )
+        assert (code, out, err) == (0, "a t\nsteps: 0\n", "")
+
+    @pytest.mark.parametrize("command", [
+        ("nf", "--word", "a"), ("verify", "--radius", "1"), ("export-ball", "--radius", "2"),
+    ], ids=lambda c: c[0])
+    def test_negative_shortlex_ac_constant(self, capsys, z2_rules_file, command):
+        name, *args = command
+        code, out, err = run(
+            capsys, name, "--structure", f"shortlex-ac:{z2_rules_file}:3:-1", *args
+        )
+        assert code == 2 and out == ""
+        assert err == "error: shortlex-ac requires k >= 0\n"
 
     def test_budget_exceeded(self, capsys, z2_rules_file):
         code, _, err = run(

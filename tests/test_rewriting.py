@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import affine_eval, all_words, has_lhs_subword, leftmost_reduce
+from oracles import (
+    affine_eval,
+    all_words,
+    has_lhs_subword,
+    leftmost_reduce,
+    search_inverse_word_reference,
+)
 from stackings import (
     BudgetExceededError,
     FormatError,
@@ -22,6 +28,7 @@ from stackings import (
     word_problem,
     z2_system,
 )
+from stackings.rewriting import DEFAULT_BUDGET, _search_inverse_word
 from stackings.words import Alphabet, Word
 
 # A generator e that represents the identity.
@@ -46,6 +53,47 @@ a A
 a A
 [rules]
 a a a ->
+"""
+
+# The cyclic group of order 5 written with only a-rules.
+C5_A_RULES = """
+[generators]
+a A
+[inverses]
+a A
+[rules]
+a a a a a ->
+"""
+
+# b has no inverse: B occurs in no rule, and no word over a, A and b
+# cancels b, since b a -> a b keeps every b.
+B_NOT_INVERTIBLE = """
+[generators]
+a A b B
+[inverses]
+a A
+b B
+[rules]
+a A ->
+A a ->
+b a -> a b
+"""
+
+# The same with a free letter c: the words that might cancel b are too many
+# to try them all.
+B_NOT_INVERTIBLE_FREE_C = """
+[generators]
+a A b B c C
+[inverses]
+a A
+b B
+c C
+[rules]
+a A ->
+A a ->
+b a -> a b
+c C ->
+C c ->
 """
 
 # z2_system() without its rule B A -> A B.
@@ -93,6 +141,7 @@ SYSTEMS = {
     "z2+bbba": lambda: z2_with(("b b b a", "b b a b")),
     "identity-letter": lambda: load_rewriting_system(IDENTITY_LETTER),
     "c3": lambda: load_rewriting_system(C3_A_RULES),
+    "c5": lambda: load_rewriting_system(C5_A_RULES),
     "z2-missing-rule": lambda: load_rewriting_system(Z2_MISSING_RULE),
     "empty-rhs": lambda: load_rewriting_system(EMPTY_RHS),
 }
@@ -252,6 +301,29 @@ class TestMinimize:
     def test_nonterminating_system_hits_budget(self):
         with pytest.raises(BudgetExceededError):
             minimize(nonterminating(), budget=50)
+
+    def test_uninvertible_letter_is_a_structure_error(self):
+        # the search ends with the words of 12 letters, well within budget
+        with pytest.raises(StructureError, match="no irreducible word of length <= 12"):
+            minimize(load_rewriting_system(B_NOT_INVERTIBLE), budget=10**5)
+
+    def test_inverse_search_spends_the_budget(self):
+        with pytest.raises(BudgetExceededError, match="cancelling 'b' exceeded its budget"):
+            minimize(load_rewriting_system(B_NOT_INVERTIBLE_FREE_C), budget=10**4)
+
+
+class TestInverseSearch:
+    """The breadth-first search for the word cancelling a letter finds the
+    word that trying every word in shortlex order finds."""
+
+    @pytest.mark.parametrize("text, b, c", [
+        (C3_A_RULES, "a", "A"), (C5_A_RULES, "a", "A"), (B_NOT_INVERTIBLE, "b", "B"),
+    ], ids=["c3", "c5", "b-not-invertible"])
+    def test_matches_reference(self, text, b, c):
+        S = load_rewriting_system(text)
+        b, c = S.alphabet.index(b), S.alphabet.index(c)
+        found = [_search_inverse_word(S, b, c, n, DEFAULT_BUDGET) for n in range(1, 7)]
+        assert found == [search_inverse_word_reference(S, b, c, n) for n in range(1, 7)]
 
 
 class TestCheckComplete:

@@ -10,25 +10,29 @@ from oracles import (
     basepoint_path_details,
     diagram_json_obj,
     empty_diagram,
+    mirror,
     random_trivial_words,
     seashell_fill_reference,
+    seashell_glue,
+    segment,
 )
 from stackings import (
     Alphabet,
     BudgetExceededError,
     DiagramError,
+    EdgeKind,
     FormatError,
     StackingStructure,
     VanKampenDiagram,
     Word,
     area,
     bs1p_structure,
+    build_ball,
     build_filling_diagram,
     degenerate_diagram,
     export_diagram,
     import_diagram,
     recursive_diagram,
-    seashell_glue,
     stacking_relation_set,
     validate_diagram,
 )
@@ -95,6 +99,19 @@ class TestDegenerateDiagram:
         with pytest.raises(DiagramError):
             degenerate_diagram((al.word("t"), al.index("a")), bs2)
 
+    @pytest.mark.parametrize("name, radius", [
+        ("bs1p:2", 6), ("bs1p:3", 5), ("crs:z2", 6), ("crs:bs12", 4), ("shortlex-ac:z2:8:2", 5),
+    ])
+    def test_every_edge_of_a_ball_is_the_reference_segment(self, structures, name, radius):
+        # the builder's tree step writes the segment the reference spells
+        # out from the edge's words
+        s = structures[name]()
+        edges = [e for e in build_ball(s, radius).edges if e.classification is EdgeKind.DEGENERATE]
+        assert edges
+        for e in edges:
+            y, a = e.source.canonical, e.label
+            assert degenerate_diagram((y, a), s) == segment(s, y, a)
+
 
 class TestRecursiveDiagram:
     def test_single_face_for_t_a(self, bs2):
@@ -129,7 +146,7 @@ class TestRecursiveDiagram:
     def test_mirror_reverses_boundary(self, bs2):
         al = bs2.alphabet
         d = recursive_diagram((al.word("t"), al.index("a")), bs2)
-        m = d.mirror()
+        m = mirror(d)
         assert m.boundary_word() == d.boundary_word().inverse()
         assert area(m) == area(d) and m.euler_characteristic() == 1
 
@@ -155,14 +172,14 @@ class TestRecursiveDiagram:
 class TestSeashellGlue:
     def test_wedge_on_empty_shared_path(self, bs2):
         al = bs2.alphabet
-        seg = degenerate_diagram((al.empty(), al.index("a")), bs2)
+        seg = segment(bs2, al.empty(), al.index("a"))
         g = seashell_glue(empty_diagram(al), seg, al.empty())
         assert str(g.boundary_word()) == "a A"
 
     def test_label_mismatch_rejected(self, bs2):
         al = bs2.alphabet
-        seg_a = degenerate_diagram((al.empty(), al.index("a")), bs2)
-        seg_t = degenerate_diagram((al.empty(), al.index("t")), bs2)
+        seg_a = segment(bs2, al.empty(), al.index("a"))
+        seg_t = segment(bs2, al.empty(), al.index("t"))
         with pytest.raises(DiagramError):
             seashell_glue(seg_a, seg_t, al.word("a"))
 
@@ -321,6 +338,40 @@ def test_commutator_exports_pinned(bs2, n):
     assert digest == COMMUTATOR_JSON_SHA256[n]
 
 
+def pinned_diagrams(structures):
+    """The fillings of the bs1p:2 commutators for n = 1..6 and of the words
+    the fold reference is checked on, then the diagram of every edge of B(2)
+    for bs1p:2 and crs:z2, each on a fresh structure."""
+    bs2 = structures["bs1p:2"]()
+    for n in range(1, 7):
+        yield build_filling_diagram(bs2, commutator(bs2.alphabet, n))
+    for name in FILL_STRUCTURES:
+        s = structures[name]()
+        for w in fill_words(s, name, 20, 24, seed=3):
+            yield build_filling_diagram(s, w)
+    for name in ("bs1p:2", "crs:z2"):
+        s = structures[name]()
+        for e in build_ball(s, 2).edges:
+            edge = (e.source.canonical, e.label)
+            if e.classification is EdgeKind.DEGENERATE:
+                yield degenerate_diagram(edge, s)
+            else:
+                yield recursive_diagram(edge, s)
+
+
+# One sha256 over the json and dot exports of ``pinned_diagrams``: a change
+# to how diagrams are built that keeps the diagrams keeps this digest.
+DIAGRAMS_SHA256 = "f42f11eecd2f374d3982de06fc63a2fbfa5d5a47f299c610eb121d780965f77e"
+
+
+def test_diagram_exports_pinned(structures):
+    digest = hashlib.sha256()
+    for d in pinned_diagrams(structures):
+        digest.update(export_diagram(d, "json"))
+        digest.update(export_diagram(d, "dot"))
+    assert digest.hexdigest() == DIAGRAMS_SHA256
+
+
 class TestPiecesAgainstFoldReference:
     """recursive_diagram returns the reference fold's memo piece for every
     memoized edge, and its mirror for the reverse orientation.  The edges are
@@ -335,7 +386,7 @@ class TestPiecesAgainstFoldReference:
         for (src, a), d in expected_memo.values():
             y = Word(al, src)
             y_ga = s.normal_form(y.append(a))
-            for e, expected in (((y, a), d), ((y_ga, al.inv(a)), d.mirror())):
+            for e, expected in (((y, a), d), ((y_ga, al.inv(a)), mirror(d))):
                 got = recursive_diagram(e, s, memo=memo)
                 assert export_diagram(got, "json") == export_diagram(expected, "json")
                 assert got == expected
