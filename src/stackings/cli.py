@@ -12,6 +12,8 @@ violation, 3 budget exceeded, 4 internal validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 from pathlib import Path
 
@@ -92,27 +94,31 @@ def _write_output(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def _write_report(report_json: str, path: str | None) -> None:
+def _write_report(report, path: str | None) -> None:
+    """Write ``report``, a dict or a record with ``to_json``, to ``path``
+    as JSON; encode nothing when no path is given."""
     if path is not None:
-        Path(path).write_text(report_json + "\n")
+        text = json.dumps(report, indent=2) if isinstance(report, dict) else report.to_json()
+        Path(path).write_text(text + "\n")
 
 
 def cmd_nf(args) -> int:
     s = resolve_structure(args.structure, args.budget)
     nf, steps = stacking_reduce_steps(s, s.alphabet.word(args.word), args.budget)
-    print(str(nf))
+    text = str(nf)
+    print(text)
     print(f"steps: {steps}")
+    _write_report({"normal_form": text, "steps": steps}, args.report)
     return EXIT_OK
 
 
 def cmd_wp(args) -> int:
     s = resolve_structure(args.structure, args.budget)
-    nf, _ = stacking_reduce_steps(s, s.alphabet.word(args.word), args.budget)
-    if len(nf) == 0:
-        print("trivial")
-        return EXIT_OK
-    print("nontrivial")
-    return EXIT_FALSE
+    nf, steps = stacking_reduce_steps(s, s.alphabet.word(args.word), args.budget)
+    trivial = len(nf) == 0
+    print("trivial" if trivial else "nontrivial")
+    _write_report({"trivial": trivial, "normal_form": str(nf), "steps": steps}, args.report)
+    return EXIT_OK if trivial else EXIT_FALSE
 
 
 def cmd_vkd(args) -> int:
@@ -128,7 +134,7 @@ def cmd_vkd(args) -> int:
         s, [(Word(s.alphabet, src), a) for (src, a), _ in memo.values()]
     )
     report = validate_diagram(d, relators, w, s)
-    _write_report(report.to_json(), args.report)
+    _write_report(report, args.report)
     if not report.passed:
         print(report.summary(), file=sys.stderr)
         return EXIT_VALIDATION
@@ -144,7 +150,7 @@ def cmd_verify(args) -> int:
     ball = region.restricted(args.radius)
     report = verify_flow_properties(flow, ball, region)
     print(report.summary())
-    _write_report(report.to_json(), args.report)
+    _write_report(report, args.report)
     if args.structure.startswith("shortlex-ac:"):
         geo = verify_geodesic_stacking(flow, ball, region)
         print(geo.summary())
@@ -157,26 +163,30 @@ def cmd_ac_check(args) -> int:
     s = resolve_structure(args.structure, args.budget)
     report = almost_convexity_check(s, args.radius, args.k)
     print(report.summary())
-    _write_report(report.to_json(), args.report)
+    _write_report(report, args.report)
     return EXIT_OK if report.passed else EXIT_FALSE
 
 
 def cmd_thompson_nf(args) -> int:
-    w = thompson_alphabet().word(args.word)
-    if thompson_f_in_C(w):
-        print("accepted")
-        return EXIT_OK
-    print("rejected")
-    return EXIT_FALSE
+    accepted = thompson_f_in_C(thompson_alphabet().word(args.word))
+    print("accepted" if accepted else "rejected")
+    _write_report({"accepted": accepted}, args.report)
+    return EXIT_OK if accepted else EXIT_FALSE
 
 
 def cmd_export_ball(args) -> int:
     ball = build_ball(resolve_structure(args.structure, args.budget), args.radius)
     _write_output((ball_to_json(ball) + "\n").encode(), args.out)
+    report = {"radius": ball.radius, "elements": len(ball.elements), "edges": len(ball.edges)}
+    _write_report(report, args.report)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first one.  Each
+    subcommand's ``fn`` is its ``cmd_*`` function, which looks up the
+    library names it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="stackings",
         description="Stackable structures: normal forms, van Kampen diagrams, "

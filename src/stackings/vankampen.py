@@ -482,12 +482,12 @@ def _seashell(
             # image, so the walk built a piece.  Its boundary is
             # [out y_g][one entry per phi letter][back y_{ga}^-1]; capping the
             # phi arc with a new a-edge encloses the 2-cell labeled phi a^-1.
-            p, (nxt, fwd, key, mid_len) = b, edge
+            p, (nxt, key, mid_len) = b, edge
             b, cur, n, todo, edge = stack.pop()
-            p.cap(n, mid_len, fwd[1])  # y_g is at depth n
+            p.cap(n, mid_len, key[1])  # y_g is at depth n
             p.finish((cur, nxt))
             in_progress.discard(key)
-            memo[key] = (fwd, p)
+            memo[key] = ((word(cur).letters, key[1]), p)
             flip = False
         else:
             nxt = step(cur, x)
@@ -499,13 +499,14 @@ def _seashell(
                 b.tree_step(n, x, nxt, n_next)
                 cur, n = nxt, n_next
                 continue
-            fwd, bwd = (word(cur).letters, x), (word(nxt).letters, inverse[x])
-            key = min(fwd, bwd), max(fwd, bwd)
-            if key in memo:
-                stored, p = memo[key]
-                flip = stored != fwd
-            else:
-                if key in in_progress:
+            # an edge is stored once, keyed by the orientation built first
+            key, bwd = (cur, x), (nxt, inverse[x])
+            hit = memo.get(key)
+            flip = hit is None
+            if flip:
+                hit = memo.get(bwd)
+            if hit is None:
+                if key in in_progress or bwd in in_progress:
                     raise BudgetExceededError(
                         f"cyclic flow at edge ({word(cur)}, {alphabet.tokens[x]}): "
                         "well-foundedness violated"
@@ -518,8 +519,9 @@ def _seashell(
                 in_progress.add(key)
                 phi = s.phi_at(cur, x)
                 stack.append((b, cur, n, todo, edge))
-                b, todo, edge = None, iter(phi.letters), (nxt, fwd, key, len(phi))
+                b, todo, edge = None, iter(phi.letters), (nxt, key, len(phi))
                 continue
+            p = hit[1]
         if b is None:
             b = _DiagramBuilder.of_piece(p, flip)
         else:

@@ -241,7 +241,7 @@ def test_thompson_recognizer_exhaustive():
 def test_cmd_wp_agrees_with_affine_oracle(bs2):
     sink = io.StringIO()
     for w in all_words(bs2.alphabet, 8):
-        args = SimpleNamespace(structure="bs1p:2", word=str(w), budget=10**5)
+        args = SimpleNamespace(structure="bs1p:2", word=str(w), budget=10**5, report=None)
         with contextlib.redirect_stdout(sink):
             code = cmd_wp(args)
         assert (code == EXIT_OK) == affine_trivial(w)

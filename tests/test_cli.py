@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -40,6 +41,15 @@ class TestNf:
         code, _, err = run(capsys, *args, "--budget", "2")
         assert code == 3 and "budget exceeded" in err
 
+    def test_report(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "nf", "--structure", "bs1p:2", "--word", "t a T",
+            "--report", str(report),
+        )
+        assert code == 0 and out.splitlines() == ["a a", "steps: 1"]
+        assert json.loads(report.read_text()) == {"normal_form": "a a", "steps": 1}
+
 
 class TestWp:
     def test_trivial(self, capsys):
@@ -49,6 +59,17 @@ class TestWp:
     def test_nontrivial(self, capsys):
         code, out, _ = run(capsys, "wp", "--structure", "bs1p:2", "--word", "a")
         assert code == 1 and out.strip() == "nontrivial"
+
+    @pytest.mark.parametrize("word, code, expected", [
+        ("t a T A A", 0, {"trivial": True, "normal_form": "", "steps": 1}),
+        ("t a T", 1, {"trivial": False, "normal_form": "a a", "steps": 1}),
+    ])
+    def test_report(self, capsys, tmp_path, word, code, expected):
+        report = tmp_path / "r.json"
+        got, _, _ = run(
+            capsys, "wp", "--structure", "bs1p:2", "--word", word, "--report", str(report)
+        )
+        assert got == code and json.loads(report.read_text()) == expected
 
     def test_prefix_normal_form_out_of_budget_reach(self, capsys):
         # the prefix t^40 a T^40 has the normal form a^(2^40): stacking
@@ -187,6 +208,13 @@ class TestThompsonNf:
         code, out, _ = run(capsys, "thompson-nf", "--word", "x1 x0")
         assert code == 1 and out.strip() == "rejected"
 
+    @pytest.mark.parametrize("word, code", [("X0 x1 x0", 0), ("x1 x0", 1)])
+    def test_report(self, capsys, tmp_path, word, code):
+        report = tmp_path / "r.json"
+        got, _, _ = run(capsys, "thompson-nf", "--word", word, "--report", str(report))
+        assert got == code
+        assert json.loads(report.read_text()) == {"accepted": code == 0}
+
 
 class TestExportBall:
     def test_json_shape(self, capsys):
@@ -196,6 +224,18 @@ class TestExportBall:
         assert code == 0
         data = json.loads(out)
         assert data["radius"] == 2 and len(data["elements"]) > 1
+
+    def test_report_counts_what_is_exported(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "export-ball", "--structure", "bs1p:2", "--radius", "2",
+            "--report", str(report),
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert json.loads(report.read_text()) == {
+            "radius": 2, "elements": len(data["elements"]), "edges": len(data["edges"])
+        }
 
     def test_element_cap_is_a_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_ball", partial(build_ball, max_elements=50))
@@ -346,3 +386,59 @@ def test_pinned_outputs(capsys, tmp_path, z2_rules_file):
         record = [list(call), code, out.replace(tmp, "{tmp}"), err.replace(tmp, "{tmp}"), files]
         digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+COMMANDS = ["nf", "wp", "vkd", "verify", "ac-check", "thompson-nf", "export-ball"]
+
+# Calls that the parser answers (help and usage errors), with one call that
+# runs a command between the errors.
+PARSER_CALLS = [
+    (),
+    ("nope",),
+    ("nf", "--structure", "bs1p:2"),
+    ("nf", "--structure", "bs1p:2", "--word", "t a T"),
+    ("vkd", "--structure", "bs1p:2", "--word", "t a T A A", "--format", "png"),
+    ("verify", "--structure", "bs1p:2", "--radius", "x"),
+    ("--help",),
+    *[(command, "--help") for command in COMMANDS],
+]
+PARSER_SHA256 = "4c6119d00994ce25eb493e36aaf272cfe77a47d775db1202c8892d063d39f582"
+
+
+def run_parser_call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_outputs_pinned_and_repeatable(capsys, monkeypatch):
+    """Exit code, stdout and stderr of the parser-level calls hash to a fixed
+    digest, and a second pass in the same process gives the same one, so the
+    one parser of all ``main`` calls keeps nothing from an earlier call."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at this width
+    digests = []
+    for _ in range(2):
+        digest = hashlib.sha256()
+        for call in PARSER_CALLS:
+            record = [list(call), *run_parser_call(capsys, list(call))]
+            digest.update(json.dumps(record).encode())
+        digests.append(digest.hexdigest())
+    assert digests == [PARSER_SHA256, PARSER_SHA256]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, "thompson-nf", "--word", "x0")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for call in PARSER_CALLS:
+        run_parser_call(capsys, list(call))
+    assert built == []

@@ -266,9 +266,8 @@ class TestAgainstFoldReference:
         assert export_diagram(d, "json") == export_diagram(expected, "json")
         assert d == expected  # the cells in the same order, too
         assert_json_export(d)
-        assert [(k, v[0]) for k, v in memo.items()] == [
-            (k, v[0]) for k, v in expected_memo.items()
-        ]
+        # the library keys its memo on nodes, the reference on words
+        assert [v[0] for v in memo.values()] == [v[0] for v in expected_memo.values()]
 
     @pytest.mark.parametrize("n", range(7))
     def test_bs12_commutators(self, bs2, n):
@@ -391,9 +390,8 @@ class TestPiecesAgainstFoldReference:
                 assert export_diagram(got, "json") == export_diagram(expected, "json")
                 assert got == expected
                 assert_json_export(got)
-        assert [(k, v[0]) for k, v in memo.items()] == [
-            (k, v[0]) for k, v in expected_memo.items()
-        ]
+        # the library keys its memo on nodes, the reference on words
+        assert [v[0] for v in memo.values()] == [v[0] for v in expected_memo.values()]
 
     @pytest.mark.parametrize("n", range(6))
     def test_bs12_commutators(self, bs2, n):
