@@ -8,7 +8,6 @@ contribute recursively-filled lobes capped by a single 2-cell.
 from pathlib import Path
 
 from stackings import (
-    area,
     bs1p_structure,
     build_filling_diagram,
     export_diagram,
@@ -24,7 +23,7 @@ def main() -> None:
     print("== areas of three trivial words ==")
     for text in ["a A", "t a T A A", "t t a T T A A A A"]:
         d = build_filling_diagram(s, al.word(text))
-        print(f"  {text!r:24} area {area(d)}, "
+        print(f"  {text!r:24} area {len(d.faces)}, "
               f"V-E+F = {d.euler_characteristic()}")
 
     w = al.word("t t a T T A A A A")
@@ -36,7 +35,7 @@ def main() -> None:
     out = Path("diagram.svg")
     out.write_bytes(export_diagram(d, "svg"))
     print(f"\n  drawing written to {out} "
-          f"({len(d.vertices)} vertices, {len(d.edges)} edges, {area(d)} faces)")
+          f"({len(d.vertices)} vertices, {len(d.edges)} edges, {len(d.faces)} faces)")
 
 
 if __name__ == "__main__":

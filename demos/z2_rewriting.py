@@ -11,7 +11,7 @@ from stackings import (
     crs_structure,
     prefix_rewrite_length,
     reduce_to_irreducible,
-    stacking_reduce,
+    stacking_reduce_steps,
     z2_system,
 )
 
@@ -25,7 +25,7 @@ def main() -> None:
     for text in ["b a", "b b a a", "B a A b"]:
         w = al.word(text)
         irreducible = reduce_to_irreducible(S, w)
-        stack = stacking_reduce(s, w)
+        stack, _ = stacking_reduce_steps(s, w)
         print(f"  {text!r:12} -> {str(irreducible)!r:10} (stacking agrees: {irreducible == stack})")
 
     print("\n== prl decreases along the flow ==")

@@ -27,7 +27,6 @@ from .cayley import (
     alpha,
     ball_to_json,
     build_ball,
-    free_group_oracle,
 )
 from .errors import (
     AlmostConvexityError,
@@ -48,9 +47,7 @@ from .rewriting import (
     load_rewriting_system,
     minimize,
     prefix_rewrite_length,
-    prefix_rewrite_step,
     reduce_to_irreducible,
-    word_problem,
     z2_system,
 )
 from .stacking import (
@@ -58,23 +55,18 @@ from .stacking import (
     FlowReport,
     GeodesicReport,
     StackingStructure,
-    s_phi_membership,
-    stacking_reduce,
     stacking_reduce_steps,
     stacking_relation_set,
     verify_flow_properties,
     verify_geodesic_stacking,
-    word_problem_via_stacking,
 )
 from .vankampen import (
     ValidationReport,
     VanKampenDiagram,
-    area,
     build_filling_diagram,
-    degenerate_diagram,
+    edge_diagram,
     export_diagram,
     import_diagram,
-    recursive_diagram,
     validate_diagram,
 )
 from .words import Alphabet, Word, cyclic_rotations, parse_sections

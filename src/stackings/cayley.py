@@ -13,9 +13,9 @@ letter, and recursive otherwise.  Elements are keyed by their canonical
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import BudgetExceededError, StackingsError, StructureError
@@ -23,7 +23,6 @@ from .words import Alphabet, Word
 
 __all__ = [
     "FunctionOracle",
-    "free_group_oracle",
     "NormalFormTree",
     "GroupElement",
     "EdgeKind",
@@ -121,14 +120,15 @@ class FunctionOracle(NormalFormTree):
     word to the normal form of its element: a node is such a word, and a
     step asks ``fn`` once.
 
-    ``fn`` is asked once per distinct word, the empty word included, so a
-    bad normal form of the empty word is found.
+    ``fn`` is asked once per distinct word.  The empty word is asked first,
+    at construction, and a nonempty normal form of it is refused.
     """
 
     def __init__(self, alphabet: Alphabet, fn: Callable[[Word], Word]) -> None:
         super().__init__(alphabet, alphabet.empty())
         self.fn = fn
-        self._nodes = {}
+        if fn(self.root).letters:
+            raise StructureError("normal form of the empty word must be empty")
 
     def node(self, w: Word) -> Word:
         y = self._nodes.get(w.letters)
@@ -158,11 +158,6 @@ class FunctionOracle(NormalFormTree):
         return y
 
 
-def free_group_oracle(alphabet: Alphabet) -> FunctionOracle:
-    """Free reduction as a normal-form oracle (free group on the pairs)."""
-    return FunctionOracle(alphabet, lambda w: w.free_reduce())
-
-
 @dataclass(frozen=True)
 class GroupElement:
     canonical: Word
@@ -180,10 +175,6 @@ class DirectedEdge:
     label: int
     target: GroupElement
     classification: EdgeKind
-
-    def reversed(self) -> "DirectedEdge":
-        inv = self.source.canonical.alphabet.inv(self.label)
-        return DirectedEdge(self.target, inv, self.source, self.classification)
 
     def __str__(self) -> str:
         tok = self.source.canonical.alphabet.tokens[self.label]
@@ -211,9 +202,6 @@ class Ball:
 
     def edge(self, source: Word, label: int) -> DirectedEdge | None:
         return self.edge_index.get((source.letters, label))
-
-    def sphere(self, n: int) -> list[GroupElement]:
-        return [g for g in self.sorted_elements() if g.distance == n]
 
     def sorted_elements(self) -> list[GroupElement]:
         return sorted(self.elements.values(), key=lambda g: g.canonical.shortlex_key())
@@ -245,8 +233,6 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     """
     tree = getattr(oracle, "tree", oracle)
     alphabet = tree.alphabet
-    if tree.depth(tree.node(alphabet.empty())) != 0:
-        raise StructureError("normal form of the empty word must be empty")
     step, degenerate, word = tree.step, tree.degenerate, tree.word
     letters = range(len(alphabet))
 
@@ -304,26 +290,39 @@ def alpha(e: DirectedEdge) -> Fraction:
     return Fraction(e.source.distance + e.target.distance, 2)
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of the encoded ``items`` as ``json.dumps(..., indent=2)``
+    lays it out at ``indent``.  The json writers build their text with it,
+    as that call's indented form runs the pure-Python encoder."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
 def ball_to_json(ball: Ball) -> str:
-    """Debug dump: elements with distances, edges with classifications."""
-    data = {
-        "radius": ball.radius,
-        "generators": list(ball.alphabet.tokens),
-        "elements": [
-            {"word": str(g.canonical), "distance": g.distance}
-            for g in ball.sorted_elements()
-        ],
-        "edges": [
-            {
-                "source": str(e.source.canonical),
-                "label": ball.alphabet.tokens[e.label],
-                "target": str(e.target.canonical),
-                "classification": e.classification.value,
-            }
-            for e in sorted(
-                ball.edges,
-                key=lambda e: (e.source.canonical.shortlex_key(), e.label),
-            )
-        ],
-    }
-    return json.dumps(data, indent=2)
+    """Debug dump: elements with distances, edges with classifications, in
+    the layout of ``json.dumps(obj, indent=2)``, written by :func:`_json_list`."""
+    tokens = [encode_basestring_ascii(t) for t in ball.alphabet.tokens]
+    elements = [
+        '{\n      "word": %s,\n      "distance": %d\n    }'
+        % (encode_basestring_ascii(str(g.canonical)), g.distance)
+        for g in ball.sorted_elements()
+    ]
+    edges = [
+        '{\n      "source": %s,\n      "label": %s,\n      "target": %s,\n'
+        '      "classification": "%s"\n    }'
+        % (
+            encode_basestring_ascii(str(e.source.canonical)),
+            tokens[e.label],
+            encode_basestring_ascii(str(e.target.canonical)),
+            e.classification.value,
+        )
+        for e in sorted(ball.edges, key=lambda e: (e.source.canonical.shortlex_key(), e.label))
+    ]
+    return '{\n  "radius": %d,\n  "generators": %s,\n  "elements": %s,\n  "edges": %s\n}' % (
+        ball.radius,
+        _json_list(tokens, "  "),
+        _json_list(elements, "  "),
+        _json_list(edges, "  "),
+    )

@@ -26,11 +26,9 @@ __all__ = [
     "CompletenessReport",
     "is_irreducible",
     "reduce_to_irreducible",
-    "prefix_rewrite_step",
     "prefix_rewrite_length",
     "minimize",
     "check_complete",
-    "word_problem",
     "load_rewriting_system",
     "z2_system",
     "bs12_system",
@@ -210,28 +208,9 @@ def reduce_to_irreducible(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUD
     return _prefix_rewrite(S, w, budget)[0]
 
 
-def prefix_rewrite_step(S: RewritingSystem, w: Word) -> Word:
-    """Rewrite the shortest reducible prefix of ``w``.
-
-    The minimality of the prefix forces the rule lhs to occur as a suffix
-    of that prefix.  Raises :class:`StructureError` if ``w`` is irreducible.
-    """
-    hit = next(_redexes(S, w.letters), None)
-    if hit is None:
-        raise StructureError("nothing to rewrite: word is irreducible")
-    end, rule = hit
-    letters = w.letters
-    return Word(S.alphabet, letters[: end - len(rule.lhs)] + rule.rhs.letters + letters[end:])
-
-
 def prefix_rewrite_length(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUDGET) -> int:
     """Number of prefix rewriting steps from ``w`` to an irreducible word."""
     return _prefix_rewrite(S, w, budget)[1]
-
-
-def word_problem(S: RewritingSystem, u: Word, v: Word, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff ``u`` and ``v`` reduce to the same irreducible word."""
-    return reduce_to_irreducible(S, u, budget) == reduce_to_irreducible(S, v, budget)
 
 
 # ---------------------------------------------------------------------------

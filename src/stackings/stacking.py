@@ -35,11 +35,8 @@ from .words import Alphabet, Word, symmetrized_closure
 __all__ = [
     "StackingStructure",
     "FlowFunction",
-    "stacking_reduce",
     "stacking_reduce_steps",
     "stacking_relation_set",
-    "s_phi_membership",
-    "word_problem_via_stacking",
     "FlowReport",
     "GeodesicReport",
     "verify_flow_properties",
@@ -68,8 +65,6 @@ class StackingStructure:
     def __post_init__(self) -> None:
         if self.tree is None:
             self.tree = FunctionOracle(self.alphabet, lambda w: self.normal_form_fn(w))
-        if len(self.normal_form(self.alphabet.empty())) != 0:
-            raise StructureError("normal form of the empty word must be empty")
 
     def normal_form(self, w: Word) -> Word:
         return self.tree.normal_form(w)
@@ -133,22 +128,16 @@ class FlowFunction:
         return out
 
 
-def stacking_reduce(
+def stacking_reduce_steps(
     s: StackingStructure, w: Word, budget: int = DEFAULT_BUDGET
-) -> Word:
-    """Normal form of ``w`` by the stacking reduction procedure.
+) -> tuple[Word, int]:
+    """Normal form of ``w`` by the stacking reduction procedure, and the
+    number of rewrite steps; ``w`` is trivial exactly when the normal form
+    is empty.
 
     Repeatedly replaces the leftmost letter lying on a recursive edge by its
     phi image, then freely reduces.  The result is cross-checked against the
     fold of the normal-form tree's ``step`` over ``w``.
-    """
-    return stacking_reduce_steps(s, w, budget)[0]
-
-
-def stacking_reduce_steps(
-    s: StackingStructure, w: Word, budget: int = DEFAULT_BUDGET
-) -> tuple[Word, int]:
-    """As :func:`stacking_reduce`, also returning the number of rewrite steps.
 
     The letters read so far always spell a path of degenerate edges, so the
     loop keeps only the node at its end and a stack of unread letters, and
@@ -199,13 +188,6 @@ def stacking_reduce_steps(
     return tree.word(y), steps
 
 
-def word_problem_via_stacking(
-    s: StackingStructure, w: Word, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """True iff ``w`` represents the identity."""
-    return len(stacking_reduce(s, w, budget)) == 0
-
-
 def stacking_relation_set(
     s: StackingStructure, edge_sample: Iterable[tuple[Word, int]]
 ) -> set[Word]:
@@ -225,12 +207,6 @@ def stacking_relation_set(
         if len(r) > s.bound_k + 1:
             raise StructureError(f"relator {r} longer than k+1 = {s.bound_k + 1}")
     return closed
-
-
-def s_phi_membership(s: StackingStructure, w: Word, a: int, x: Word) -> bool:
-    """Membership in the decision set: x is the flow label of the edge from
-    rep(w) by a (the letter itself on degenerate edges, phi otherwise)."""
-    return x == FlowFunction(s).label(w, a)
 
 
 # ---------------------------------------------------------------------------

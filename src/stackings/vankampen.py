@@ -3,15 +3,16 @@
 A diagram stores vertices labeled by normal-form words, one record per
 undirected edge with a signed-id traversal convention (+k traverses edge k
 along its stored direction, -k against it), faces as closed signed walks,
-a basepoint, and the boundary walk.  All construction, a degenerate edge's
-segment included, goes through one mutable builder on the structure's
-normal-form tree nodes that folds on tree segments, and by reference on
-recursive pieces, along basepoint paths (seashell gluing) and caps each
-recursive edge with its 2-cell, so planarity and contractibility hold by
-construction; freezing the builder writes every diagram the library makes
-(``import_diagram`` reads one), each cell once, with its node spelled as a
-word, and ``validate_diagram`` audits the result via the Euler
-characteristic.
+a basepoint, and the boundary walk.  ``edge_diagram`` builds the diagram of
+one edge (a degenerate edge's segment or a recursive edge's piece) and
+``build_filling_diagram`` the filling of a trivial word, both with one
+mutable builder on the structure's normal-form tree nodes that folds on
+tree segments, and by reference on recursive pieces, along basepoint paths
+(seashell gluing) and caps each recursive edge with its 2-cell, so
+planarity and contractibility hold by construction; freezing the builder
+writes every diagram the library makes (``import_diagram`` reads one),
+each cell once, with its node spelled as a word, and ``validate_diagram``
+audits the result via the Euler characteristic.
 
 Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
+from .cayley import _json_list
 from .errors import BudgetExceededError, DiagramError, FormatError
 from .rewriting import DEFAULT_BUDGET
 from .stacking import StackingStructure
@@ -30,12 +32,10 @@ from .words import Alphabet, Word
 
 __all__ = [
     "VanKampenDiagram",
-    "degenerate_diagram",
-    "recursive_diagram",
+    "edge_diagram",
     "build_filling_diagram",
     "ValidationReport",
     "validate_diagram",
-    "area",
     "export_diagram",
     "import_diagram",
 ]
@@ -83,48 +83,28 @@ class VanKampenDiagram:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
 
-def area(d: VanKampenDiagram) -> int:
-    """Number of 2-cells."""
-    return len(d.faces)
-
-
-def degenerate_diagram(e: tuple[Word, int], s: StackingStructure) -> VanKampenDiagram:
-    """Zero-face segment for a degenerate edge, built as one tree step of
-    the builder; boundary word is y_g a y_{ga}^{-1} with the doubled step
-    collapsed into the segment."""
-    w, a = e
-    tree = s.tree
-    y_g = tree.node(w)
-    y_ga = tree.step(y_g, a)
-    if not tree.degenerate(y_g, a, y_ga):
-        raise DiagramError(
-            f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not degenerate"
-        )
-    return _seashell(s, None, y_g, (a,), {}, DEFAULT_BUDGET).freeze(tree)
-
-
-def recursive_diagram(
+def edge_diagram(
     e: tuple[Word, int],
     s: StackingStructure,
     memo: dict | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> VanKampenDiagram:
-    """Normal-form diagram of a recursive edge, by Noetherian recursion on
-    the flow: seashell-glue the diagrams of the edges of Phi(e), then attach
-    one 2-cell labeled by the stacking relator phi(e) a^{-1}.
+    """Normal-form diagram of the edge ``e = (word, letter)`` of ``s``, with
+    boundary word y_g a y_{ga}^{-1}.
 
-    Memoized per undirected edge; the orientation constructed first is
-    stored and the reverse orientation is its piece read backwards.  A
-    cyclic flow or an explosion of distinct edges exhausts ``budget``.
+    A degenerate edge gives the zero-face segment of one tree step of the
+    builder.  A recursive edge gives its piece, by Noetherian recursion on
+    the flow: seashell-glue the diagrams of the edges of Phi(e), then attach
+    one 2-cell labeled by the stacking relator phi(e) a^{-1}.  Pieces are
+    memoized per undirected edge in ``memo``; the orientation constructed
+    first is stored and the reverse orientation is its piece read
+    backwards.  A cyclic flow or an explosion of distinct edges exhausts
+    ``budget``.
     """
     if memo is None:
         memo = {}
     w, a = e
-    tree = s.tree
-    y_g = tree.node(w)
-    if tree.degenerate(y_g, a, tree.step(y_g, a)):
-        raise DiagramError(f"edge ({tree.word(y_g)}, {s.alphabet.tokens[a]}) is not recursive")
-    return _seashell(s, None, y_g, (a,), memo, budget).freeze(tree)
+    return _seashell(s, None, s.tree.node(w), (a,), memo, budget).freeze(s.tree)
 
 
 class _Glue:
@@ -718,15 +698,6 @@ def validate_diagram(
 
 # ---------------------------------------------------------------------------
 # Export / import.
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON array of the encoded ``items`` as ``json.dumps(..., indent=2)``
-    lays it out at ``indent``."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _diagram_json(d: VanKampenDiagram) -> str:

@@ -8,14 +8,15 @@ relator and cancellation insertion, an exhaustive minimal-area search by
 bounded relator application, the word that cancels a letter by trying
 every word, shortlex representatives by enumerating all words, Cayley
 balls by enumerating all words, leftmost-occurrence rewriting with a
-brute-force subword search, the two clauses of the Thompson's F normal
+brute-force subword search, one prefix rewriting step by trying every
+subword, the two clauses of the Thompson's F normal
 form language evaluated directly, the seashell filling built letter by
 letter from whole diagrams, with its own segments, mirror and gluing,
 the basepoint-path check of a diagram's vertex words walked from the
 basepoint one vertex at a time, a structure's normal-form tree stepped
 from its root, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
-the object a diagram's json export encodes, almost convexity by trying
+the objects a diagram's and a ball's json exports encode, almost convexity by trying
 every word and searching every pair, and symmetrized relator sets by
 their definition.
 """
@@ -240,6 +241,27 @@ def leftmost_reduce(S, w: Word, budget: int = 10**6) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# One prefix rewriting step by trying every subword: the shortest prefix with
+# an lhs as a subword ends with that lhs, and the lowest-index rule whose lhs
+# ends there rewrites it.
+
+
+def prefix_rewrite_step_reference(S, w: Word) -> Word | None:
+    """``w`` after one prefix rewriting step; None if it is irreducible."""
+    first = {}  # lhs -> (index, rule) of the lowest-index rule with it
+    for i, rule in enumerate(S.rules):
+        first.setdefault(rule.lhs.letters, (i, rule))
+    lengths = sorted({len(lhs) for lhs in first})
+    letters = w.letters
+    for end in range(1, len(letters) + 1):
+        hits = [first[x] for n in lengths if n <= end and (x := letters[end - n : end]) in first]
+        if hits:
+            rule = min(hits, key=lambda hit: hit[0])[1]
+            return Word(w.alphabet, letters[: end - len(rule.lhs)] + rule.rhs.letters + letters[end:])
+    return None
+
+
+# ---------------------------------------------------------------------------
 # The irreducible form of a letter by trying every word: the shortlex least
 # word z, avoiding one letter, whose product with the inverse letter b
 # rewrites to the empty word.
@@ -452,8 +474,9 @@ def seashell_fill_reference(s, w: Word) -> tuple[VanKampenDiagram, dict]:
 
 
 # ---------------------------------------------------------------------------
-# A diagram's json export as the object that ``json.dumps(obj, indent=2)``
-# encodes: ids in order, words and letters as text.
+# A diagram's or a ball's json export as the object that
+# ``json.dumps(obj, indent=2)`` encodes: ids, elements and edges in order,
+# words and letters as text.
 
 
 def diagram_json_obj(d: VanKampenDiagram) -> dict:
@@ -466,6 +489,27 @@ def diagram_json_obj(d: VanKampenDiagram) -> dict:
         ],
         "faces": [{"id": fid, "boundary": list(walk)} for fid, walk in sorted(d.faces)],
         "boundary": list(d.boundary),
+    }
+
+
+def ball_json_obj(ball: Ball) -> dict:
+    tokens = ball.alphabet.tokens
+    return {
+        "radius": ball.radius,
+        "generators": list(tokens),
+        "elements": [
+            {"word": str(g.canonical), "distance": g.distance}
+            for g in sorted(ball.elements.values(), key=lambda g: g.canonical.shortlex_key())
+        ],
+        "edges": [
+            {
+                "source": str(e.source.canonical),
+                "label": tokens[e.label],
+                "target": str(e.target.canonical),
+                "classification": e.classification.value,
+            }
+            for e in sorted(ball.edges, key=lambda e: (e.source.canonical.shortlex_key(), e.label))
+        ],
     }
 
 

@@ -20,17 +20,15 @@ from stackings import (
     FunctionOracle,
     Word,
     almost_convexity_check,
-    area,
     bs12_system,
     bs1p_structure,
     build_ball,
     build_filling_diagram,
     crs_structure,
-    free_group_oracle,
     prefix_rewrite_length,
     reduce_to_irreducible,
     shortlex_ac_structure,
-    stacking_reduce,
+    stacking_reduce_steps,
     stacking_relation_set,
     thompson_alphabet,
     thompson_f_in_C,
@@ -127,7 +125,7 @@ def test_flow_axioms_z2_radius_6(z2struct):
 def test_stacking_reduce_equals_rewriting_z2(z2S, z2struct):
     for w in all_words(z2S.alphabet, 8):
         assert (
-            stacking_reduce(z2struct, w).letters
+            stacking_reduce_steps(z2struct, w)[0].letters
             == reduce_to_irreducible(z2S, w).letters
         )
 
@@ -181,10 +179,10 @@ def test_fillings_of_random_trivial_words_validate(bs2):
 
 def test_concrete_areas(bs2):
     al = bs2.alphabet
-    assert area(build_filling_diagram(bs2, al.word("a A"))) == 0
-    assert area(build_filling_diagram(bs2, al.word("t a T A A"))) == 1
+    assert len(build_filling_diagram(bs2, al.word("a A")).faces) == 0
+    assert len(build_filling_diagram(bs2, al.word("t a T A A")).faces) == 1
     w = al.word("t t a T T A A A A")
-    assert area(build_filling_diagram(bs2, w)) == 3
+    assert len(build_filling_diagram(bs2, w).faces) == 3
     assert min_area_at_most(w, [al.word("t a T A A")], max_faces=4) == 3
 
 
@@ -201,7 +199,7 @@ def test_almost_convexity_z2_and_free(z2oracle):
     witness = failing.failures[0]
     assert {"n", "g", "h"} <= set(witness)
     free = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-    assert almost_convexity_check(free_group_oracle(free), n_max=5, k_ac=2).passed
+    assert almost_convexity_check(FunctionOracle(free, Word.free_reduce), n_max=5, k_ac=2).passed
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from stackings import (
     bs1p_structure,
     crs_structure,
     expsum_x0,
-    free_group_oracle,
     load_rewriting_system,
     prefix_rewrite_length,
     reduce_to_irreducible,
@@ -310,7 +309,7 @@ class TestShortlexAC:
     @pytest.mark.parametrize("group, radius", [("z2", 6), ("bs12", 5), ("f2", 6)])
     def test_shortlex_ball_matches_enumeration(self, group, radius, z2oracle, bs2):
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        oracle = {"z2": z2oracle, "bs12": bs2, "f2": free_group_oracle(f2)}[group]
+        oracle = {"z2": z2oracle, "bs12": bs2, "f2": FunctionOracle(f2, Word.free_reduce)}[group]
         box = _ShortlexBall(oracle, radius)
         expected = shortlex_representatives(
             oracle.alphabet, lambda w: oracle.normal_form(w).letters, radius
@@ -405,7 +404,7 @@ class TestLeastConnectingWord:
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
         oracle = {
             "z2": z2oracle, "z2-reordered": z2_reordered_oracle(), "bs12": bs2,
-            "f2": free_group_oracle(f2), "c3": c3_oracle, "c5": c5_oracle,
+            "f2": FunctionOracle(f2, Word.free_reduce), "c3": c3_oracle, "c5": c5_oracle,
         }[group]
         box = _ShortlexBall(oracle, radius)
         words = sorted(box.slex.values(), key=Word.shortlex_key)
@@ -428,7 +427,7 @@ class TestAlmostConvexityCheck:
         # BS(1,2) is not almost convex: at k = 2 some pairs of S(3) are
         # joined only through S(4)
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        oracle = {"z2": z2oracle, "f2": free_group_oracle(f2), "c5": c5_oracle, "bs12": bs2}[group]
+        oracle = {"z2": z2oracle, "f2": FunctionOracle(f2, Word.free_reduce), "c5": c5_oracle, "bs12": bs2}[group]
         report = almost_convexity_check(oracle, n_max, k)
         assert report.to_json() == almost_convexity_reference(oracle, n_max, k).to_json()
 
@@ -443,7 +442,7 @@ class TestAlmostConvexityCheck:
 
     def test_free_group_passes(self):
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        report = almost_convexity_check(free_group_oracle(al), n_max=3, k_ac=2)
+        report = almost_convexity_check(FunctionOracle(al, Word.free_reduce), n_max=3, k_ac=2)
         assert report.passed
 
     def test_vacuous_at_zero(self, z2oracle):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from oracles import all_words, ball_reference, build_ball_reference, classify
+from oracles import all_words, ball_json_obj, ball_reference, build_ball_reference, classify
 from stackings import (
     BudgetExceededError,
     EdgeKind,
@@ -17,10 +18,9 @@ from stackings import (
     ball_to_json,
     bs1p_structure,
     build_ball,
-    free_group_oracle,
     reduce_to_irreducible,
 )
-from stackings.words import Alphabet
+from stackings.words import Alphabet, Word
 
 
 def tree_walk(ball, word):
@@ -78,10 +78,8 @@ class TestBallZ2:
 
     def test_sphere_sizes(self, z2oracle):
         ball = build_ball(z2oracle, 3)
-        assert len(ball.sphere(0)) == 1
-        assert len(ball.sphere(1)) == 4
-        assert len(ball.sphere(2)) == 8
-        assert len(ball.sphere(3)) == 12
+        spheres = Counter(g.distance for g in ball.elements.values())
+        assert spheres == {0: 1, 1: 4, 2: 8, 3: 12}
 
     def test_distances_are_word_metric(self, z2oracle):
         ball = build_ball(z2oracle, 4)
@@ -148,7 +146,7 @@ class TestBallBS12:
 class TestFreeGroup:
     def test_ball_growth(self):
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        ball = build_ball(free_group_oracle(al), 3)
+        ball = build_ball(FunctionOracle(al, Word.free_reduce), 3)
         # 1 + 4 + 12 + 36
         assert len(ball.elements) == 53
         assert all(e.classification is EdgeKind.DEGENERATE for e in ball.edges)
@@ -156,14 +154,14 @@ class TestFreeGroup:
     def test_max_elements_cap(self):
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
         with pytest.raises(BudgetExceededError, match="memory cap of 50 elements"):
-            build_ball(free_group_oracle(al), 5, max_elements=50)
+            build_ball(FunctionOracle(al, Word.free_reduce), 5, max_elements=50)
 
 
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("group, radius", [("z2", 5), ("bs12", 5), ("f2", 4)])
     def test_ball_matches_enumeration(self, group, radius, z2oracle, bs2):
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        oracle = {"z2": z2oracle, "bs12": bs2, "f2": free_group_oracle(f2)}[group]
+        oracle = {"z2": z2oracle, "bs12": bs2, "f2": FunctionOracle(f2, Word.free_reduce)}[group]
         ball = build_ball(oracle, radius)
         dist, edges = ball_reference(oracle, radius)
         assert {g: e.distance for g, e in ball.elements.items()} == dist
@@ -179,18 +177,11 @@ class TestAgainstEnumeration:
             z2S.alphabet, lambda w: calls.append(w) or reduce_to_irreducible(z2S, w)
         )
         ball = build_ball(oracle, 11)
-        # the root check, then each element times each letter
+        # the empty word at construction, then each element times each letter
         assert len(calls) == 1 + len(ball.elements) * len(z2S.alphabet)
 
 
 class TestEdgesAndAlpha:
-    def test_reversed_edge(self, z2oracle):
-        ball = build_ball(z2oracle, 2)
-        e = ball.edge(ball.alphabet.word("a"), ball.alphabet.index("b"))
-        r = e.reversed()
-        assert r.source == e.target and r.target == e.source
-        assert r.label == ball.alphabet.inv(e.label)
-
     def test_alpha_half_integers(self, z2oracle):
         ball = build_ball(z2oracle, 2)
         al = ball.alphabet
@@ -217,10 +208,10 @@ class TestEdgesAndAlpha:
         assert s.normal_form(w) is nf
 
     def test_bad_oracle_rejected(self):
+        # the empty word's normal form is asked for once, at construction
         al = Alphabet.from_pairs(("a", "A"), [("a", "A")])
-        bad = FunctionOracle(al, lambda w: al.word("a"))
-        with pytest.raises(StructureError):
-            build_ball(bad, 1)
+        with pytest.raises(StructureError, match="empty word"):
+            FunctionOracle(al, lambda w: al.word("a"))
 
     def test_prefix_edge_must_be_degenerate(self, z2S):
         # this tree makes "b" the parent of "a b" by the letter a; the edge
@@ -242,6 +233,13 @@ class TestJsonDump:
         assert len(data["elements"]) == 13
         classes = {e["classification"] for e in data["edges"]}
         assert classes <= {"degenerate", "recursive"}
+
+    @pytest.mark.parametrize("name", ["bs1p:2", "bs1p:3", "crs:z2", "crs:bs12"])
+    def test_text_is_what_json_dumps_prints(self, structures, name):
+        region = build_ball(structures[name](), 4)
+        for radius in range(5):
+            ball = region.restricted(radius)
+            assert ball_to_json(ball) == json.dumps(ball_json_obj(ball), indent=2)
 
 
 def shape(ball):
@@ -285,7 +283,7 @@ class TestAgainstWordLevelReference:
 
     def test_free_group_and_cap(self):
         al = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
-        oracle = free_group_oracle(al)
+        oracle = FunctionOracle(al, Word.free_reduce)
         assert shape(build_ball(oracle, 3)) == shape(build_ball_reference(oracle, 3))
         for build in (build_ball, build_ball_reference):
             with pytest.raises(StackingsError, match="memory cap"):

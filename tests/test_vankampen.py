@@ -25,14 +25,12 @@ from stackings import (
     StackingStructure,
     VanKampenDiagram,
     Word,
-    area,
     bs1p_structure,
     build_ball,
     build_filling_diagram,
-    degenerate_diagram,
+    edge_diagram,
     export_diagram,
     import_diagram,
-    recursive_diagram,
     stacking_relation_set,
     validate_diagram,
 )
@@ -81,8 +79,8 @@ def assert_json_export(d):
 class TestDegenerateDiagram:
     def test_one_edge_segment(self, bs2):
         al = bs2.alphabet
-        d = degenerate_diagram((al.empty(), al.index("a")), bs2)
-        assert area(d) == 0
+        d = edge_diagram((al.empty(), al.index("a")), bs2)
+        assert len(d.faces) == 0
         assert d.vertices == ((1, al.empty()), (2, al.word("a")))
         assert d.boundary == (1, -1)
         assert str(d.boundary_word()) == "a A"
@@ -90,14 +88,9 @@ class TestDegenerateDiagram:
     def test_truncation_direction(self, bs2):
         # from "a t" back by T: the longer endpoint spells the segment
         al = bs2.alphabet
-        d = degenerate_diagram((al.word("a t"), al.index("T")), bs2)
-        assert area(d) == 0
+        d = edge_diagram((al.word("a t"), al.index("T")), bs2)
+        assert len(d.faces) == 0
         assert str(d.boundary_word()) == "a t T A"
-
-    def test_rejects_recursive_edge(self, bs2):
-        al = bs2.alphabet
-        with pytest.raises(DiagramError):
-            degenerate_diagram((al.word("t"), al.index("a")), bs2)
 
     @pytest.mark.parametrize("name, radius", [
         ("bs1p:2", 6), ("bs1p:3", 5), ("crs:z2", 6), ("crs:bs12", 4), ("shortlex-ac:z2:8:2", 5),
@@ -110,45 +103,40 @@ class TestDegenerateDiagram:
         assert edges
         for e in edges:
             y, a = e.source.canonical, e.label
-            assert degenerate_diagram((y, a), s) == segment(s, y, a)
+            assert edge_diagram((y, a), s) == segment(s, y, a)
 
 
 class TestRecursiveDiagram:
     def test_single_face_for_t_a(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
-        assert area(d) == 1
+        d = edge_diagram((al.word("t"), al.index("a")), bs2)
+        assert len(d.faces) == 1
         assert str(d.boundary_word()) == "t a T A A"
         assert str(d.walk_word(d.faces[0][1])) == "T a a t A"
         assert len(d.vertices) == 5 and len(d.edges) == 5
 
-    def test_rejects_degenerate_edge(self, bs2):
-        al = bs2.alphabet
-        with pytest.raises(DiagramError):
-            recursive_diagram((al.word("a"), al.index("a")), bs2)
-
     def test_z2_commutator_face(self, z2struct):
         al = z2struct.alphabet
-        d = recursive_diagram((al.word("b"), al.index("a")), z2struct)
-        assert area(d) == 1
+        d = edge_diagram((al.word("b"), al.index("a")), z2struct)
+        assert len(d.faces) == 1
         assert str(d.walk_word(d.faces[0][1])) == "B a b A"
 
     def test_memo_serves_reverse_orientation_as_mirror(self, bs2):
         al = bs2.alphabet
         memo = {}
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
-        rev = recursive_diagram(
+        d = edge_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
+        rev = edge_diagram(
             (bs2.normal_form(al.word("t a")), al.index("A")), bs2, memo=memo
         )
-        assert area(rev) == area(d)
+        assert len(rev.faces) == len(d.faces)
         assert rev.boundary_word() == d.boundary_word().inverse()
 
     def test_mirror_reverses_boundary(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d = edge_diagram((al.word("t"), al.index("a")), bs2)
         m = mirror(d)
         assert m.boundary_word() == d.boundary_word().inverse()
-        assert area(m) == area(d) and m.euler_characteristic() == 1
+        assert len(m.faces) == len(d.faces) and m.euler_characteristic() == 1
 
     def test_cyclic_flow_detected(self, bs2):
         al = bs2.alphabet
@@ -158,15 +146,15 @@ class TestRecursiveDiagram:
         # the budget is far from spent: the edge (t, a) is met again while
         # its own piece is being built
         with pytest.raises(BudgetExceededError, match="cyclic flow"):
-            recursive_diagram((al.word("t"), al.index("a")), bad, budget=10**6)
+            edge_diagram((al.word("t"), al.index("a")), bad, budget=10**6)
 
     def test_one_budget_for_all_pieces(self, bs2):
         # the piece of (t t, a) is built from three pieces, its own included
         al = bs2.alphabet
         e = (al.word("t t"), al.index("a"))
-        assert area(recursive_diagram(e, bs2, budget=3)) == 3
+        assert len(edge_diagram(e, bs2, budget=3).faces) == 3
         with pytest.raises(BudgetExceededError, match="recursion budget exceeded"):
-            recursive_diagram(e, bs2, budget=2)
+            edge_diagram(e, bs2, budget=2)
 
 
 class TestSeashellGlue:
@@ -186,13 +174,13 @@ class TestSeashellGlue:
     def test_area_is_additive(self, bs2):
         al = bs2.alphabet
         memo = {}
-        d1 = recursive_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
+        d1 = edge_diagram((al.word("t"), al.index("a")), bs2, memo=memo)
         # continue from normal form a a t by another a: area 1 piece
-        d2 = recursive_diagram(
+        d2 = edge_diagram(
             (bs2.normal_form(al.word("t a")), al.index("a")), bs2, memo=memo
         )
         glued = seashell_glue(d1, d2, bs2.normal_form(al.word("t a")))
-        assert area(glued) == area(d1) + area(d2)
+        assert len(glued.faces) == len(d1.faces) + len(d2.faces)
         assert glued.euler_characteristic() == 1
 
 
@@ -201,13 +189,13 @@ class TestFilling:
         al = bs2.alphabet
         w = al.word("t t a T T A A A A")
         d = build_filling_diagram(bs2, w)
-        assert area(d) == 3
+        assert len(d.faces) == 3
         assert d.boundary_word() == w
 
     def test_area_zero_and_one(self, bs2):
         al = bs2.alphabet
-        assert area(build_filling_diagram(bs2, al.word("a A"))) == 0
-        assert area(build_filling_diagram(bs2, al.word("t a T A A"))) == 1
+        assert len(build_filling_diagram(bs2, al.word("a A")).faces) == 0
+        assert len(build_filling_diagram(bs2, al.word("t a T A A")).faces) == 1
 
     def test_phi_called_once_per_memoized_edge(self):
         # the trivial-word precondition asks the oracle; phi runs only to
@@ -226,7 +214,7 @@ class TestFilling:
 
     def test_budget_is_per_letter(self, bs2):
         # The pieces each recursive letter of w builds, counted by filling
-        # its edge with recursive_diagram on one memo in the order of w, as
+        # its edge with edge_diagram on one memo in the order of w, as
         # the filling does: more in all than for any one letter.
         al, tree = bs2.alphabet, bs2.tree
         w = commutator(al, 2)
@@ -236,7 +224,7 @@ class TestFilling:
             y_next = tree.step(y, x)
             if not tree.degenerate(y, x, y_next):
                 before = len(memo)
-                recursive_diagram((tree.word(y), x), bs2, memo=memo)
+                edge_diagram((tree.word(y), x), bs2, memo=memo)
                 counts.append(len(memo) - before)
             y = y_next
         most = max(counts)
@@ -351,11 +339,7 @@ def pinned_diagrams(structures):
     for name in ("bs1p:2", "crs:z2"):
         s = structures[name]()
         for e in build_ball(s, 2).edges:
-            edge = (e.source.canonical, e.label)
-            if e.classification is EdgeKind.DEGENERATE:
-                yield degenerate_diagram(edge, s)
-            else:
-                yield recursive_diagram(edge, s)
+            yield edge_diagram((e.source.canonical, e.label), s)
 
 
 # One sha256 over the json and dot exports of ``pinned_diagrams``: a change
@@ -372,7 +356,7 @@ def test_diagram_exports_pinned(structures):
 
 
 class TestPiecesAgainstFoldReference:
-    """recursive_diagram returns the reference fold's memo piece for every
+    """edge_diagram returns the reference fold's memo piece for every
     memoized edge, and its mirror for the reverse orientation.  The edges are
     asked for in the order the filling finished them, so each piece is built
     from the sub-pieces, in the orientations, that the filling used."""
@@ -386,7 +370,7 @@ class TestPiecesAgainstFoldReference:
             y = Word(al, src)
             y_ga = s.normal_form(y.append(a))
             for e, expected in (((y, a), d), ((y_ga, al.inv(a)), mirror(d))):
-                got = recursive_diagram(e, s, memo=memo)
+                got = edge_diagram(e, s, memo=memo)
                 assert export_diagram(got, "json") == export_diagram(expected, "json")
                 assert got == expected
                 assert_json_export(got)
@@ -436,7 +420,7 @@ class TestGlueByReference:
         # a tree step records a vertex and an edge, a cap an edge and a face
         recorded = sum(2 * sum(type(ev) is tuple for ev in b.events) for b in builders)
         cells = len(d.vertices) + len(d.edges) + len(d.faces)
-        assert area(d) == 2**9 - 2
+        assert len(d.faces) == 2**9 - 2
         assert recorded <= 1.5 * cells
 
 
@@ -450,7 +434,7 @@ class TestDeepFlow:
         w = al.word(" ".join(tokens))
         memo = {}
         d = build_filling_diagram(z2struct, w, memo=memo)
-        assert area(d) == 400
+        assert len(d.faces) == 400
         rels = stacking_relation_set(
             z2struct, [(Word(al, src), a) for (src, a), _ in memo.values()]
         )
@@ -631,11 +615,11 @@ class TestJsonExport:
 
     def test_one_edge_segment(self, bs2):
         al = bs2.alphabet
-        assert_json_export(degenerate_diagram((al.empty(), al.index("a")), bs2))
+        assert_json_export(edge_diagram((al.empty(), al.index("a")), bs2))
 
     def test_no_faces(self, bs2):
         d = build_filling_diagram(bs2, bs2.alphabet.word("a t T A"))
-        assert area(d) == 0 and d.edges
+        assert len(d.faces) == 0 and d.edges
         assert_json_export(d)
 
     def test_tokens_that_need_escapes(self):
@@ -650,7 +634,7 @@ class TestJsonExport:
 class TestExportImport:
     def test_json_round_trip_identity(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d = edge_diagram((al.word("t"), al.index("a")), bs2)
         blob = export_diagram(d, "json")
         restored = import_diagram(blob, al)
         assert restored == d
@@ -676,14 +660,14 @@ class TestExportImport:
 
     def test_exports_deterministic(self, bs2):
         al = bs2.alphabet
-        d1 = recursive_diagram((al.word("t"), al.index("a")), bs2)
-        d2 = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d1 = edge_diagram((al.word("t"), al.index("a")), bs2)
+        d2 = edge_diagram((al.word("t"), al.index("a")), bs2)
         for fmt in ("json", "dot", "svg"):
             assert export_diagram(d1, fmt) == export_diagram(d2, fmt)
 
     def test_dot_is_labeled_graph(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d = edge_diagram((al.word("t"), al.index("a")), bs2)
         text = export_diagram(d, "dot").decode()
         assert text.startswith("graph") and 'label="a"' in text
 
@@ -691,10 +675,10 @@ class TestExportImport:
         al = bs2.alphabet
         d = build_filling_diagram(bs2, al.word("t t a T T A A A A"))
         text = export_diagram(d, "svg").decode()
-        assert text.startswith("<svg") and text.count("<polygon") == area(d)
+        assert text.startswith("<svg") and text.count("<polygon") == len(d.faces)
 
     def test_unknown_format_rejected(self, bs2):
         al = bs2.alphabet
-        d = recursive_diagram((al.word("t"), al.index("a")), bs2)
+        d = edge_diagram((al.word("t"), al.index("a")), bs2)
         with pytest.raises(FormatError):
             export_diagram(d, "png")
