@@ -6,7 +6,7 @@
   like p^|w|.
 * ``crs_structure``: the stacking induced by a minimal finite complete
   rewriting system (normal forms = irreducible words, phi from the unique
-  prefix-rewriting rule).
+  prefix-rewriting rule), stepping the system's own trie.
 * ``shortlex_ac_structure``: the shortlex stacking of an almost convex
   pair, defined on a precomputed ball.
 * ``almost_convexity_check``: check of the almost convexity condition on
@@ -20,17 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .cayley import Ball, NormalFormTree, build_ball
 from .errors import (
     AlmostConvexityError,
-    BudgetExceededError,
     FormatError,
     OutsideExploredRegionError,
     StructureError,
 )
-from .rewriting import DEFAULT_BUDGET, Irreducible, RewritingSystem, _ends_with, _rewrite
+from .rewriting import DEFAULT_BUDGET, IrreducibleTree, RewritingSystem
 from .stacking import StackingStructure
 from .words import Alphabet, Word
 
@@ -193,66 +192,6 @@ def bs1p_structure(p: int) -> StackingStructure:
 # Stacking from a minimal finite complete rewriting system (prefix rewriting).
 
 
-class _IrreducibleTree(NormalFormTree):
-    """The trie of irreducible words, stepped by the prefix rewriting of
-    ``rewriting``: ``step(y, a)`` tries only the rules ending in ``a``
-    against the last letters of ``y``; on a match it climbs ``|lhs| - 1``
-    parents and steps through the rhs.  A step spends at most ``budget``
-    rewrites, and so does a walk, as rewriting its whole word would.
-    """
-
-    def __init__(self, S: RewritingSystem, budget: int) -> None:
-        super().__init__(S.alphabet, Irreducible())
-        self.S = S
-        self.budget = budget
-        self._images = {rule: rule.lhs[:-1].inverse() * rule.rhs for rule in S.rules}
-
-    def step(self, y: Irreducible, a: int) -> Irreducible:
-        node, _ = _rewrite(self.S, y, a, self.budget, 0)
-        if node is None:
-            self._out_of_budget(y, (a,))
-        return node
-
-    def walk(self, y: Irreducible, letters: Iterable[int]) -> Iterator[Irreducible]:
-        start, letters, rewrites = y, tuple(letters), 0
-        for a in letters:
-            y, rewrites = _rewrite(self.S, y, a, self.budget, rewrites)
-            if y is None:
-                self._out_of_budget(start, letters)
-            yield y
-
-    def _out_of_budget(self, y: Irreducible, letters: tuple[int, ...]) -> NoReturn:
-        w = Word(self.alphabet, y.letters + letters)
-        raise BudgetExceededError(f"system not terminating within budget on {w!r}")
-
-    def parent(self, y: Irreducible) -> Irreducible | None:
-        return y.parent
-
-    def last(self, y: Irreducible) -> int:
-        return y.letter
-
-    def depth(self, y: Irreducible) -> int:
-        return y.depth
-
-    def degenerate(self, y: Irreducible, a: int, t: Irreducible) -> bool:
-        # the trie holds one node per irreducible word
-        return (t.parent is y and t.letter == a) or (
-            y.parent is t and y.letter == self.alphabet.inverse[a]
-        )
-
-    def phi(self, y: Irreducible, a: int) -> Word:
-        rules = [
-            r.rule for r in self.S._by_last_letter.get(a, ()) if _ends_with(y, r.rest) is not None
-        ]
-        if len(rules) > 1:
-            raise StructureError("two rules apply: system not minimal")
-        if not rules:
-            raise StructureError(
-                f"no rule factors {self.word(y).append(a)}: system not minimal/complete"
-            )
-        return self._images[rules[0]]
-
-
 def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingStructure:
     """Stacking whose normal forms are the irreducible words of ``S``.
 
@@ -262,13 +201,14 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
     minimality gives a unique factorization y_g = w u~ with a rule
     u~ a -> v, and phi is u~^-1 v.
 
-    Its normal-form tree is the trie of irreducible words; ``budget``
-    bounds the rewriting steps of one normal form, as in
+    Its normal-form tree is the system's own trie of irreducible words,
+    which every structure on ``S`` and every reduction of ``S`` step and
+    grow; ``budget`` bounds the rewriting steps of one normal form, as in
     :func:`reduce_to_irreducible`.
     """
     if not S.claimed_complete:
         raise StructureError("crs_structure requires a system claimed complete")
-    tree = _IrreducibleTree(S, budget)
+    tree = IrreducibleTree(S, budget)
     bound_k = max((len(r.lhs) + len(r.rhs) for r in S.rules), default=1)
     return StackingStructure(
         S.alphabet, tree.normal_form, tree.phi, bound_k=bound_k, name="crs", tree=tree

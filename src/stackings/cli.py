@@ -150,13 +150,19 @@ def cmd_verify(args) -> int:
     ball = region.restricted(args.radius)
     report = verify_flow_properties(flow, ball, region)
     print(report.summary())
-    _write_report(report, args.report)
+    passed = report.passed
     if args.structure.startswith("shortlex-ac:"):
         geo = verify_geodesic_stacking(flow, ball, region)
         print(geo.summary())
-        if not geo.passed:
-            return EXIT_FALSE
-    return EXIT_OK if report.passed else EXIT_FALSE
+        passed = passed and geo.passed
+        if args.report is not None:
+            report = {
+                "passed": passed,
+                "flow": json.loads(report.to_json()),
+                "geodesic": json.loads(geo.to_json()),
+            }
+    _write_report(report, args.report)
+    return EXIT_OK if passed else EXIT_FALSE
 
 
 def cmd_ac_check(args) -> int:

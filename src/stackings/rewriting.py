@@ -5,9 +5,14 @@ shortest reducible prefix, by the lowest-index rule whose lhs ends there, and
 ``prl`` counts the steps.  For a complete system the irreducible word does
 not depend on the strategy, which ``check_complete`` confirms at desk scale
 by brute force.  Every redex search looks up the rules by the last letter of
-their lhs.  The rewriting keeps its irreducible prefix as a node of a trie
-of irreducible words, so a stacking structure can step its normal forms with
-the same loop (``builtin.crs_structure``).
+their lhs.
+
+Each system keeps one trie of the irreducible words its rewriting has met,
+grown as it goes.  Reductions and ``minimize``'s inverse search step it,
+and so does every ``IrreducibleTree``, the normal-form tree of the stacking
+of ``builtin.crs_structure``: a node gets a child only for an irreducible
+extension, which fires no rule, so the rewrites a step counts do not depend
+on how much of the trie is already grown.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
+from .cayley import NormalFormTree
 from .errors import BudgetExceededError, FormatError, StructureError
 from .words import Alphabet, Word, parse_sections, alphabet_from_sections
 
@@ -74,39 +80,31 @@ class RewritingSystem:
         for rule in self.rules:
             lhs, rhs = rule.lhs.letters, rule.rhs.letters
             index.setdefault(lhs[-1], []).append(
-                _IndexedRule(list(lhs), lhs[-2::-1], rhs[::-1], rule)
+                _IndexedRule(lhs[-2::-1], rhs[::-1], rule)
             )
         return index
 
     @cached_property
     def _trie(self) -> Irreducible:
-        """The root of the trie of the irreducible words that reductions
-        of this system have met, grown as they go."""
+        """The root of the trie of the irreducible words that this
+        system's reductions and crs structures have met, grown as they go."""
         return Irreducible()
 
 
 class _IndexedRule(NamedTuple):
-    lhs: list[int]
     rest: tuple[int, ...]  # the lhs without its last letter, reversed
     rhs: tuple[int, ...]  # reversed
     rule: RewriteRule
 
 
-def _rules_ending_at(S: RewritingSystem, letters: list[int], end: int) -> Iterator[RewriteRule]:
-    """The rules whose lhs is ``letters[end - len(lhs):end]``, for
-    ``end >= 1``, lowest rule index first."""
-    for r in S._by_last_letter.get(letters[end - 1], ()):
-        if len(r.lhs) <= end and letters[end - len(r.lhs) : end] == r.lhs:
-            yield r.rule
-
-
-def _redexes(S: RewritingSystem, letters: Sequence[int]) -> Iterator[tuple[int, RewriteRule]]:
+def _redexes(S: RewritingSystem, letters: tuple[int, ...]) -> Iterator[tuple[int, RewriteRule]]:
     """Every (end, rule) with the rule's lhs ending at ``end``, by end, then
     by rule index."""
-    letters = list(letters)
     for end in range(1, len(letters) + 1):
-        for rule in _rules_ending_at(S, letters, end):
-            yield end, rule
+        for r in S._by_last_letter.get(letters[end - 1], ()):
+            lhs = r.rule.lhs.letters
+            if len(lhs) <= end and letters[end - len(lhs) : end] == lhs:
+                yield end, r.rule
 
 
 class Irreducible:
@@ -211,6 +209,67 @@ def reduce_to_irreducible(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUD
 def prefix_rewrite_length(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUDGET) -> int:
     """Number of prefix rewriting steps from ``w`` to an irreducible word."""
     return _prefix_rewrite(S, w, budget)[1]
+
+
+class IrreducibleTree(NormalFormTree):
+    """The normal-form tree of ``builtin.crs_structure(S)``: the system's
+    own trie of irreducible words, stepped by its prefix rewriting.
+    ``step(y, a)`` tries only the rules ending in ``a`` against the last
+    letters of ``y``; on a match it climbs ``|lhs| - 1`` parents and steps
+    through the rhs.  A step spends at most ``budget`` rewrites, and so does
+    a walk, as rewriting its whole word would.
+    """
+
+    def __init__(self, S: RewritingSystem, budget: int) -> None:
+        super().__init__(S.alphabet, S._trie)
+        self.S = S
+        self.budget = budget
+        self._images = {rule: rule.lhs[:-1].inverse() * rule.rhs for rule in S.rules}
+
+    def step(self, y: Irreducible, a: int) -> Irreducible:
+        node, _ = _rewrite(self.S, y, a, self.budget, 0)
+        if node is None:
+            self._out_of_budget(y, (a,))
+        return node
+
+    def walk(self, y: Irreducible, letters: Iterable[int]) -> Iterator[Irreducible]:
+        start, letters, rewrites = y, tuple(letters), 0
+        for a in letters:
+            y, rewrites = _rewrite(self.S, y, a, self.budget, rewrites)
+            if y is None:
+                self._out_of_budget(start, letters)
+            yield y
+
+    def _out_of_budget(self, y: Irreducible, letters: tuple[int, ...]) -> NoReturn:
+        w = Word(self.alphabet, y.letters + letters)
+        raise BudgetExceededError(f"system not terminating within budget on {w!r}")
+
+    def parent(self, y: Irreducible) -> Irreducible | None:
+        return y.parent
+
+    def last(self, y: Irreducible) -> int:
+        return y.letter
+
+    def depth(self, y: Irreducible) -> int:
+        return y.depth
+
+    def degenerate(self, y: Irreducible, a: int, t: Irreducible) -> bool:
+        # the trie holds one node per irreducible word
+        return (t.parent is y and t.letter == a) or (
+            y.parent is t and y.letter == self.alphabet.inverse[a]
+        )
+
+    def phi(self, y: Irreducible, a: int) -> Word:
+        rules = [
+            r.rule for r in self.S._by_last_letter.get(a, ()) if _ends_with(y, r.rest) is not None
+        ]
+        if len(rules) > 1:
+            raise StructureError("two rules apply: system not minimal")
+        if not rules:
+            raise StructureError(
+                f"no rule factors {self.word(y).append(a)}: system not minimal/complete"
+            )
+        return self._images[rules[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +497,26 @@ def check_complete(
         report.unique_normal_forms = False
         return report
 
+    def join(kind: str, w: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...]) -> None:
+        a = reduce_to_irreducible(S, Word(S.alphabet, left), budget)
+        b = reduce_to_irreducible(S, Word(S.alphabet, right), budget)
+        if a != b:
+            report.locally_confluent = False
+            report.critical_pair_failures.append(f"{kind} {Word(S.alphabet, w)}: {a} != {b}")
+
     # Local confluence via critical pairs (overlaps and containments).
     for r1, r2 in itertools.product(S.rules, repeat=2):
         u1, u2 = r1.lhs.letters, r2.lhs.letters
+        v1, v2 = r1.rhs.letters, r2.rhs.letters
         # overlap: nonempty proper suffix of u1 equals prefix of u2
         for k in range(1, min(len(u1), len(u2))):
             if u1[-k:] == u2[:k]:
-                w = u1 + u2[k:]
-                left = r1.rhs.letters + u2[k:]
-                right = u1[:-k] + r2.rhs.letters
-                a = reduce_to_irreducible(S, Word(S.alphabet, left), budget)
-                b = reduce_to_irreducible(S, Word(S.alphabet, right), budget)
-                if a != b:
-                    report.locally_confluent = False
-                    report.critical_pair_failures.append(
-                        f"overlap {Word(S.alphabet, w)}: {a} != {b}"
-                    )
+                join("overlap", u1 + u2[k:], v1 + u2[k:], u1[:-k] + v2)
         # containment: u2 occurs properly (so is shorter) inside u1
         if len(u2) < len(u1):
-            for end, rule in _redexes(S, u1):
-                if rule is not r2:
-                    continue
-                left = r1.rhs.letters
-                right = u1[: end - len(u2)] + r2.rhs.letters + u1[end:]
-                a = reduce_to_irreducible(S, Word(S.alphabet, left), budget)
-                b = reduce_to_irreducible(S, Word(S.alphabet, right), budget)
-                if a != b:
-                    report.locally_confluent = False
-                    report.critical_pair_failures.append(
-                        f"containment {Word(S.alphabet, u1)}: {a} != {b}"
-                    )
+            for i in range(len(u1) - len(u2) + 1):
+                if u1[i : i + len(u2)] == u2:
+                    join("containment", u1, v1, u1[:i] + v2 + u1[i + len(u2) :])
 
     memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
     for n in range(max_len + 1):

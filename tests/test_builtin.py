@@ -138,6 +138,11 @@ class TestBS1pStep:
         assert len(calls) <= 2 * (len(w) + steps * (p + 2))
 
 
+def trie_size(root) -> int:
+    """The number of nodes of the trie below ``root``, itself included."""
+    return 1 + sum(trie_size(child) for child in root.children.values())
+
+
 @pytest.fixture(scope="module")
 def warm_crs():
     """One crs structure per system, kept across examples, so its trie and
@@ -188,6 +193,35 @@ class TestCrsStructure:
         # the reduction's cross-check asks the same normal form
         with pytest.raises(BudgetExceededError, match="not terminating"):
             stacking_reduce_steps(crs_structure(z2S, budget=8), w, budget=10**6)
+
+    def test_structures_step_the_systems_trie(self):
+        S = z2_system()
+        words = [S.alphabet.word(t) for t in ("b b b a", "B a b A a", "a b A B b b", "B B a")]
+        forms = [reduce_to_irreducible(S, w) for w in words]
+        size = trie_size(S._trie)
+        s, t = crs_structure(S), crs_structure(S)
+        for w, y in zip(words, forms):
+            assert s.tree.word(fold(s, y)) == y
+            assert s.tree.node(w) is t.tree.node(w)
+        assert s.tree.root is t.tree.root
+        assert trie_size(s.tree.root) == size
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_budget_boundary_does_not_depend_on_the_trie(self, warm):
+        w = Z2.alphabet.word("b b b a")
+        n = prefix_rewrite_length(z2_system(), w)
+        assert n == 3
+
+        def system():
+            S = z2_system()
+            for v in all_words(S.alphabet, 4 if warm else 0):
+                reduce_to_irreducible(S, v)
+            assert trie_size(S._trie) == (41 if warm else 1)
+            return S
+
+        assert str(crs_structure(system(), budget=n).normal_form(w)) == "a b b b"
+        with pytest.raises(BudgetExceededError):
+            crs_structure(system(), budget=n - 1).normal_form(w)
 
     def test_requires_claimed_complete(self, z2S):
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)

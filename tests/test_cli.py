@@ -157,6 +157,27 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
 
+    def test_report_holds_a_failing_geodesic_check(self, capsys, monkeypatch, tmp_path, z2_rules_file):
+        geodesic = cli.verify_geodesic_stacking
+
+        def failing(*args):
+            geo = geodesic(*args)
+            geo.nongeodesic.append("a b")
+            return geo
+
+        monkeypatch.setattr(cli, "verify_geodesic_stacking", failing)
+        report = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "verify", "--structure", f"shortlex-ac:{z2_rules_file}:4:2",
+            "--radius", "2", "--report", str(report),
+        )
+        assert code == 1 and out.count("PASS") == 1
+        data = json.loads(report.read_text())
+        assert list(data) == ["passed", "flow", "geodesic"]
+        assert data["passed"] is False and data["flow"]["passed"] is True
+        assert data["geodesic"]["passed"] is False
+        assert data["geodesic"]["nongeodesic_normal_forms"] == ["a b"]
+
 
 class TestAcCheck:
     def test_z2_passes(self, capsys, z2_rules_file):
@@ -367,7 +388,7 @@ PINNED_CALLS = [
     ("nf", "--structure", "crs:{z2}", "--word", "b a b a b a b a", "--budget", "2"),
     ("nf", "--structure", "crs:{tmp}/missing.rs", "--word", "a"),
 ]
-PINNED_SHA256 = "db099e6bc9bbf70897a79bdb7a580bd4f9ac2aec8b6df0561f9afd0adab9ee9b"
+PINNED_SHA256 = "eb20b19dfa4211220b4674accdbcbd4adb65d9e7871c7b3c114df7e3d8ff3cc5"
 
 
 def test_pinned_outputs(capsys, tmp_path, z2_rules_file):

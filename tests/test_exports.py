@@ -37,3 +37,25 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"stackings.{node.module}")
         missing = [a.name for a in node.names if a.name not in exported(module)]
         assert missing == [], f"stackings.{node.module}"
+
+
+def imported_names(tree: ast.Module) -> list[str]:
+    """The names a module's import statements bind, except ``__future__``
+    features."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # MODULES leaves out ``__init__.py``, whose imports are re-exports
+    path = Path(stackings.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # annotations are expressions in the tree, so their names count as used
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [n for n in imported_names(tree) if n not in used] == []

@@ -335,6 +335,18 @@ class TestCheckComplete:
         assert not rep.ok
         assert not rep.unique_normal_forms
 
+    def test_critical_pair_failures_pinned(self):
+        # a b A -> B overlaps four rules of Z^2 and contains b A -> A b
+        rep = check_complete(z2_with(("a b A", "B")), 3)
+        assert not rep.locally_confluent
+        assert rep.critical_pair_failures == [
+            "overlap A a b A: A b != A B",
+            "overlap b a b A: b b != ",
+            "overlap B a b A:  != B B",
+            "overlap a b A a: a B != a b",
+            "containment a b A: B != b",
+        ]
+
     def test_nontermination_detected(self):
         rep = check_complete(nonterminating(), 2, budget=50)
         assert not rep.terminating
