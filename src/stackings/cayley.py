@@ -117,8 +117,9 @@ class NormalFormTree:
 
 class FunctionOracle(NormalFormTree):
     """The tree of the normal-form words of ``fn``, a pure function from a
-    word to the normal form of its element: a node is such a word, and a
-    step asks ``fn`` once.
+    word to the normal form of its element: a node is such a word.  A step
+    looks its letters up, and builds a ``Word`` only for a word not met
+    before.
 
     ``fn`` is asked once per distinct word.  The empty word is asked first,
     at construction, and a nonempty normal form of it is refused.
@@ -137,7 +138,12 @@ class FunctionOracle(NormalFormTree):
         return y
 
     def step(self, y: Word, a: int) -> Word:
-        return self.node(y.append(a))
+        # the Word handed to fn shares the tuple kept as the key
+        letters = y.letters + (a,)
+        t = self._nodes.get(letters)
+        if t is None:
+            t = self._nodes[letters] = self.fn(Word(self.alphabet, letters))
+        return t
 
     def parent(self, y: Word) -> Word | None:
         return y[:-1] if y.letters else None

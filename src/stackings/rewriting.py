@@ -12,7 +12,9 @@ grown as it goes.  Reductions and ``minimize``'s inverse search step it,
 and so does every ``IrreducibleTree``, the normal-form tree of the stacking
 of ``builtin.crs_structure``: a node gets a child only for an irreducible
 extension, which fires no rule, so the rewrites a step counts do not depend
-on how much of the trie is already grown.
+on how much of the trie is already grown.  A node also keeps every step
+from it that rewrote, as its target and its count, so a repeated step is
+one lookup that counts the same rewrites.
 """
 
 from __future__ import annotations
@@ -110,15 +112,18 @@ def _redexes(S: RewritingSystem, letters: tuple[int, ...]) -> Iterator[tuple[int
 class Irreducible:
     """An irreducible word as a node of a trie of irreducible words: the
     word one letter shorter is its ``parent``, and ``children`` holds the
-    nodes of its one-letter extensions met so far."""
+    nodes of its one-letter extensions met so far.  ``steps``, made on first
+    use, maps each letter whose reducible extension has been rewritten to
+    the node of its irreducible form and the rewrites taken."""
 
-    __slots__ = ("parent", "letter", "depth", "children")
+    __slots__ = ("parent", "letter", "depth", "children", "steps")
 
     def __init__(self, parent: "Irreducible | None" = None, letter: int = -1) -> None:
         self.parent = parent
         self.letter = letter
         self.depth = 0 if parent is None else parent.depth + 1
         self.children: dict[int, Irreducible] = {}
+        self.steps: dict[int, tuple[Irreducible, int]] | None = None
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -161,12 +166,35 @@ def _rewrite(
     ``cur b`` rewrites the shortest reducible prefix: ``cur`` climbs above
     the lhs and the rhs goes back in front of the unread letters.  A letter
     that ``cur`` already has as a child fires no rule.
+
+    A completed step from a reducible ``y a`` is kept in ``y.steps``, and a
+    kept step is taken in one move, from ``y`` or from any ``(cur, b)``
+    popped on the way.  That is exact: the letters pushed on top of ``b``
+    are all read before any letter under them, so the run from ``(cur, b)``
+    until they are gone is the step ``_rewrite(cur, b)``, with its target
+    and its count, whatever lies below.  It runs out of budget exactly when
+    ``rewrites`` plus its count passes ``budget``, so every count and every
+    budget boundary is the same on a cold trie and a warm one.
     """
-    cur, unread = y, [a]
+    child = y.children.get(a)
+    if child is not None:
+        return child, rewrites
+    kept = y.steps.get(a) if y.steps is not None else None
+    if kept is not None:
+        node, n = kept
+        return (node, rewrites + n) if rewrites + n <= budget else (None, rewrites)
+    start, cur, unread = rewrites, y, [a]
     while unread:
         b = unread.pop()
         child = cur.children.get(b)
         if child is None:
+            kept = cur.steps.get(b) if cur.steps is not None else None
+            if kept is not None:
+                node, n = kept
+                if rewrites + n > budget:
+                    return None, rewrites
+                cur, rewrites = node, rewrites + n
+                continue
             redex = _redex(S, cur, b)
             if redex is not None:
                 if rewrites >= budget:
@@ -177,6 +205,10 @@ def _rewrite(
                 continue
             child = cur.children[b] = Irreducible(cur, b)
         cur = child
+    if rewrites != start:
+        if y.steps is None:
+            y.steps = {}
+        y.steps[a] = cur, rewrites - start
     return cur, rewrites
 
 

@@ -29,6 +29,7 @@ from stackings import (
     almost_convexity_check,
     bs12_system,
     bs1p_structure,
+    build_ball,
     crs_structure,
     expsum_x0,
     load_rewriting_system,
@@ -143,6 +144,33 @@ def trie_size(root) -> int:
     return 1 + sum(trie_size(child) for child in root.children.values())
 
 
+def kept_steps(root) -> int:
+    """The number of steps kept on the nodes of the trie below ``root``."""
+    return len(root.steps or ()) + sum(kept_steps(child) for child in root.children.values())
+
+
+def finishes(S, budget: int, run) -> bool:
+    """Whether ``run`` finishes on the tree of ``crs_structure(S, budget)``,
+    rather than running out of budget."""
+    try:
+        run(crs_structure(S, budget=budget).tree)
+    except BudgetExceededError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def stepped():
+    """Each system with its trie stepped along every edge of B(3) of its crs
+    structure, which keeps the step of every recursive edge there."""
+    systems = {}
+    for system in (z2_system, bs12_system):
+        S = systems[system] = system()
+        build_ball(crs_structure(S), 3)
+        assert kept_steps(S._trie) > 0
+    return systems
+
+
 @pytest.fixture(scope="module")
 def warm_crs():
     """One crs structure per system, kept across examples, so its trie and
@@ -206,22 +234,82 @@ class TestCrsStructure:
         assert s.tree.root is t.tree.root
         assert trie_size(s.tree.root) == size
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-    def test_budget_boundary_does_not_depend_on_the_trie(self, warm):
+    @pytest.mark.parametrize("trie", ["cold", "warm", "inner"])
+    def test_budget_boundary_does_not_depend_on_the_trie(self, trie):
         w = Z2.alphabet.word("b b b a")
         n = prefix_rewrite_length(z2_system(), w)
         assert n == 3
 
+        # warm: all words of length <= 4, 41 nodes, and the kept steps of
+        # all 60 reducible y a with |y| <= 3, (b b b, a) among them; inner:
+        # only b b a, whose kept step (b b, a) the rewriting of b b b a
+        # takes after its first rewrite
+        words, size, kept = {
+            "cold": ([], 1, 0),
+            "warm": (list(all_words(Z2.alphabet, 4)), 41, 60),
+            "inner": ([Z2.alphabet.word("b b a")], 6, 1),
+        }[trie]
+
         def system():
             S = z2_system()
-            for v in all_words(S.alphabet, 4 if warm else 0):
+            for v in words:
                 reduce_to_irreducible(S, v)
-            assert trie_size(S._trie) == (41 if warm else 1)
+            assert (trie_size(S._trie), kept_steps(S._trie)) == (size, kept)
             return S
 
         assert str(crs_structure(system(), budget=n).normal_form(w)) == "a b b b"
         with pytest.raises(BudgetExceededError):
             crs_structure(system(), budget=n - 1).normal_form(w)
+
+    @pytest.mark.parametrize("system", [z2_system, bs12_system])
+    @settings(max_examples=100, deadline=None)
+    @given(data=hs.data())
+    def test_kept_steps_cannot_be_seen(self, stepped, system, data):
+        # a trie stepped along every edge of B(3), against fresh tries: the
+        # same forms, counts and budget boundaries
+        warm = stepped[system]
+        al = warm.alphabet
+        letters = data.draw(hs.lists(hs.integers(0, len(al) - 1), min_size=1, max_size=20))
+        w = Word(al, tuple(letters))
+        form, n = reduce_to_irreducible(system(), w), prefix_rewrite_length(system(), w)
+        assert form == leftmost_reduce(warm, w)
+        assert reduce_to_irreducible(warm, w) == form
+        assert prefix_rewrite_length(warm, w) == n
+        # a walk spends one budget on w, a step one on y x for y = nf(u)
+        y, x = reduce_to_irreducible(warm, w[:-1]), letters[-1]
+        m = prefix_rewrite_length(system(), y.append(x))
+        assert prefix_rewrite_length(warm, y.append(x)) == m
+
+        def walk(tree):
+            for node in tree.walk(tree.root, letters):
+                pass
+            assert node.letters == form.letters
+
+        def step(tree):
+            assert tree.step(tree.node(y), x).letters == form.letters
+
+        for run, k in ((walk, n), (step, m)):
+            for make in (system, lambda: warm):
+                assert finishes(make(), k, run)
+                assert not k or not finishes(make(), k - 1, run)
+
+    def test_a_kept_step_inside_a_step_spends_its_count(self):
+        S = z2_system()
+        al, a = S.alphabet, S.alphabet.index("a")
+        tree = crs_structure(S).tree
+        y = tree.node(al.word("a b b"))
+        assert tree.word(tree.step(y, a)) == al.word("a a b b")
+        assert y.steps[a][1] == prefix_rewrite_length(z2_system(), al.word("a b b a")) == 2
+        # a b b b a rewrites its b a, then takes the kept step (a b b, a):
+        # three rewrites in all
+        y = tree.node(al.word("a b b b"))
+        assert not finishes(S, 2, lambda t: t.step(y, a))
+        assert y.steps is None  # a step that runs out keeps nothing
+        assert finishes(S, 3, lambda t: t.step(y, a))
+        assert y.steps[a][1] == prefix_rewrite_length(z2_system(), al.word("a b b b a")) == 3
+        # the kept step (a b b b, a) spends the same three
+        assert not finishes(S, 2, lambda t: t.step(y, a))
+        assert tree.word(tree.step(y, a)) == al.word("a a b b b")
 
     def test_requires_claimed_complete(self, z2S):
         S = RewritingSystem(z2S.alphabet, z2S.rules, claimed_complete=False)

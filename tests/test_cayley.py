@@ -200,6 +200,22 @@ class TestEdgesAndAlpha:
             assert oracle.normal_form(w) == reduce_to_irreducible(z2S, w)
         assert sorted(calls) == sorted(w.letters for w in words)
 
+    @pytest.mark.parametrize("name, radius", [("bs1p:2", 5), ("crs:z2", 8), ("crs:bs12", 3)])
+    def test_function_oracle_steps_ask_once_per_distinct_word(self, structures, name, radius):
+        # a structure's normal form as a plain function, as a caller that
+        # only has the function would search its balls
+        s = structures[name]()
+        calls = []
+        oracle = FunctionOracle(s.alphabet, lambda w: calls.append(w.letters) or s.normal_form(w))
+        region = build_ball(oracle, radius + 1)
+        assert calls and len(calls) == len(set(calls))
+        asked = len(calls)
+        ball = build_ball(oracle, radius)
+        assert len(calls) == asked  # the smaller search finds every word it steps to
+        restricted = region.restricted(radius)
+        assert ball.elements == restricted.elements
+        assert ball.edges == restricted.edges  # the same edges, in the same order
+
     def test_tree_keeps_the_node_of_each_word(self):
         s = bs1p_structure(2)
         w = s.alphabet.word("t a T a")
