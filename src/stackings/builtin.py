@@ -81,44 +81,11 @@ def _bs_normalize(p: int, i: int, m: int, k: int) -> BS1pElement:
     return BS1pElement(i, m, k)
 
 
-def _bs_mul(p: int, g: BS1pElement, eta_a: int, eta_t: int) -> BS1pElement:
-    """Right-multiply by a^eta_a or t^eta_t (exactly one of them nonzero)."""
-    i, m, k = g
-    if eta_a:
-        return _bs_normalize(p, i, m + eta_a * p**k, k)
-    if eta_t > 0:
-        return _bs_normalize(p, i, m, k + 1)
-    if k > 0:
-        return BS1pElement(i, m, k - 1)
-    return BS1pElement(i + 1, m * p, 0)
-
-
-# (eta_a, eta_t) of each letter, by letter index.
-_DELTAS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-_INVERSE = (_A_INV, _A, _T_INV, _T)
-
-
-def _is_child(g: BS1pElement, a: int, h: BS1pElement) -> bool:
-    """Whether the normal form of ``h`` is that of ``g`` followed by ``a``:
-    ``parent(h) == g and last(h) == a``, without building the parent."""
-    i, m, k = h
-    if a == _T:
-        return k > 0 and g == (i, m, k - 1)
-    if k:
-        return False
-    if a == _A:
-        return m > 0 and g == (i, m - 1, 0)
-    if a == _A_INV:
-        return m < 0 and g == (i, m + 1, 0)
-    return m == 0 and i > 0 and g == (i - 1, 0, 0)
-
-
 class _BS1pTree(NormalFormTree):
-    """A node is its element (i, m, k), so a step is one multiplication and
-    the parent, last letter and depth of a node are arithmetic.  The phi
-    images have p + 2 letters each, so they are built on first use."""
+    """A node is its element (i, m, k), so a move is one multiplication,
+    whose case tells the edge's kind, and the parent, last letter and depth
+    of a node are arithmetic.  The phi images have p + 2 letters each, so
+    they are built on first use."""
 
     def __init__(self, p: int) -> None:
         super().__init__(bs1p_alphabet(), BS1pElement(0, 0, 0))
@@ -139,8 +106,26 @@ class _BS1pTree(NormalFormTree):
         """phi of a^eta from t^-i a^m t^k (k > 0): t^-1 a^{eta p} t."""
         return {a: Word(self.alphabet, (_T_INV,) + (a,) * self.p + (_T,)) for a in (_A, _A_INV)}
 
+    def move(self, g: BS1pElement, a: int) -> tuple[BS1pElement, bool]:
+        # a or A is a tree edge exactly when k = 0; t is recursive exactly
+        # when i > 0, m != 0 and p | m (so k = 0); T is recursive exactly
+        # when k = 0 and m != 0
+        i, m, k = g
+        p = self.p
+        if a == _T:
+            if i and not m % p:
+                return BS1pElement(i - 1, m // p, 0), not m
+            return BS1pElement(i, m, k + 1), True
+        if a == _T_INV:
+            if k:
+                return BS1pElement(i, m, k - 1), True
+            return BS1pElement(i + 1, m * p, 0), not m
+        if not k:
+            return BS1pElement(i, m + 1 if a == _A else m - 1, 0), True
+        return _bs_normalize(p, i, m + p**k if a == _A else m - p**k, k), False
+
     def step(self, g: BS1pElement, a: int) -> BS1pElement:
-        return _bs_mul(self.p, g, *_DELTAS[a])
+        return self.move(g, a)[0]
 
     def parent(self, g: BS1pElement) -> BS1pElement | None:
         i, m, k = g
@@ -158,25 +143,24 @@ class _BS1pTree(NormalFormTree):
     def depth(self, g: BS1pElement) -> int:
         return g.i + abs(g.m) + g.k
 
-    def degenerate(self, g: BS1pElement, a: int, h: BS1pElement) -> bool:
-        return _is_child(g, a, h) or _is_child(h, _INVERSE[a], g)
-
     def phi(self, g: BS1pElement, letter: int) -> Word:
-        if letter in (_T, _T_INV):
-            if g.k != 0 or g.m == 0 or (letter == _T and g.i == 0):
-                raise StructureError(f"edge ({self.word(g)}, {self.alphabet.tokens[letter]}) is not recursive")
-            return self._t_images[g.m > 0, letter]
-        if g.k <= 0:
-            raise StructureError(f"edge ({self.word(g)}, {self.alphabet.tokens[letter]}) is not recursive")
-        return self._a_images[letter]
+        # exactly the edges that move calls recursive
+        i, m, k = g
+        if letter == _T_INV and m and not k or letter == _T and i and m and not m % self.p:
+            return self._t_images[m > 0, letter]
+        if k and letter in (_A, _A_INV):
+            return self._a_images[letter]
+        raise StructureError(f"edge ({self.word(g)}, {self.alphabet.tokens[letter]}) is not recursive")
 
 
 def bs1p_structure(p: int) -> StackingStructure:
     """The explicit stacking for BS(1,p), p >= 2, with bound k = p + 2.
 
     Recursive edges fall into two schemas: from t^-i a^m (m != 0) by
-    t^eta, with image (a^{-nu p} t a^nu)^eta, nu the sign of m; and from
-    t^-i a^m t^k (k > 0) by a^eta, with image t^-1 a^{eta p} t.
+    t^-1, and by t when also i > 0 and p | m, with image
+    (a^{-nu p} t a^nu)^eta for t^eta, nu the sign of m; and from
+    t^-i a^m t^k (k > 0) by a^eta, with image t^-1 a^{eta p} t.  Every
+    other edge is a tree edge.
 
     Its normal-form tree's nodes are the elements (i, m, k).
     """

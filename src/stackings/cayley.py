@@ -4,10 +4,11 @@ The normal forms of a stacking are prefix-closed, so they are the nodes of
 the tree that the degenerate edges span (a :class:`NormalFormTree`).  A ball
 is one breadth-first search over the nodes of such a tree: a stacking
 structure's own, or a :class:`FunctionOracle`, the tree of the normal-form
-words of a function.  The tree is stepped once per element and letter.  An
-edge is degenerate when one endpoint is the other's parent by the edge's
-letter, and recursive otherwise.  Elements are keyed by their canonical
-(normal form) word, so construction is deterministic.
+words of a function.  The tree is moved once per element and letter, which
+gives the edge's target and its kind.  An edge is degenerate when one
+endpoint is the other's parent by the edge's letter, and recursive
+otherwise.  Elements are keyed by their canonical (normal form) word, so
+construction is deterministic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class NormalFormTree:
     ``parent`` followed by its ``last`` letter.  A subclass chooses the
     hashable nodes, equal exactly when their normal forms are, and gives
     ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
-    Every node spells its normal form as the tuple ``node.letters``.
+    ``move(node, a)`` is that node with the kind of the edge, so whoever
+    classifies an edge asks the tree once.  Every node spells its normal
+    form as the tuple ``node.letters``.
 
     The tree is the memo of its normal forms: it keeps the node of every
     word it resolved or spelled.  ``word`` keeps the ``Word`` of every node
@@ -72,12 +75,15 @@ class NormalFormTree:
     def depth(self, node) -> int:
         raise NotImplementedError
 
-    def degenerate(self, y, a: int, t) -> bool:
-        """Whether the edge from ``y`` by ``a`` to its step ``t`` is
-        degenerate: ``t`` is the child of ``y`` by ``a``, or ``y`` the child
-        of ``t`` by the inverse of ``a``."""
+    def move(self, y, a: int) -> tuple:
+        """``(step(y, a), tree_edge)``: the node of ``y`` times ``a``, and
+        whether the edge is a tree (degenerate) edge, that node being the
+        child of ``y`` by ``a`` or ``y`` the child of it by the inverse of
+        ``a``.  A subclass whose step already knows the edge's kind gives
+        both at once."""
+        t = self.step(y, a)
         parent, last = self.parent, self.last
-        return (parent(t) == y and last(t) == a) or (
+        return t, (parent(t) == y and last(t) == a) or (
             parent(y) == t and last(y) == self.alphabet.inverse[a]
         )
 
@@ -138,12 +144,7 @@ class FunctionOracle(NormalFormTree):
         return y
 
     def step(self, y: Word, a: int) -> Word:
-        # the Word handed to fn shares the tuple kept as the key
-        letters = y.letters + (a,)
-        t = self._nodes.get(letters)
-        if t is None:
-            t = self._nodes[letters] = self.fn(Word(self.alphabet, letters))
-        return t
+        return self.move(y, a)[0]
 
     def parent(self, y: Word) -> Word | None:
         return y[:-1] if y.letters else None
@@ -154,11 +155,17 @@ class FunctionOracle(NormalFormTree):
     def depth(self, y: Word) -> int:
         return len(y.letters)
 
-    def degenerate(self, y: Word, a: int, t: Word) -> bool:
-        y, t, n = y.letters, t.letters, len(y.letters)
-        if len(t) == n + 1:
-            return t[n] == a and t[:n] == y
-        return len(t) == n - 1 and y[n - 1] == self.alphabet.inverse[a] and y[: n - 1] == t
+    def move(self, y: Word, a: int) -> tuple[Word, bool]:
+        # the Word handed to fn shares the tuple kept as the key, and the
+        # step is the child of y exactly when its letters are that key
+        letters = y.letters + (a,)
+        t = self._nodes.get(letters)
+        if t is None:
+            t = self._nodes[letters] = self.fn(Word(self.alphabet, letters))
+        u, v = y.letters, t.letters
+        if v == letters:
+            return t, True
+        return t, len(v) + 1 == len(u) and u[-1] == self.alphabet.inverse[a] and u[:-1] == v
 
     def word(self, y: Word) -> Word:
         return y
@@ -233,23 +240,23 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     """Breadth-first construction of B(n); distances are exact graph metric.
 
     ``oracle`` is a :class:`NormalFormTree`, or has one as its ``tree`` (a
-    stacking structure).  The search runs over the tree's nodes, and edges
-    are classified by the tree's ``degenerate``.  Finding more than
+    stacking structure).  The search runs over the tree's nodes by its
+    ``move``, which classifies each edge as it is found.  Finding more than
     ``max_elements`` elements exceeds the search's budget.
     """
     tree = getattr(oracle, "tree", oracle)
     alphabet = tree.alphabet
-    step, degenerate, word = tree.step, tree.degenerate, tree.word
+    move, word = tree.move, tree.word
     letters = range(len(alphabet))
 
     def shortlex(found: tuple[Hashable, GroupElement]) -> tuple[int, tuple[int, ...]]:
         return found[1].canonical.shortlex_key()
 
     # The element of each node found, in the order of discovery; and the
-    # steps by each letter, with their elements, of every node.  The last
-    # pass steps the last sphere and finds no element.
+    # moves by each letter of every node, as their elements and edge kinds.
+    # The last pass moves from the last sphere and finds no element.
     element = {tree.root: GroupElement(word(tree.root), 0)}
-    steps: dict[Hashable, list[tuple[Hashable, GroupElement | None]]] = {}
+    steps: dict[Hashable, list[tuple[GroupElement | None, bool]]] = {}
     frontier = list(element.items())
     last = max(n, 0) + 1
     for dist in range(1, last + 1):
@@ -257,7 +264,7 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
         for y, _ in sorted(frontier, key=shortlex):
             targets = steps[y] = []
             for a in letters:
-                t = step(y, a)
+                t, tree_edge = move(y, a)
                 h = element.get(t)
                 if h is None and dist < last:
                     if len(element) >= max_elements:
@@ -266,15 +273,15 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
                         )
                     h = element[t] = GroupElement(word(t), dist)
                     nxt.append((t, h))
-                targets.append((t, h))
+                targets.append((h, tree_edge))
         frontier = nxt
 
     edges: list[DirectedEdge] = []
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge] = {}
     for y, g in sorted(element.items(), key=shortlex):
-        for a, (t, h) in enumerate(steps[y]):
+        for a, (h, tree_edge) in enumerate(steps[y]):
             if h is not None:
-                kind = EdgeKind.DEGENERATE if degenerate(y, a, t) else EdgeKind.RECURSIVE
+                kind = EdgeKind.DEGENERATE if tree_edge else EdgeKind.RECURSIVE
                 e = edge_index[g.canonical.letters, a] = DirectedEdge(g, a, h, kind)
                 edges.append(e)
 

@@ -264,6 +264,13 @@ class IrreducibleTree(NormalFormTree):
             self._out_of_budget(y, (a,))
         return node
 
+    def move(self, y: Irreducible, a: int) -> tuple[Irreducible, bool]:
+        # the base class's parent/last test, on the nodes' own fields
+        t = self.step(y, a)
+        return t, (t.parent is y and t.letter == a) or (
+            y.parent is t and y.letter == self.alphabet.inverse[a]
+        )
+
     def walk(self, y: Irreducible, letters: Iterable[int]) -> Iterator[Irreducible]:
         start, letters, rewrites = y, tuple(letters), 0
         for a in letters:
@@ -284,12 +291,6 @@ class IrreducibleTree(NormalFormTree):
 
     def depth(self, y: Irreducible) -> int:
         return y.depth
-
-    def degenerate(self, y: Irreducible, a: int, t: Irreducible) -> bool:
-        # the trie holds one node per irreducible word
-        return (t.parent is y and t.letter == a) or (
-            y.parent is t and y.letter == self.alphabet.inverse[a]
-        )
 
     def phi(self, y: Irreducible, a: int) -> Word:
         rules = [

@@ -71,14 +71,13 @@ class StackingStructure:
 
     def is_degenerate(self, w: Word, a: int) -> bool:
         tree = self.tree
-        y = tree.node(w)
-        return tree.degenerate(y, a, tree.step(y, a))
+        return tree.move(tree.node(w), a)[1]
 
     def phi(self, w: Word, a: int) -> Word:
         """Stacking map image for the recursive edge from rep(w) labeled a."""
         tree = self.tree
         y = tree.node(w)
-        if tree.degenerate(y, a, tree.step(y, a)):
+        if tree.move(y, a)[1]:
             raise StructureError(
                 f"phi undefined on degenerate edge ({tree.word(y)}, {self.alphabet.tokens[a]})"
             )
@@ -113,9 +112,11 @@ class FlowFunction:
     def label(self, w: Word, a: int) -> Word:
         """The word labeling the flow path of the edge from rep(w) by a."""
         s = self.structure
-        if s.is_degenerate(w, a):
+        tree = s.tree
+        y = tree.node(w)
+        if tree.move(y, a)[1]:
             return s.alphabet.letter(a)
-        return s.phi(w, a)
+        return s.phi_at(y, a)
 
     def path(self, w: Word, a: int) -> list[tuple[Word, int]]:
         """Edges of the flow path as (source canonical, label) pairs."""
@@ -141,12 +142,14 @@ def stacking_reduce_steps(
 
     The letters read so far always spell a path of degenerate edges, so the
     loop keeps only the node at its end and a stack of unread letters, and
-    spells a word once, for the result.  A word whose prefixes have normal
-    forms too long to reach within ``budget`` steps is refused before the
-    loop starts.
+    spells a word once, for the result.  Each letter read costs one
+    ``move`` of the tree, which gives both the next node and whether the
+    edge is a tree edge; phi is asked only on a recursive one.  A word whose
+    prefixes have normal forms too long to reach within ``budget`` steps is
+    refused before the loop starts.
     """
     tree, k = s.tree, s.bound_k
-    step, degenerate, depth = tree.step, tree.degenerate, tree.depth
+    move, depth = tree.move, tree.depth
     # Each letter read moves one edge of the tree and each step adds at most
     # k - 1 letters, so reaching the deepest prefix normal form takes more
     # than ``budget`` steps when it lies deeper than this.
@@ -164,8 +167,8 @@ def stacking_reduce_steps(
     steps = 0
     while unread:
         a = unread.pop()
-        y_next = step(y, a)
-        if degenerate(y, a, y_next):
+        y_next, tree_edge = move(y, a)
+        if tree_edge:
             y = y_next
             continue
         img = phi_at(y, a)
@@ -198,11 +201,9 @@ def stacking_relation_set(
     The image set is finite but not effectively enumerable from the oracles
     alone, hence the explicit sample.  Every member has length <= k + 1.
     """
-    seeds: list[Word] = []
-    for src, a in edge_sample:
-        img = s.phi(src, a)
-        seeds.append((img.append(s.alphabet.inv(a))).free_reduce())
-    closed = symmetrized_closure(seeds)
+    # one seed per distinct (image, letter); every sampled edge is still checked
+    images = dict.fromkeys((s.phi(src, a), a) for src, a in edge_sample)
+    closed = symmetrized_closure(img.append(s.alphabet.inv(a)) for img, a in images)
     for r in closed:
         if len(r) > s.bound_k + 1:
             raise StructureError(f"relator {r} longer than k+1 = {s.bound_k + 1}")
@@ -288,7 +289,7 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
     """
     s, labels = flow.structure, flow._labels
     tree, phi_fn = s.tree, s.phi_fn
-    step, degenerate = tree.step, tree.degenerate
+    step, move = tree.step, tree.move
     letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
     node = {key: tree.node(g.canonical) for key, g in region.elements.items()}
     steps = {
@@ -309,7 +310,7 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
         t = node_of(e.target)
         label = labels.get((y, a))
         if label is None:
-            label = labels[y, a] = letter[a] if degenerate(y, a, t) else phi_fn(y, a)
+            label = labels[y, a] = letter[a] if move(y, a)[1] else phi_fn(y, a)
         end, path = y, []
         for b in label.letters:
             taken = steps.get((end, b)) if path is not None else None

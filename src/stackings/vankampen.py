@@ -448,7 +448,7 @@ def _seashell(
     its first node.
     """
     tree, alphabet = s.tree, s.alphabet
-    step, degenerate, depth, word = tree.step, tree.degenerate, tree.depth, tree.word
+    move, depth, word = tree.move, tree.depth, tree.word
     inverse = alphabet.inverse
     stack: list[tuple] = []  # the suspended walks
     in_progress: set = set()  # the memo keys of their edges, empty with the stack
@@ -470,8 +470,8 @@ def _seashell(
             memo[key] = ((word(cur).letters, key[1]), p)
             flip = False
         else:
-            nxt = step(cur, x)
-            if degenerate(cur, x, nxt):
+            nxt, tree_edge = move(cur, x)
+            if tree_edge:
                 if b is None:
                     # no ids in use, so the step's ids are the segment's own
                     b = _DiagramBuilder(alphabet, cur, n, 0, 0)

@@ -17,8 +17,8 @@ basepoint one vertex at a time, a structure's normal-form tree stepped
 from its root, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
 the objects a diagram's and a ball's json exports encode, almost convexity by trying
-every word and searching every pair, and symmetrized relator sets by
-their definition.
+every word and searching every pair, symmetrized relator sets by
+their definition, and a stacking's relator set by one seed per sampled edge.
 """
 
 from __future__ import annotations
@@ -841,3 +841,15 @@ def is_symmetrized(relators: set[Word]) -> bool:
         and all(c in relators for c in cyclic_rotations(r))
         for r in relators
     )
+
+
+def stacking_relation_set_reference(s, edge_sample) -> set[Word]:
+    """The closure of phi(e) a^-1, one seed per sampled edge (source word,
+    letter), under inversion, cyclic conjugation and free reduction; a
+    member longer than k + 1 is a StructureError."""
+    seeds = [s.phi(src, a).append(s.alphabet.inv(a)).free_reduce() for src, a in edge_sample]
+    closed = symmetrized_closure(seeds)
+    for r in closed:
+        if len(r) > s.bound_k + 1:
+            raise StructureError(f"relator {r} longer than k+1 = {s.bound_k + 1}")
+    return closed

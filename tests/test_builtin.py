@@ -79,6 +79,28 @@ class TestBS1p:
         with pytest.raises(StructureError):
             bs2.phi(al.word("T T"), al.index("T"))  # m = 0: degenerate
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_phi_refuses_exactly_the_tree_edges(self, p):
+        s = bs1p_structure(p)
+        tree = s.tree
+        for key in build_ball(s, 4).elements:
+            y = tree.node(Word(s.alphabet, key))
+            for a in range(len(s.alphabet)):
+                try:
+                    s.phi_fn(y, a)
+                except StructureError:
+                    refused = True
+                else:
+                    refused = False
+                assert refused == tree.move(y, a)[1], (tree.word(y), a)
+
+    def test_phi_refuses_t_from_a_power_prime_to_p(self, bs2):
+        # T a t is a normal form: p does not divide m = 1
+        al, tree = bs2.alphabet, bs2.tree
+        assert bs2.is_degenerate(al.word("T a"), al.index("t"))
+        with pytest.raises(StructureError, match="not recursive"):
+            bs2.phi_fn(tree.node(al.word("T a")), al.index("t"))
+
     def test_p3(self):
         bs3 = bs1p_structure(3)
         al = bs3.alphabet
@@ -127,10 +149,11 @@ class TestBS1pStep:
 
     @pytest.mark.parametrize("p, n", [(2, 4), (3, 3)])
     def test_reduction_multiplies_linearly(self, monkeypatch, p, n):
+        # the tree's move is its one multiplication; its step is a move
         calls = []
-        bs_mul = builtin._bs_mul
+        move = builtin._BS1pTree.move
         monkeypatch.setattr(
-            builtin, "_bs_mul", lambda *args: calls.append(1) or bs_mul(*args)
+            builtin._BS1pTree, "move", lambda *args: calls.append(1) or move(*args)
         )
         s = bs1p_structure(p)
         u = ["t"] * n + ["a"] + ["T"] * n
@@ -407,7 +430,8 @@ class TestNormalFormTree:
             nxt = []
             for y in frontier:
                 for a in range(len(al)):
-                    y_a = tree.step(y, a)
+                    y_a, tree_edge = tree.move(y, a)
+                    assert y_a == tree.step(y, a)
                     word = tree.word(y_a).letters
                     assert tree.depth(y_a) == len(word)
                     forward = word == tree.word(y).letters + (a,)
@@ -415,16 +439,76 @@ class TestNormalFormTree:
                     if word:
                         assert tree.word(tree.parent(y_a)).letters == word[:-1]
                         assert tree.last(y_a) == word[-1]
-                    # the tree's own degenerate test is the parent/last one,
+                    # the kind the tree's move gives is the parent/last one,
                     # which is the comparison of the words
-                    degenerate = tree.degenerate(y, a, y_a)
-                    assert degenerate == NormalFormTree.degenerate(tree, y, a, y_a)
+                    assert NormalFormTree.move(tree, y, a) == (y_a, tree_edge)
                     kind = classify(tree.word(y), a, tree.word(y_a))
-                    assert degenerate == (kind is EdgeKind.DEGENERATE)
+                    assert tree_edge == (kind is EdgeKind.DEGENERATE)
                     if y_a not in seen:
                         seen.add(y_a)
                         nxt.append(y_a)
             frontier = nxt
+
+
+def bs1p_nodes(p: int):
+    """Nodes t^-i a^m t^k of BS(1,p) with |m| up to 10^6 and i, k up to 30,
+    drawn often at m = 0, at multiples of p and at i or k = 0."""
+    small = hs.one_of(hs.just(0), hs.integers(1, 2), hs.integers(0, 30))
+    multiple = hs.integers(-(10**6) // p, 10**6 // p).map(lambda x: x * p)
+    m = hs.one_of(hs.integers(-2 * p, 2 * p), multiple, hs.integers(-(10**6), 10**6))
+    # p may divide m only when i or k is 0; m + 1 is then prime to p
+    return hs.one_of(
+        hs.builds(
+            lambda i, m, k: BS1pElement(i, m + 1 if i and k and not m % p else m, k),
+            small, m, small,
+        ),
+        hs.builds(BS1pElement, hs.integers(1, 30), multiple, hs.just(0)),
+    )
+
+
+F2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
+
+# Trees whose move is checked against the word comparison, with nodes to
+# check it at: BS(1,p) nodes by their coordinates, the others by a word.
+MOVE_TREES = {
+    "bs1p:2": (lambda: bs1p_structure(2).tree, bs1p_nodes(2)),
+    "bs1p:3": (lambda: bs1p_structure(3).tree, bs1p_nodes(3)),
+    "bs1p:5": (lambda: bs1p_structure(5).tree, bs1p_nodes(5)),
+    "crs:z2": (lambda: crs_structure(Z2).tree, None),
+    "crs:bs12": (lambda: crs_structure(BS12).tree, None),
+    "free": (lambda: FunctionOracle(F2, Word.free_reduce), None),
+}
+
+
+@pytest.fixture(scope="module")
+def move_trees():
+    return {name: make() for name, (make, _) in MOVE_TREES.items()}
+
+
+class TestMove:
+    """A tree's move is its step together with the kind of the edge, the
+    kind being the comparison of the two normal-form words."""
+
+    @pytest.mark.parametrize("name", sorted(MOVE_TREES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=hs.data())
+    def test_move_is_step_and_word_comparison(self, move_trees, name, data):
+        tree, nodes = move_trees[name], MOVE_TREES[name][1]
+        n = len(tree.alphabet)
+        if nodes is None:
+            w = data.draw(hs.lists(hs.integers(0, n - 1), max_size=20))
+            y = tree.node(Word(tree.alphabet, tuple(w)))
+        else:
+            y = data.draw(nodes)
+        a = data.draw(hs.integers(0, n - 1))
+        t = tree.step(y, a)
+        # Words one letter apart differ in length by one.  Only those are
+        # spelled, and not kept by the tree: a BS(1,p) step by a from
+        # t^-i a^m t^k adds p^k letters, too many to spell for large k.
+        kind = EdgeKind.RECURSIVE
+        if abs(tree.depth(t) - tree.depth(y)) == 1:
+            kind = classify(Word(tree.alphabet, y.letters), a, Word(tree.alphabet, t.letters))
+        assert tree.move(y, a) == (t, kind is EdgeKind.DEGENERATE)
 
 
 class TestShortlexAC:

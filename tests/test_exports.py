@@ -59,3 +59,38 @@ def test_no_unused_imports(name):
     # annotations are expressions in the tree, so their names count as used
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [n for n in imported_names(tree) if n not in used] == []
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    """The names the statements at a module's top level define."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_no_unread_private_names():
+    # a helper a change leaves behind is read nowhere in the package
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(stackings.__file__).parent.glob("*.py")
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{module}.{name}"
+        for module, tree in sorted(trees.items())
+        for name in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert unread == []

@@ -15,6 +15,7 @@ from oracles import (
     seashell_fill_reference,
     seashell_glue,
     segment,
+    stacking_relation_set_reference,
 )
 from stackings import (
     Alphabet,
@@ -23,6 +24,7 @@ from stackings import (
     EdgeKind,
     FormatError,
     StackingStructure,
+    StructureError,
     VanKampenDiagram,
     Word,
     bs1p_structure,
@@ -221,8 +223,8 @@ class TestFilling:
         memo: dict = {}
         counts, y = [], tree.root
         for x in w.letters:
-            y_next = tree.step(y, x)
-            if not tree.degenerate(y, x, y_next):
+            y_next, tree_edge = tree.move(y, x)
+            if not tree_edge:
                 before = len(memo)
                 edge_diagram((tree.word(y), x), bs2, memo=memo)
                 counts.append(len(memo) - before)
@@ -439,6 +441,24 @@ class TestDeepFlow:
             z2struct, [(Word(al, src), a) for (src, a), _ in memo.values()]
         )
         assert validate_diagram(d, rels, w, z2struct).passed
+
+
+class TestRelationSet:
+    def test_one_seed_per_distinct_image(self, bs2):
+        # the edges of the memos of fillings repeat a few (image, letter) pairs
+        al = bs2.alphabet
+        for w in conjugate_commutators(al, 12, seed=6):
+            memo: dict = {}
+            build_filling_diagram(bs2, w, memo=memo)
+            edges = [(Word(al, src), a) for (src, a), _ in memo.values()]
+            assert stacking_relation_set(bs2, edges) == stacking_relation_set_reference(bs2, edges)
+
+    def test_every_sampled_edge_is_checked(self, bs2):
+        # a degenerate edge after a recursive one with the same letter
+        al = bs2.alphabet
+        edges = [(al.word("t"), al.index("a")), (al.word("a"), al.index("a"))]
+        with pytest.raises(StructureError, match="degenerate"):
+            stacking_relation_set(bs2, edges)
 
 
 class TestValidation:
