@@ -114,9 +114,10 @@ class Irreducible:
     word one letter shorter is its ``parent``, and ``children`` holds the
     nodes of its one-letter extensions met so far.  ``steps``, made on first
     use, maps each letter whose reducible extension has been rewritten to
-    the node of its irreducible form and the rewrites taken."""
+    the node of its irreducible form and the rewrites taken; ``images``
+    maps a letter to the phi image of its recursive edge, once read."""
 
-    __slots__ = ("parent", "letter", "depth", "children", "steps")
+    __slots__ = ("parent", "letter", "depth", "children", "steps", "images")
 
     def __init__(self, parent: "Irreducible | None" = None, letter: int = -1) -> None:
         self.parent = parent
@@ -124,6 +125,7 @@ class Irreducible:
         self.depth = 0 if parent is None else parent.depth + 1
         self.children: dict[int, Irreducible] = {}
         self.steps: dict[int, tuple[Irreducible, int]] | None = None
+        self.images: dict[int, Word] | None = None
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -293,6 +295,9 @@ class IrreducibleTree(NormalFormTree):
         return y.depth
 
     def phi(self, y: Irreducible, a: int) -> Word:
+        # kept on y when one rule alone ends y a, so every other call raises
+        if y.images is not None and a in y.images:
+            return y.images[a]
         rules = [
             r.rule for r in self.S._by_last_letter.get(a, ()) if _ends_with(y, r.rest) is not None
         ]
@@ -302,7 +307,8 @@ class IrreducibleTree(NormalFormTree):
             raise StructureError(
                 f"no rule factors {self.word(y).append(a)}: system not minimal/complete"
             )
-        return self._images[rules[0]]
+        y.images = {**(y.images or {}), a: self._images[rules[0]]}
+        return y.images[a]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ a basepoint, and the boundary walk.  ``edge_diagram`` builds the diagram of
 one edge (a degenerate edge's segment or a recursive edge's piece) and
 ``build_filling_diagram`` the filling of a trivial word, both with one
 mutable builder on the structure's normal-form tree nodes that folds on
-tree segments, and by reference on recursive pieces, along basepoint paths
-(seashell gluing) and caps each recursive edge with its 2-cell, so
-planarity and contractibility hold by construction; freezing the builder
-writes every diagram the library makes (``import_diagram`` reads one),
-each cell once, with its node spelled as a word, and ``validate_diagram``
-audits the result via the Euler characteristic.
+tree segments, and by reference on recursive pieces (a piece's out path
+as one range of depths), along basepoint paths (seashell gluing) and caps
+each recursive edge with its 2-cell, so planarity and contractibility hold
+by construction; freezing the builder writes every diagram the library
+makes, each cell once, with its node spelled as a word.
+``validate_diagram`` audits a diagram, its vertex words as tree nodes.
 
 Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 """
@@ -114,44 +114,71 @@ class _Glue:
     the piece is ``vmap[v]`` if the fold identified it (with the shared
     path, the basepoint or the builder's spur) and ``v_off + v`` otherwise,
     and likewise for edges with ``emap`` (keyed by signed traversal) and
-    ``e_off``; faces are ``f_off + fid``.  A glue without maps is the copy
-    a walk starts from: the piece's cells are the builder's own.
+    ``e_off``; faces are ``f_off + fid``.  An unflipped glue maps the
+    piece's out path, whose edge ids are their depths, as a range: the
+    builder's back path entries over those depths, top first, and their
+    start vertices are ``shared`` and ``shared_v``.  A glue without maps is
+    the copy a walk starts from: the piece's cells are the builder's own.
     """
 
-    __slots__ = ("piece", "v_off", "e_off", "f_off", "vmap", "emap")
+    __slots__ = ("piece", "v_off", "e_off", "f_off", "vmap", "emap", "shared", "shared_v")
 
-    def __init__(self, piece, v_off: int, e_off: int, f_off: int, vmap, emap) -> None:
-        self.piece = piece
-        self.v_off, self.e_off, self.f_off = v_off, e_off, f_off
-        self.vmap, self.emap = vmap, emap
+    def __init__(self, piece, offsets: tuple, vmap, emap, shared=(), shared_v=()) -> None:
+        self.piece, (self.v_off, self.e_off, self.f_off) = piece, offsets
+        self.vmap, self.emap, self.shared, self.shared_v = vmap, emap, shared, shared_v
 
     def frame(self, outer: tuple) -> tuple:
-        """The piece's frame in the frozen diagram, from the builder's.
-
-        A frame is (vertex map, vertex offset, edge map, edge offset, face
-        offset): a cell's id in the frozen diagram is its id plus the
-        offset, except for the vertices and edges in the maps, which are
-        those identified on the way up and the spur vertices.  Only a
-        piece's arc can be identified further up, so the maps of the piece
-        cost its own maps and its arc, not the cells under it.
-        """
+        """The piece's frame in the frozen diagram, from the builder's:
+        (vertex map, vertex offset, edge map, edge offset, face offset, top
+        of the range, and (glue, outer frame) if there is a range).  A cell
+        keeps its id plus the offset unless a map has it (the spur vertices
+        and the cells identified on the way up, which can only be on the
+        piece's arc) or it is in the range (see :func:`_vertex`)."""
         if self.vmap is None:
             return outer
-        vm0, ov0, em0, oe0, of0 = outer
         p, v_off, e_off = self.piece, self.v_off, self.e_off
-        vm = {v: vm0.get(u, u + ov0) for v, u in self.vmap.items()}
-        em = {x: em0.get(t) or (t + oe0 if t > 0 else t - oe0) for x, t in self.emap.items()}
-        if vm0:
-            for v in p.arc_vertices:
+        vm = {v: _vertex(outer, u) for v, u in self.vmap.items()}
+        em = {x: _edge(outer, t) for x, t in self.emap.items()}
+        hi = p.depth + len(self.shared)
+        if outer[2]:  # only a frame that maps edges identifies cells of the arc
+            vm0, em0 = outer[0], outer[2]
+            for v in [*p.arc_vertices, *range(hi + 2, p.out + 2)]:
                 u = vm0.get(v + v_off)
                 if u is not None and v not in vm:
                     vm[v] = u
-        if em0:
-            for e in p.arc_edges:
+            for e in [*map(abs, p.boundary[p.out - p.depth :]), *range(hi + 1, p.out + 1)]:
                 t = em0.get(e + e_off)
                 if t is not None and e not in em:
                     em[e], em[-e] = t, -t
-        return vm, ov0 + v_off, em, oe0 + e_off, of0 + self.f_off
+        up = (self, outer) if self.shared else None
+        return vm, outer[1] + v_off, em, outer[3] + e_off, outer[4] + self.f_off, hi, up
+
+
+def _vertex(frame: tuple, v: int) -> int:
+    """The id in the frozen diagram of the vertex ``v`` of a frame's piece."""
+    while True:
+        vm, ov, _, _, _, hi, up = frame
+        u = vm.get(v)
+        if u is not None:
+            return u
+        if up is None or v > hi + 1:
+            return v + ov
+        glue, frame = up
+        v = glue.shared_v[hi + 1 - v]
+
+
+def _edge(frame: tuple, x: int) -> int:
+    """The id in the frozen diagram of the traversal ``x`` of a frame's piece."""
+    while True:
+        _, _, em, oe, _, hi, up = frame
+        t = em.get(x)
+        if t is not None:
+            return t
+        if up is None or not -hi <= x <= hi:
+            return x + oe if x > 0 else x - oe
+        glue, frame = up
+        t = glue.shared[hi - abs(x)]
+        x = -t if x > 0 else t
 
 
 class _DiagramBuilder:
@@ -164,38 +191,40 @@ class _DiagramBuilder:
     vertices have ids 1 to depth + 1 and its edges ids 1 to depth, edge d
     joining the vertex at depth d - 1 to the one at depth d.  The spur is
     not stored: ``boundary`` holds the arc between, a closed walk at the
-    spur's top vertex, and the largest ids in use count the spur.
+    spur's top vertex, ``starts`` the vertex each entry starts from, and
+    the largest ids in use count the spur.
 
     A cell is recorded once, where it is made, and written once, by
     ``freeze``: ``events`` holds the tree steps, caps and glues in order,
-    and a glue is a :class:`_Glue` reference to its piece.  Lowering the spur records no cells: the spur's
-    cells from ``depth`` up to ``top``, the depth the builder started at,
-    are the diagram's first cells, and their ids, letters and nodes (the
-    ancestors of ``start``) follow from their depths.  A fold identifies
-    most of them, and ``freeze`` writes the rest.  The builder keeps only
-    what folding reads: the endpoints and letters of the edges that have
-    been on the arc (``edge_map``), and the spur vertices that its cells use
-    (``spur_refs``, which may also hold vertices of the lowered spur).
+    and a glue is a :class:`_Glue` reference to its piece.  Lowering the
+    spur records no cells: the spur's cells from ``depth`` up to ``top``,
+    the depth the builder started at, are the diagram's first cells, and
+    their ids, letters and nodes (the ancestors of ``start``) follow from
+    their depths.  They start the arc, as its out path up to ``out`` (above
+    ``top`` only in a builder that starts as a piece).  A fold identifies
+    most of them, and ``freeze`` writes the rest.  ``spur_refs`` holds the
+    spur vertices that cells use (and maybe some of the lowered spur).
 
     The piece of a recursive edge (y_g, a) is a finished builder whose
     ``ends`` are the nodes (y_g, y_{ga}).  Its spur spells a common prefix
-    of the two, and its arc reads the rest of y_g, then a, then the rest of
-    y_{ga} backwards, so gluing it costs its arc and not its cells, nor the
-    length of y_g.
+    of the two, and its arc is [out path][cap edge][back path]: the rest of
+    y_g, then a, then the rest of y_{ga} backwards.  An unflipped glue maps
+    the out path as one range and copies the rest of the arc, so gluing
+    costs neither the piece's cells nor the length of y_g.
     """
 
     __slots__ = (
-        "alphabet", "start", "depth", "top", "events", "boundary", "edge_map",
-        "vmax", "emax", "fmax", "spur_refs", "ends", "arc_edges", "arc_vertices", "vtop",
+        "alphabet", "start", "depth", "top", "out", "events", "boundary", "starts",
+        "vmax", "emax", "fmax", "spur_refs", "ends", "arc_vertices", "vtop",
     )
 
     def __init__(self, alphabet: Alphabet, start, depth: int, vmax: int, emax: int, fmax: int = 0):
         self.alphabet = alphabet
         self.start = start
-        self.depth = self.top = depth
+        self.depth = self.top = self.out = depth
         self.events: list = []
         self.boundary: list[int] = []
-        self.edge_map: dict[int, tuple[int, int, int]] = {}
+        self.starts: list[int] = []
         self.vmax, self.emax, self.fmax = vmax, emax, fmax
         self.spur_refs: set[int] = set()
         self.ends: tuple | None = None
@@ -204,26 +233,25 @@ class _DiagramBuilder:
     def of_piece(cls, p: "_DiagramBuilder", flip: bool) -> "_DiagramBuilder":
         """A builder that starts as the piece ``p``, mirrored if ``flip``."""
         b = cls(p.alphabet, p.ends[flip], p.depth, p.vmax, p.emax, p.fmax)
-        b.events.append(_Glue(p, 0, 0, 0, None, None))
-        b.boundary = p.arc(flip)
-        b.edge_map = {e: p.edge_map[e] for e in p.arc_edges}
+        b.out = p.depth if flip else p.out
+        b.events.append(_Glue(p, (0, 0, 0), None, None))
+        b.boundary, b.starts = map(list, p.arc(flip))
         b.spur_refs = set(p.spur_refs)
         return b
 
-    traverse = VanKampenDiagram.traverse  # reads only alphabet and edge_map
+    def arc(self, flip: bool) -> tuple[list[int], list[int]]:
+        """The arc and its starts, read backwards if ``flip`` (the mirror's
+        arc); the builder's own lists if not."""
+        if not flip:
+            return self.boundary, self.starts
+        return [-x for x in reversed(self.boundary)], [self.depth + 1, *reversed(self.starts[1:])]
 
-    def arc(self, flip: bool) -> list[int]:
-        """The arc, read backwards if ``flip`` (the mirror's arc)."""
-        return [-sgn for sgn in reversed(self.boundary)] if flip else list(self.boundary)
-
-    def _lower(self, depth: int, letters: list[int]) -> None:
-        """Make the spur above ``depth``, whose edges read ``letters``, part
-        of the arc."""
+    def _lower(self, depth: int) -> None:
+        """Make the spur above ``depth`` part of the arc."""
         h = self.depth
-        ids = range(depth + 1, h + 1)
-        self.edge_map.update((d, (d, d + 1, x)) for d, x in zip(ids, letters))
-        self.boundary[:0] = ids
+        self.boundary[:0] = self.starts[:0] = range(depth + 1, h + 1)
         self.boundary.extend(range(-h, -depth))
+        self.starts.extend(range(h + 1, depth + 1, -1))
         self.spur_refs.add(depth + 1)  # by the lowest edge made part of the arc
         self.depth = depth
         self.vmax, self.emax = max(self.vmax, h + 1), max(self.emax, h)
@@ -242,19 +270,19 @@ class _DiagramBuilder:
         b, h = self.boundary, self.depth
         if n_next < n:
             if n == h:
-                self._lower(h - 1, [self.alphabet.inverse[x]])
+                self._lower(h - 1)
             return
         at = len(b) - (n - h)
         if n > h:
-            src = self.traverse(b[at])[0]
+            src = self.starts[at]
         else:  # the spur's top vertex
             src = h + 1
             self.spur_refs.add(src)
         vid, eid = self.vmax + n + 2, self.emax + n + 1
         self.events.append((vid, y_next, eid, src, x))
-        self.edge_map[eid] = (src, vid, x)
         self.vmax, self.emax = vid, eid
         b[at:at] = (eid, -eid)
+        self.starts[at:at] = (src, vid)
 
     def glue(self, p: "_DiagramBuilder", flip: bool, y, n: int) -> None:
         """Fold on the piece ``p``, mirrored if ``flip``, along the back
@@ -262,73 +290,67 @@ class _DiagramBuilder:
         arc, of length ``n``, is identified with the back path at the end of
         this boundary.
 
-        The entries of the back path are found by their index in the
-        boundary: the one at depth d, above the spur, is the (d - depth)-th
-        from the end and leads from depth d to depth d - 1.  The fold maps
-        the piece's vertices on the shared path, its basepoint and the spur
-        vertices its cells use onto vertices here, and the other cells get
-        ``vmax + vid``, ``emax + eid`` and ``fmax + fid``; only the arc is
-        mapped now.  Faces and arcs never use spur edges: an arc is built
-        from tree steps, caps and the arcs of pieces, all above their spurs.
+        The back path's entry at depth d, above the spur, is the
+        (d - depth)-th from the end of the boundary and leads down from
+        depth d.  The fold maps the piece's basepoint, the spur vertices its
+        cells use and the shared path, by range or one by one, onto cells
+        here; the others get ``vmax + vid``, ``emax + eid`` and ``fmax +
+        fid``.  Only the arc is mapped now.  Faces and arcs use no spur edge.
         """
         if p.ends[flip] != y:
             raise DiagramError(f"the piece glued at {y} starts at another vertex")
-        arc = p.arc(flip)
+        arc, arc_v = p.arc(flip)
         hp = p.depth
-        pe, se = p.edge_map, self.edge_map
+        m = 0 if flip else p.out - hp  # the out path's edges mapped as a range
         if hp < self.depth:
-            # p's out path reads the letters of this spur above hp
-            self._lower(hp, [pe[u][2] if u > 0 else self.alphabet.inverse[pe[-u][2]]
-                             for u in arc[: self.depth - hp]])
-        b, h = self.boundary, self.depth
+            self._lower(hp)
+        b, bv, h = self.boundary, self.starts, self.depth
         end = len(b)
+        lo, hi = end - (n - h), end - (hp - h)  # the back path above hp
         vmap = {1: 1}  # p vertex -> vertex here
+        if m:  # the top of the range, which p's cap starts from
+            vmap[hp + m + 1] = bv[hi - m]
         emap: dict[int, int] = {}  # traversal in p -> traversal here
-        for k in range(n - hp):  # the shared edge at depth hp + 1 + k
-            u, t = arc[k], -b[end - (hp + 1 + k - h)]
-            emap[u], emap[-u] = t, -t
-            vmap[pe[u][1] if u > 0 else pe[-u][0]] = se[t][1] if t > 0 else se[-t][0]
+        for k in range(m, n - hp):  # the shared edge at depth hp + 1 + k
+            u, j = arc[k], end - (hp + 1 + k - h)
+            emap[u], emap[-u] = -b[j], b[j]
+            vmap[arc_v[k + 1]] = bv[j]
         for v in p.spur_refs:  # p's spur vertex at depth v - 1
             if v - 1 <= h:
                 vmap[v] = v
                 self.spur_refs.add(v)
             else:
-                vmap[v] = self.traverse(b[end - (v - 1 - h)])[0]
-        v_off, e_off, f_off = self.vmax, self.emax, self.fmax
-        self.events.append(_Glue(p, v_off, e_off, f_off, vmap, emap))
-        get = vmap.get
-        for e in p.arc_edges:  # the lookups of p's arc beyond the shared path
-            if e not in emap:
-                src, dst, c = pe[e]
-                se[e + e_off] = (get(src, src + v_off), get(dst, dst + v_off), c)
-        b[end - (n - h) : end - (hp - h)] = [
-            emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in arc[n - hp :]
-        ]
+                vmap[v] = bv[end - (v - 1 - h)]
+        offsets = v_off, e_off, f_off = self.vmax, self.emax, self.fmax
+        self.events.append(_Glue(p, offsets, vmap, emap, b[hi - m : hi], bv[hi - m : hi]))
+        b[lo:hi] = [emap.get(x) or (x + e_off if x > 0 else x - e_off) for x in arc[n - hp :]]
+        bv[lo:hi] = [vmap.get(v) or v + v_off for v in arc_v[n - hp :]]
         # The largest ids of the cells written, which the identified ones are
         # not.  p's largest edge is its cap, which lies between the two out
         # paths of its arc and so is never identified.
-        self.vmax = v_off + next(v for v in p.vtop if v not in vmap)
+        self.vmax = v_off + next(v for v in p.vtop if v not in vmap and not hp + 1 < v <= hp + m + 1)
         self.emax, self.fmax = e_off + p.emax, f_off + p.fmax
 
     def cap(self, out_len: int, mid_len: int, a: int) -> None:
         """Close the arc of ``mid_len`` boundary entries after the first
-        ``out_len`` with a new ``a``-edge and the 2-cell it encloses."""
-        b, i = self.boundary, out_len - self.depth
+        ``out_len`` with a new ``a``-edge and the 2-cell it encloses (the
+        last entry may end the boundary, at the spur's top vertex)."""
+        b, bv, i = self.boundary, self.starts, out_len - self.depth
         mid = tuple(b[i : i + mid_len])
         eid, fid = self.emax + 1, self.fmax + 1
-        src, dst = self.traverse(mid[0])[0], self.traverse(mid[-1])[1]
+        src, dst = bv[i], bv[i + mid_len] if i + mid_len < len(bv) else self.depth + 1
         self.spur_refs.update(v for v in (src, dst) if v <= self.depth + 1)
         self.events.append((eid, src, dst, a, fid, mid + (-eid,)))
-        self.edge_map[eid] = (src, dst, a)
         self.emax, self.fmax = eid, fid
         b[i : i + mid_len] = (eid,)
+        bv[i : i + mid_len] = (src,)
 
     def finish(self, ends: tuple) -> None:
         """Make this builder, just capped, the piece of the edge with end
         nodes ``ends``, and keep what gluing it reads: its arc's vertices
-        and edges, the spur vertices its cells use, and ``vtop``, its
-        vertex ids in decreasing order down to the largest that is not on
-        the arc, or 0 if all are (the largest that a fold writes is the
+        past the out path, the spur vertices its cells use, and ``vtop``,
+        its vertex ids in decreasing order down to the largest that is not
+        on the arc, or 0 if all are (the largest that a fold writes is the
         first that it does not identify).
 
         Ids grow from one event to the next, and the lowered spur has the
@@ -338,15 +360,14 @@ class _DiagramBuilder:
         """
         self.ends = ends
         top = self.depth + 1  # ids up to the spur's top vertex are spur vertices
-        edge_map = self.edge_map
-        self.arc_edges = set(map(abs, self.boundary))
-        self.arc_vertices = {v for e in self.arc_edges for v in edge_map[e][:2] if v > top}
+        arc = self.arc_vertices = set(self.starts[self.out - self.depth :]) - {top}
         self.spur_refs = tuple(v for v in self.spur_refs if v <= top)
-        arc, vtop = self.arc_vertices, []
+        vtop = []
         for ev in reversed(self.events):
             if type(ev) is _Glue:
-                skip, off = ev.vmap or (), ev.v_off
-                ids = [v + off for v in ev.piece.vtop if v and v not in skip]
+                skip, off, lo = ev.vmap or (), ev.v_off, ev.piece.depth + 1
+                hi = lo + len(ev.shared)
+                ids = [v + off for v in ev.piece.vtop if v and v not in skip and not lo < v <= hi]
             elif len(ev) == 5:  # a tree step
                 ids = ev[:1]
             else:  # a cap adds no vertex
@@ -356,12 +377,7 @@ class _DiagramBuilder:
                 if v not in arc:
                     self.vtop = vtop
                     return
-        for v in range(self.top + 1, self.depth + 1, -1):  # the lowered spur
-            vtop.append(v)
-            if v not in arc:
-                self.vtop = vtop
-                return
-        vtop.append(0)
+        vtop += [*range(self.top + 1, self.depth + 1, -1), 0]  # the lowered spur is on the arc
         self.vtop = vtop
 
     def freeze(self, tree) -> VanKampenDiagram:
@@ -377,10 +393,10 @@ class _DiagramBuilder:
 
         def spill(b: _DiagramBuilder, frame: tuple) -> None:
             """The cells of b's lowered spur that no fold identified."""
-            vm, ov, em, oe, _ = frame
+            vm, ov, em, oe, _, hi, up = frame
             lowered = range(b.depth + 1, b.top + 1)
-            if all(d + 1 in vm and d in em for d in lowered):
-                return
+            if not lowered or up and hi - len(up[0].shared) <= b.depth and b.top <= hi:
+                return  # none, or all in the frame's range
             y = b.start  # its ancestors label the spur
             for _ in range(tree.depth(y) - b.top):
                 y = parent(y)
@@ -392,14 +408,15 @@ class _DiagramBuilder:
                 if d + 1 not in vm:
                     vertices.append((d + 1 + ov, word(labels[d])))
                 if d not in em:
-                    edges.append((d + oe, vm.get(d, d + ov), vm.get(d + 1, d + 1 + ov), b.edge_map[d][2]))
+                    src, dst = vm.get(d, d + ov), vm.get(d + 1, d + 1 + ov)
+                    edges.append((d + oe, src, dst, tree.last(labels[d])))
 
-        frame = ({}, 0, {}, 0, 0)
+        frame = ({}, 0, {}, 0, 0, 0, None)
         spill(self, frame)
         stack = [(iter(self.events), frame)]
         while stack:
             events, frame = stack[-1]
-            vm, ov, em, oe, of = frame
+            vm, ov, em, oe, of, hi, _ = frame
             for ev in events:
                 if type(ev) is _Glue:
                     inner = ev.frame(frame)
@@ -411,13 +428,17 @@ class _DiagramBuilder:
                     if vid not in vm:
                         vertices.append((vid + ov, word(y)))
                     if eid not in em:
-                        edges.append((eid + oe, vm.get(src, src + ov), vm.get(vid, vid + ov), x))
+                        src = vm.get(src) or (src + ov if src > hi + 1 else _vertex(frame, src))
+                        edges.append((eid + oe, src, vm.get(vid, vid + ov), x))
                 else:  # a cap
                     eid, src, dst, a, fid, walk = ev
                     if eid not in em:
-                        edges.append((eid + oe, vm.get(src, src + ov), vm.get(dst, dst + ov), a))
-                    if em or oe:
-                        walk = tuple([em.get(x) or (x + oe if x > 0 else x - oe) for x in walk])
+                        src = vm.get(src) or (src + ov if src > hi + 1 else _vertex(frame, src))
+                        dst = vm.get(dst) or (dst + ov if dst > hi + 1 else _vertex(frame, dst))
+                        edges.append((eid + oe, src, dst, a))
+                    if em or oe or hi:
+                        walk = tuple([em.get(x) or (x + oe if x > hi else x - oe if x < -hi
+                                                    else _edge(frame, x)) for x in walk])
                     faces.append((fid + of, walk))
             else:
                 stack.pop()
@@ -577,18 +598,6 @@ class ValidationReport:
         return out
 
 
-def _is_closed_walk_at(d: VanKampenDiagram, walk: tuple[int, ...], start: int) -> bool:
-    cur = start
-    for sgn in walk:
-        if abs(sgn) not in d.edge_map:
-            return False
-        src, dst, _ = d.traverse(sgn)
-        if src != cur:
-            return False
-        cur = dst
-    return cur == start
-
-
 def validate_diagram(
     d: VanKampenDiagram,
     relators: set[Word],
@@ -596,59 +605,79 @@ def validate_diagram(
     s: StackingStructure,
 ) -> ValidationReport:
     """The five checks: boundary label, face labels, Euler/connectivity,
-    basepoint-path vertex labels, and incidence consistency."""
-    details: list[str] = []
+    basepoint-path vertex labels, and incidence consistency.
 
-    # (v) incidence consistency first, since the others walk the complex
+    The boundary and each face are walked once through one table, signed
+    edge id -> (start, end, letter).  A vertex word is resolved once to its
+    tree node, a normal form when that node spells it; the ends of its
+    basepoint paths are its parent's, stepped by its last letter, kept per
+    node, so no word is sliced.
+    """
+    details: list[str] = []
+    alphabet, inv = d.alphabet, d.alphabet.inverse
+
+    # (v) incidence consistency first, since the others walk the complex;
+    # the labelled adjacency (vertex -> (letter read, end vertex)) serves too
     vids = set(d.vertex_words)
     consistent = len(vids) == len(d.vertices) and len(d.edge_map) == len(d.edges)
+    table: dict[int, tuple[int, int, int]] = {}
+    outgoing: dict[int, list[tuple[int, int]]] = {vid: [] for vid in vids}
     for eid, src, dst, label in d.edges:
-        if src not in vids or dst not in vids or not 0 <= label < len(d.alphabet):
+        if src not in vids or dst not in vids or not 0 <= label < len(alphabet):
             consistent = False
             details.append(f"edge {eid} has dangling endpoint or bad label")
+        else:
+            table[eid], table[-eid] = (src, dst, label), (dst, src, inv[label])
+            outgoing[src].append((label, dst))
+            outgoing[dst].append((inv[label], src))
     if d.basepoint not in vids:
         consistent = False
         details.append("basepoint is not a vertex")
-    if consistent and not _is_closed_walk_at(d, d.boundary, d.basepoint):
+
+    def letters(walk: tuple[int, ...], start: int) -> tuple[int, ...] | None:
+        """The letters of ``walk`` if it is a closed walk at ``start``."""
+        cur, out = start, []
+        for x in walk:
+            if (step := table.get(x)) is None or step[0] != cur:
+                return None
+            cur = step[1]
+            out.append(step[2])
+        return tuple(out) if cur == start else None
+
+    boundary = letters(d.boundary, d.basepoint) if consistent else ()
+    if boundary is None:
         consistent = False
         details.append("boundary is not a closed walk at the basepoint")
-    if consistent:
-        for fid, walk in d.faces:
-            if not walk or not _is_closed_walk_at(d, walk, d.traverse(walk[0])[0]):
-                consistent = False
-                details.append(f"face {fid} boundary is not a closed walk")
+    face_words = []
+    for fid, walk in d.faces if consistent else ():
+        face_words.append(letters(walk, table[walk[0]][0]) if walk and walk[0] in table else None)
+        if face_words[-1] is None:
+            consistent = False
+            details.append(f"face {fid} boundary is not a closed walk")
 
     # (i) boundary label
-    boundary_ok = consistent and d.boundary_word() == w
+    boundary_ok = consistent and Word(alphabet, boundary) == w
     if consistent and not boundary_ok:
-        details.append(f"boundary word {d.boundary_word()} != {w}")
+        details.append(f"boundary word {Word(alphabet, boundary)} != {w}")
 
     # (ii) each face label is a relator up to rotation/inversion
     faces_ok = consistent
     if consistent:
-        inv = d.alphabet.inverse
         closed: set[tuple[int, ...]] = set()
         for r in relators:
             for x in (r.letters, tuple(inv[c] for c in reversed(r.letters))):
                 closed.update(x[i:] + x[:i] for i in range(len(x)))
-        for fid, walk in d.faces:
-            letters = tuple(d.traverse(e)[2] for e in walk)
-            if letters not in closed:
+        for (fid, _), fw in zip(d.faces, face_words):
+            if fw not in closed:
                 faces_ok = False
-                details.append(f"face {fid} label {Word(d.alphabet, letters)} is not a relator")
+                details.append(f"face {fid} label {Word(alphabet, fw)} is not a relator")
 
-    # (iii) Euler characteristic and connectivity; the labelled adjacency
-    # (vertex -> (letter read, end vertex)) built here also serves (iv)
+    # (iii) Euler characteristic and connectivity
     euler_ok = consistent and d.euler_characteristic() == 1
     if consistent and not euler_ok:
         details.append(f"V - E + F = {d.euler_characteristic()} != 1")
     if consistent:
-        outgoing: dict[int, list[tuple[int, int]]] = {vid: [] for vid in vids}
-        for _, src, dst, label in d.edges:
-            outgoing[src].append((label, dst))
-            outgoing[dst].append((d.alphabet.inv(label), src))
-        seen = {d.basepoint}
-        stack = [d.basepoint]
+        seen, stack = {d.basepoint}, [d.basepoint]
         while stack:
             for _, u in outgoing[stack.pop()]:
                 if u not in seen:
@@ -658,33 +687,27 @@ def validate_diagram(
             euler_ok = False
             details.append("1-skeleton is not connected")
 
-    # (iv) vertex words are normal forms and label in-diagram basepoint paths.
-    # The ends of the paths from the basepoint spelling L are S(L): S of the
-    # empty word is the basepoint and S(L x) is the set of x-neighbours of
-    # S(L), each found once, from the longest prefix already known.
+    # (iv) vertex words are normal forms and label in-diagram basepoint paths
     paths_ok = consistent
-    if consistent:
-        ends: dict[tuple[int, ...], set[int]] = {(): {d.basepoint}}
-
-        def spelled(letters: tuple[int, ...]) -> set[int]:
-            k = len(letters)
-            while letters[:k] not in ends:
-                k -= 1
-            frontier = ends[letters[:k]]
-            while k < len(letters) and frontier:
-                x = letters[k]
-                frontier = {dst for v in frontier for lab, dst in outgoing[v] if lab == x}
-                k += 1
-                ends[letters[:k]] = frontier
-            return frontier
-
-        for vid, word in d.vertices:
-            if s.normal_form(word) != word:
-                paths_ok = False
-                details.append(f"vertex {vid} word {word} is not a normal form")
-            elif vid not in spelled(word.letters):
-                paths_ok = False
-                details.append(f"vertex {vid} word {word} labels no basepoint path")
+    tree = s.tree
+    ends = {tree.root: {d.basepoint}}  # node -> the ends of its basepoint paths
+    for vid, word in d.vertices if consistent else ():
+        y = tree.node(word)
+        if tree.word(y) != word:
+            paths_ok = False
+            details.append(f"vertex {vid} word {word} is not a normal form")
+            continue
+        above = []
+        while y not in ends:
+            above.append(y)
+            y = tree.parent(y)
+        reached = ends[y]
+        for y in reversed(above):
+            x = tree.last(y)
+            reached = ends[y] = {u for v in reached for lab, u in outgoing[v] if lab == x}
+        if vid not in reached:
+            paths_ok = False
+            details.append(f"vertex {vid} word {word} labels no basepoint path")
 
     return ValidationReport(
         boundary_matches=boundary_ok,

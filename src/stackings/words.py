@@ -125,7 +125,8 @@ class Word:
         return Word(self.alphabet, self.letters + other.letters)
 
     def __str__(self) -> str:
-        return " ".join(self.alphabet.tokens[i] for i in self.letters)
+        tokens = self.alphabet.tokens
+        return " ".join([tokens[i] for i in self.letters])
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

@@ -13,7 +13,8 @@ subword, the two clauses of the Thompson's F normal
 form language evaluated directly, the seashell filling built letter by
 letter from whole diagrams, with its own segments, mirror and gluing,
 the basepoint-path check of a diagram's vertex words walked from the
-basepoint one vertex at a time, a structure's normal-form tree stepped
+basepoint one vertex at a time, the five validation checks of a diagram
+on words, a structure's normal-form tree stepped
 from its root, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
 the objects a diagram's and a ball's json exports encode, almost convexity by trying
@@ -37,8 +38,10 @@ from stackings import (
     GeodesicReport,
     GroupElement,
     OutsideExploredRegionError,
+    StackingStructure,
     StackingsError,
     StructureError,
+    ValidationReport,
     VanKampenDiagram,
     Word,
     alpha,
@@ -511,6 +514,131 @@ def ball_json_obj(ball: Ball) -> dict:
             for e in sorted(ball.edges, key=lambda e: (e.source.canonical.shortlex_key(), e.label))
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# The five validation checks on words, as the library made them before it
+# walked tree nodes: each walk steps ``traverse`` entry by entry, and the
+# ends of the basepoint paths are kept per prefix of a vertex word.
+
+
+def _is_closed_walk_at(d: VanKampenDiagram, walk: tuple[int, ...], start: int) -> bool:
+    cur = start
+    for sgn in walk:
+        if abs(sgn) not in d.edge_map:
+            return False
+        src, dst, _ = d.traverse(sgn)
+        if src != cur:
+            return False
+        cur = dst
+    return cur == start
+
+
+def validate_reference(
+    d: VanKampenDiagram,
+    relators: set[Word],
+    w: Word,
+    s: StackingStructure,
+) -> ValidationReport:
+    """The five checks: boundary label, face labels, Euler/connectivity,
+    basepoint-path vertex labels, and incidence consistency."""
+    details: list[str] = []
+
+    # (v) incidence consistency first, since the others walk the complex
+    vids = set(d.vertex_words)
+    consistent = len(vids) == len(d.vertices) and len(d.edge_map) == len(d.edges)
+    for eid, src, dst, label in d.edges:
+        if src not in vids or dst not in vids or not 0 <= label < len(d.alphabet):
+            consistent = False
+            details.append(f"edge {eid} has dangling endpoint or bad label")
+    if d.basepoint not in vids:
+        consistent = False
+        details.append("basepoint is not a vertex")
+    if consistent and not _is_closed_walk_at(d, d.boundary, d.basepoint):
+        consistent = False
+        details.append("boundary is not a closed walk at the basepoint")
+    if consistent:
+        for fid, walk in d.faces:
+            if not walk or not _is_closed_walk_at(d, walk, d.traverse(walk[0])[0]):
+                consistent = False
+                details.append(f"face {fid} boundary is not a closed walk")
+
+    # (i) boundary label
+    boundary_ok = consistent and d.boundary_word() == w
+    if consistent and not boundary_ok:
+        details.append(f"boundary word {d.boundary_word()} != {w}")
+
+    # (ii) each face label is a relator up to rotation/inversion
+    faces_ok = consistent
+    if consistent:
+        inv = d.alphabet.inverse
+        closed: set[tuple[int, ...]] = set()
+        for r in relators:
+            for x in (r.letters, tuple(inv[c] for c in reversed(r.letters))):
+                closed.update(x[i:] + x[:i] for i in range(len(x)))
+        for fid, walk in d.faces:
+            letters = tuple(d.traverse(e)[2] for e in walk)
+            if letters not in closed:
+                faces_ok = False
+                details.append(f"face {fid} label {Word(d.alphabet, letters)} is not a relator")
+
+    # (iii) Euler characteristic and connectivity; the labelled adjacency
+    # (vertex -> (letter read, end vertex)) built here also serves (iv)
+    euler_ok = consistent and d.euler_characteristic() == 1
+    if consistent and not euler_ok:
+        details.append(f"V - E + F = {d.euler_characteristic()} != 1")
+    if consistent:
+        outgoing: dict[int, list[tuple[int, int]]] = {vid: [] for vid in vids}
+        for _, src, dst, label in d.edges:
+            outgoing[src].append((label, dst))
+            outgoing[dst].append((d.alphabet.inv(label), src))
+        seen = {d.basepoint}
+        stack = [d.basepoint]
+        while stack:
+            for _, u in outgoing[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if seen != vids:
+            euler_ok = False
+            details.append("1-skeleton is not connected")
+
+    # (iv) vertex words are normal forms and label in-diagram basepoint paths.
+    # The ends of the paths from the basepoint spelling L are S(L): S of the
+    # empty word is the basepoint and S(L x) is the set of x-neighbours of
+    # S(L), each found once, from the longest prefix already known.
+    paths_ok = consistent
+    if consistent:
+        ends: dict[tuple[int, ...], set[int]] = {(): {d.basepoint}}
+
+        def spelled(letters: tuple[int, ...]) -> set[int]:
+            k = len(letters)
+            while letters[:k] not in ends:
+                k -= 1
+            frontier = ends[letters[:k]]
+            while k < len(letters) and frontier:
+                x = letters[k]
+                frontier = {dst for v in frontier for lab, dst in outgoing[v] if lab == x}
+                k += 1
+                ends[letters[:k]] = frontier
+            return frontier
+
+        for vid, word in d.vertices:
+            if s.normal_form(word) != word:
+                paths_ok = False
+                details.append(f"vertex {vid} word {word} is not a normal form")
+            elif vid not in spelled(word.letters):
+                paths_ok = False
+                details.append(f"vertex {vid} word {word} labels no basepoint path")
+
+    return ValidationReport(
+        boundary_matches=boundary_ok,
+        faces_are_relators=faces_ok,
+        euler_and_connected=euler_ok,
+        basepoint_paths=paths_ok,
+        incidence_consistent=consistent,
+        details=details,
+    )
 
 
 # ---------------------------------------------------------------------------

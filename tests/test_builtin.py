@@ -352,8 +352,21 @@ class TestCrsStructure:
             z2S.rules + (RewriteRule(al.word("b b a"), al.word("a b b")),),
             claimed_complete=True,
         )
-        with pytest.raises(StructureError, match="not minimal"):
-            crs_structure(S).phi(al.word("b b"), al.index("a"))
+        s = crs_structure(S)
+        for _ in range(2):  # nothing is kept, so every call raises
+            with pytest.raises(StructureError, match="not minimal"):
+                s.phi(al.word("b b"), al.index("a"))
+
+    def test_phi_kept_on_the_node(self):
+        # the image of a recursive edge is found once and kept on its trie
+        # node, which every structure over the system shares
+        S = z2_system()
+        al, tree = S.alphabet, crs_structure(S).tree
+        y, a = tree.node(al.word("b")), al.index("a")
+        assert y.images is None
+        image = tree.phi(y, a)
+        assert y.images == {a: image} and str(image) == "B a b"
+        assert crs_structure(S).tree.phi(y, a) is image
 
 
 # The four builtin trees, with an oracle that names the element of a word:

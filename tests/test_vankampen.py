@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     seashell_glue,
     segment,
     stacking_relation_set_reference,
+    validate_reference,
 )
 from stackings import (
     Alphabet,
@@ -33,8 +35,10 @@ from stackings import (
     edge_diagram,
     export_diagram,
     import_diagram,
+    reduce_to_irreducible,
     stacking_relation_set,
     validate_diagram,
+    z2_system,
 )
 from stackings import vankampen
 
@@ -283,6 +287,26 @@ class TestAgainstFoldReference:
         for w in fill_words(s, name, 20, 24, seed=3):
             self.assert_same_filling(s, w)
 
+    def test_pieces_that_start_as_pieces(self, monkeypatch):
+        # the pieces of a-edges start as the mirror of another piece or as
+        # the piece itself; an unflipped glue of one that started mirrored
+        # maps the spur it lowered as a range and the rest edge by edge
+        glues = []
+        glue = vankampen._DiagramBuilder.glue
+
+        def recording(self, p, flip, y, n):
+            glues.append((flip, p.depth < p.out < n, p.out == p.depth < n))
+            glue(self, p, flip, y, n)
+
+        monkeypatch.setattr(vankampen._DiagramBuilder, "glue", recording)
+        s = detour_structure()
+        al = s.alphabet
+        words = ["b a a A A B", "a a a a b a a B A A A A A A", "a a a a b b a a B B A A A A A A"]
+        for w in [al.word(t) for t in words] + random_trivial_words(al, [al.word("a b A B")], 30, 24, seed=3):
+            self.assert_same_filling(s, w)
+        # (flipped, out path partly a range, out path not a range at all)
+        assert {(True, False, False), (False, True, False), (False, False, True)} <= set(glues)
+
     @settings(max_examples=60, deadline=None)
     @given(name=hs.sampled_from(["bs1p:2", *FILL_STRUCTURES]), seed=hs.integers(0, 2**32))
     def test_random_trivial_words_hypothesis(self, bs2, fill_structures, name, seed):
@@ -291,6 +315,28 @@ class TestAgainstFoldReference:
         relators = ["t a T A A"] if name == "bs1p:2" else FILL_STRUCTURES[name]
         (w,) = random_trivial_words(al, [al.word(r) for r in relators], 1, 30, seed)
         self.assert_same_filling(s, w)
+
+
+def detour_structure():
+    """Z^2 on the normal forms a^i b^j, with a stacking map whose a-edges
+    start on a recursive edge: phi(a^i b^j, a) = A b^-j A^k a^(k+2) b^j, with
+    k 1 for even i and 3 for odd i, through the edge (a^i b^j, A), whose phi
+    b^-j A b^j is all tree edges.  So a piece can start as another piece,
+    mirrored or not, and then lower its spur further: its out path is then
+    not only the spur it lowered."""
+    S = z2_system()
+    al = S.alphabet
+    a, b = al.index("a"), al.index("b")
+
+    def phi_fn(y, x):
+        i, j = (sum(1 if c == d else -1 for c in y.letters if c in (d, al.inv(d))) for d in (a, b))
+        b_j = Word(al, (b if j > 0 else al.inv(b),) * abs(j))
+        if x != a:
+            return b_j.inverse() * al.letter(x) * b_j
+        k = 1 + 2 * (i % 2)
+        return al.word("A") * b_j.inverse() * Word(al, (al.inv(a),) * k + (a,) * (k + 2)) * b_j
+
+    return StackingStructure(al, lambda w: reduce_to_irreducible(S, w), phi_fn, bound_k=40)
 
 
 def conjugate_commutators(al, count, seed):
@@ -317,6 +363,7 @@ COMMUTATOR_JSON_SHA256 = {
     7: "b3f00b63f5f3ad6eba1840fe340d9715bec67e6e86f387863a43bbc26cbbac2a",
     8: "cc64937aaff4b62ce171b314a191663783675425b33aea9af1e223a63c669f41",
     9: "aa77cd841d25270af19f80ad27a4228a25dc8e34ec6624820894e073e279041e",
+    10: "6902daab3451cddb2860a70a455812809ba2a7cf61e832b365dd50de5dea937f",
 }
 
 
@@ -424,6 +471,73 @@ class TestGlueByReference:
         cells = len(d.vertices) + len(d.edges) + len(d.faces)
         assert len(d.faces) == 2**9 - 2
         assert recorded <= 1.5 * cells
+
+    def test_unflipped_glues_map_their_shared_path_as_a_range(self, monkeypatch):
+        # an unflipped glue keeps the back path it shares with the piece's
+        # out path as one slice: its maps hold the basepoint, the piece's spur
+        # vertices and the top of the range, and no entry per shared edge
+        glues = []
+        glue = vankampen._DiagramBuilder.glue
+
+        def recording_glue(self, p, flip, y, n):
+            glue(self, p, flip, y, n)
+            glues.append((flip, p, n, self.events[-1]))
+
+        monkeypatch.setattr(vankampen._DiagramBuilder, "glue", recording_glue)
+        s = bs1p_structure(2)
+        build_filling_diagram(s, commutator(s.alphabet, 8))
+        unflipped = [(p, n, ev) for flip, p, n, ev in glues if not flip]
+        shared = sum(n - p.depth for p, n, _ in unflipped)
+        per_edge = sum(
+            len(ev.emap) + len(set(ev.vmap) - {1, *p.spur_refs, n + 1}) for p, n, ev in unflipped
+        )
+        # mapping edge by edge wrote three entries per shared edge, 9,156 here
+        assert (len(unflipped), len(glues), shared, per_edge) == (510, 510, 3052, 0)
+        assert all(len(ev.shared) == n - p.depth for p, n, ev in unflipped)
+
+
+class TestPieceArcs:
+    """Every piece's arc is [out path][cap edge][back path], and its out path
+    is the spur it lowered: edge ids hp + 1 to n, each its depth, with hp
+    the piece's spur depth and n the depth of y_g.  An unflipped glue maps
+    that stretch as a range."""
+
+    @staticmethod
+    def assert_arc_shapes(s, memo):
+        depth = s.tree.depth
+        assert memo
+        for _, p in memo.values():
+            y_g, y_ga = p.ends
+            hp, n, m = p.depth, depth(y_g), depth(y_ga)
+            assert p.out == n
+            assert p.boundary[: n - hp] == list(range(hp + 1, n + 1))
+            assert p.boundary[n - hp] == p.emax  # the cap is the last edge made
+            assert len(p.boundary) == (n - hp) + 1 + (m - hp)
+            assert p.starts[: n - hp + 1] == list(range(hp + 1, n + 2))
+
+    @pytest.mark.parametrize("name", FILL_STRUCTURES)
+    def test_fillings_and_edge_pieces(self, fill_structures, name):
+        # the pieces of fillings, then those that edge_diagram builds for
+        # both orientations of each memoized edge, the reverse one flipped
+        s = fill_structures[name]
+        al = s.alphabet
+        for w in fill_words(s, name, 12, 24, seed=9):
+            memo: dict = {}
+            build_filling_diagram(s, w, memo=memo)
+            if not memo:
+                continue
+            self.assert_arc_shapes(s, memo)
+            edges: dict = {}
+            for (src, a), _ in memo.values():
+                y = Word(al, src)
+                for e in ((y, a), (s.normal_form(y.append(a)), al.inv(a))):
+                    edge_diagram(e, s, memo=edges)
+            self.assert_arc_shapes(s, edges)
+
+    def test_bs12_commutator(self, bs2):
+        memo: dict = {}
+        build_filling_diagram(bs2, commutator(bs2.alphabet, 8), memo=memo)
+        self.assert_arc_shapes(bs2, memo)
 
 
 class TestDeepFlow:
@@ -572,6 +686,95 @@ class TestValidation:
             "basepoint_paths",
             "incidence_consistent",
         }
+
+
+# Structures whose fillings validation is compared with the word-based
+# reference on, with defining relators to draw trivial words from.
+VALIDATED_STRUCTURES = {
+    "bs1p:2": ["t a T A A"],
+    "crs:z2": ["a b A B"],
+    "crs:bs12": ["t a T A A", "d A A"],
+}
+
+
+def filling_with_relators(s, w):
+    memo: dict = {}
+    d = build_filling_diagram(s, w, memo=memo)
+    edges = [(Word(s.alphabet, src), a) for (src, a), _ in memo.values()]
+    return d, stacking_relation_set(s, edges) if edges else set()
+
+
+def mutate(d, kind, i, j):
+    """``d`` with one defect of the given kind, placed by ``i`` and ``j``."""
+    al = d.alphabet
+    if kind == "relabel":  # vertex i takes vertex j's word, or that word times a letter
+        (vid, _), (_, word) = d.vertices[i % len(d.vertices)], d.vertices[j % len(d.vertices)]
+        if j % 2:
+            word = word.append(j % len(al))
+        vertices = tuple((v, word if v == vid else u) for v, u in d.vertices)
+        return dataclasses.replace(d, vertices=vertices)
+    if kind in ("endpoint", "label"):  # edge i moves its start to vertex j, or reads no letter
+        k = i % len(d.edges)
+        eid, src, dst, x = d.edges[k]
+        if kind == "endpoint":
+            src = d.vertices[j % len(d.vertices)][0] if j % 5 else max(d.vertex_words) + 1
+        else:
+            x = -1 if j % 2 else len(al)
+        return dataclasses.replace(d, edges=d.edges[:k] + ((eid, src, dst, x),) + d.edges[k + 1 :])
+    if kind == "drop":  # face i loses its j-th entry
+        k = i % len(d.faces)
+        fid, walk = d.faces[k]
+        walk = walk[: j % len(walk)] + walk[j % len(walk) + 1 :]
+        return dataclasses.replace(d, faces=d.faces[:k] + ((fid, walk),) + d.faces[k + 1 :])
+    # flip: boundary entry i is read the other way
+    k = i % len(d.boundary)
+    return dataclasses.replace(d, boundary=d.boundary[:k] + (-d.boundary[k],) + d.boundary[k + 1 :])
+
+
+class TestValidationAgainstReference:
+    """validate_diagram gives the report, flags and details in order, of the
+    checks made on words (``validate_reference``): on fillings, and on
+    fillings with one defect each."""
+
+    @pytest.mark.parametrize("name", VALIDATED_STRUCTURES)
+    def test_fillings(self, structures, name):
+        s = structures[name]()
+        al = s.alphabet
+        relators = [al.word(r) for r in VALIDATED_STRUCTURES[name]]
+        words = random_trivial_words(al, relators, 30, 30, seed=13)
+        if "t" in al.tokens:
+            words += [commutator(al, n) for n in range(6)]
+        for w in words:
+            d, rels = filling_with_relators(s, w)
+            report = validate_diagram(d, rels, w, s)
+            assert report == validate_reference(d, rels, w, s)
+            assert report.passed
+            # a wrong word, and a relator set that misses the faces
+            wrong = w.append(0)
+            assert validate_diagram(d, rels, wrong, s) == validate_reference(d, rels, wrong, s)
+            few = set(list(rels)[:1])
+            assert validate_diagram(d, few, w, s) == validate_reference(d, few, w, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=hs.sampled_from(sorted(VALIDATED_STRUCTURES)),
+        seed=hs.integers(0, 2**32),
+        kind=hs.sampled_from(["relabel", "endpoint", "drop", "label", "flip"]),
+        i=hs.integers(0, 10**6),
+        j=hs.integers(0, 10**6),
+    )
+    def test_mutated_fillings(self, structures, name, seed, kind, i, j):
+        s = structures[name]()
+        al = s.alphabet
+        relators = [al.word(r) for r in VALIDATED_STRUCTURES[name]]
+        (w,) = random_trivial_words(al, relators, 1, 30, seed)
+        d, rels = filling_with_relators(s, w)
+        assume(d.faces)
+        bad = mutate(d, kind, i, j)
+        report = validate_diagram(bad, rels, w, s)
+        assert report == validate_reference(bad, rels, w, s)
+        if bad != d:
+            assert not report.passed
 
 
 class TestBasepointPathsAgainstReference:
