@@ -52,6 +52,8 @@ __all__ = [
 
 # Letter indices in bs1p_alphabet().
 _A, _A_INV, _T, _T_INV = range(4)
+# _node(BS1pElement, (i, m, k)) skips the Python-level __new__ of BS1pElement
+_node = tuple.__new__
 
 
 def bs1p_alphabet() -> Alphabet:
@@ -78,7 +80,7 @@ def _bs_normalize(p: int, i: int, m: int, k: int) -> BS1pElement:
         i -= 1
         k -= 1
         m //= p
-    return BS1pElement(i, m, k)
+    return _node(BS1pElement, (i, m, k))
 
 
 class _BS1pTree(NormalFormTree):
@@ -114,14 +116,14 @@ class _BS1pTree(NormalFormTree):
         p = self.p
         if a == _T:
             if i and not m % p:
-                return BS1pElement(i - 1, m // p, 0), not m
-            return BS1pElement(i, m, k + 1), True
+                return _node(BS1pElement, (i - 1, m // p, 0)), not m
+            return _node(BS1pElement, (i, m, k + 1)), True
         if a == _T_INV:
             if k:
-                return BS1pElement(i, m, k - 1), True
-            return BS1pElement(i + 1, m * p, 0), not m
+                return _node(BS1pElement, (i, m, k - 1)), True
+            return _node(BS1pElement, (i + 1, m * p, 0)), not m
         if not k:
-            return BS1pElement(i, m + 1 if a == _A else m - 1, 0), True
+            return _node(BS1pElement, (i, m + 1 if a == _A else m - 1, 0)), True
         return _bs_normalize(p, i, m + p**k if a == _A else m - p**k, k), False
 
     def step(self, g: BS1pElement, a: int) -> BS1pElement:
@@ -130,11 +132,11 @@ class _BS1pTree(NormalFormTree):
     def parent(self, g: BS1pElement) -> BS1pElement | None:
         i, m, k = g
         if k:
-            return BS1pElement(i, m, k - 1)
+            return _node(BS1pElement, (i, m, k - 1))
         if m:
-            return BS1pElement(i, m - 1 if m > 0 else m + 1, 0)
+            return _node(BS1pElement, (i, m - 1 if m > 0 else m + 1, 0))
         if i:
-            return BS1pElement(i - 1, 0, 0)
+            return _node(BS1pElement, (i - 1, 0, 0))
         return None
 
     def last(self, g: BS1pElement) -> int:

@@ -61,6 +61,8 @@ class StackingStructure:
     bound_k: int
     name: str = ""
     tree: NormalFormTree | None = field(default=None, repr=False)
+    # (node, a) -> rewrite steps, of each recursive edge whose reduction ended at its target
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tree is None:
@@ -147,6 +149,13 @@ def stacking_reduce_steps(
     edge is a tree edge; phi is asked only on a recursive one.  A word whose
     prefixes have normal forms too long to reach within ``budget`` steps is
     refused before the loop starts.
+
+    The structure keeps the step count of each completed reduction of a
+    recursive edge that ended at the edge's target, for one lookup the next
+    time.  An image's letters are all read before any under them, so counts,
+    errors and budget boundaries are the same on a cold structure and a warm
+    one, and a cyclic flow, which completes none, still runs out of budget.
+    Memory grows with the distinct recursive edges met.
     """
     tree, k = s.tree, s.bound_k
     move, depth = tree.move, tree.depth
@@ -161,28 +170,42 @@ def stacking_reduce_steps(
             f"stacking reduction needs more than {budget} steps on {w!r}: "
             f"a prefix has a normal form of length {deepest}"
         )
-    phi_at = s.phi_at
-    unread = list(reversed(w.letters))
+    phi_at, kept = s.phi_at, s._steps
+    # each image pushed lies on a None, and its edge, prior steps and target on ``frames``
+    unread: list[int | None] = list(reversed(w.letters))
+    frames: list[tuple[tuple[Hashable, int], int, Hashable]] = []
     y = tree.root
     steps = 0
     while unread:
         a = unread.pop()
+        if a is None:
+            edge, before, target = frames.pop()
+            if y == target:  # a run that ends elsewhere is taken again
+                kept[edge] = steps - before
+            continue
         y_next, tree_edge = move(y, a)
         if tree_edge:
             y = y_next
             continue
-        img = phi_at(y, a)
-        if len(img.letters) > k:
-            raise StructureError(
-                f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned {img}, "
-                f"longer than k = {k}"
-            )
-        steps += 1
+        n = kept.get((y, a))
+        if n is None:
+            img = phi_at(y, a)
+            if len(img.letters) > k:
+                raise StructureError(
+                    f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned {img}, "
+                    f"longer than k = {k}"
+                )
+            frames.append(((y, a), steps, y_next))
+            unread.append(None)
+            unread.extend(reversed(img.letters))
+            n = 1
+        else:
+            y = y_next
+        steps += n
         if steps > budget:
             raise BudgetExceededError(
                 f"well-foundedness violated within budget on {w!r}"
             )
-        unread.extend(reversed(img.letters))
     if y != expected:
         raise StructureError(
             f"stacking reduction produced {tree.word(y)} but oracle says "

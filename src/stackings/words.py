@@ -9,7 +9,6 @@ Inverse pairs are always declared explicitly; no case convention is assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -142,14 +141,7 @@ class Word:
     def free_reduce(self) -> "Word":
         """The unique freely reduced word obtained by cancelling adjacent
         inverse pairs; idempotent."""
-        inv = self.alphabet.inverse
-        out: list[int] = []
-        for i in self.letters:
-            if out and out[-1] == inv[i]:
-                out.pop()
-            else:
-                out.append(i)
-        return Word(self.alphabet, tuple(out))
+        return Word(self.alphabet, _free_reduce(self.letters, self.alphabet.inverse))
 
     def is_freely_reduced(self) -> bool:
         inv = self.alphabet.inverse
@@ -157,6 +149,16 @@ class Word:
 
     def shortlex_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), self.letters)
+
+
+def _free_reduce(letters: tuple[int, ...], inv: tuple[int, ...]) -> tuple[int, ...]:
+    out: list[int] = []
+    for i in letters:
+        if out and out[-1] == inv[i]:
+            out.pop()
+        else:
+            out.append(i)
+    return tuple(out)
 
 
 def cyclic_rotations(w: Word) -> list[Word]:
@@ -167,20 +169,23 @@ def cyclic_rotations(w: Word) -> list[Word]:
 
 
 def symmetrized_closure(seed: Iterable[Word]) -> set[Word]:
-    """Closure of a word set under inversion, cyclic conjugation, and free
-    reduction, except the empty word."""
-    pending = [w.free_reduce() for w in seed]
-    out: set[Word] = set()
+    """Closure of a word set over one alphabet under inversion, cyclic
+    conjugation, and free reduction, except the empty word.  The search
+    runs on letter tuples and builds each member's ``Word`` once."""
+    seed = list(seed)
+    inv = seed[0].alphabet.inverse if seed else ()
+    pending = [_free_reduce(w.letters, inv) for w in seed]
+    out: dict[tuple[int, ...], None] = {}  # members in the order found
     while pending:
         w = pending.pop()
-        if len(w) == 0 or w in out:
+        if not w or w in out:
             continue
-        out.add(w)
-        for c in itertools.chain(cyclic_rotations(w), [w.inverse()]):
-            c = c.free_reduce()
-            if len(c) > 0 and c not in out:
+        out[w] = None
+        for c in [*(w[i:] + w[:i] for i in range(len(w))), tuple(inv[i] for i in reversed(w))]:
+            c = _free_reduce(c, inv)
+            if c and c not in out:
                 pending.append(c)
-    return out
+    return {Word(seed[0].alphabet, w) for w in out}
 
 
 # ---------------------------------------------------------------------------

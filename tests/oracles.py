@@ -19,7 +19,7 @@ from its root, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
 the objects a diagram's and a ball's json exports encode, almost convexity by trying
 every word and searching every pair, symmetrized relator sets by
-their definition, and a stacking's relator set by one seed per sampled edge.
+their definition on whole words, and a stacking's relator set by one seed per sampled edge.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from stackings import (
     Word,
     alpha,
 )
-from stackings.words import Alphabet, cyclic_rotations, symmetrized_closure
+from stackings.words import Alphabet, cyclic_rotations
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def random_trivial_words(
     seed: int,
 ) -> list[Word]:
     rng = random.Random(seed)
-    rels = sorted(symmetrized_closure(relators), key=Word.shortlex_key)
+    rels = sorted(symmetrized_closure_reference(relators), key=Word.shortlex_key)
     out: list[Word] = []
     while len(out) < count:
         letters: tuple[int, ...] = ()
@@ -142,7 +142,7 @@ def random_trivial_words(
 def min_area_at_most(w: Word, relators: list[Word], max_faces: int) -> int | None:
     """Smallest number of relator applications turning w into the empty
     word, or None if more than ``max_faces`` are needed."""
-    rels = sorted(symmetrized_closure(relators), key=Word.shortlex_key)
+    rels = sorted(symmetrized_closure_reference(relators), key=Word.shortlex_key)
     # all (s, s') factorizations: r = s * s'^-1  =>  replace s with s'
     swaps: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for r in rels:
@@ -959,6 +959,23 @@ def almost_convexity_reference(oracle, n_max: int, k_ac: int) -> ACReport:
     return report
 
 
+def symmetrized_closure_reference(seed) -> set[Word]:
+    """Closure of a word set under inversion, cyclic conjugation and free
+    reduction, except the empty word, on whole words."""
+    pending = [w.free_reduce() for w in seed]
+    out: set[Word] = set()
+    while pending:
+        w = pending.pop()
+        if len(w) == 0 or w in out:
+            continue
+        out.add(w)
+        for c in [*cyclic_rotations(w), w.inverse()]:
+            c = c.free_reduce()
+            if len(c) > 0 and c not in out:
+                pending.append(c)
+    return out
+
+
 def is_symmetrized(relators: set[Word]) -> bool:
     """Whether every relator is nonempty and freely reduced, and the set
     holds its inverse and its cyclic rotations."""
@@ -976,7 +993,7 @@ def stacking_relation_set_reference(s, edge_sample) -> set[Word]:
     letter), under inversion, cyclic conjugation and free reduction; a
     member longer than k + 1 is a StructureError."""
     seeds = [s.phi(src, a).append(s.alphabet.inv(a)).free_reduce() for src, a in edge_sample]
-    closed = symmetrized_closure(seeds)
+    closed = symmetrized_closure_reference(seeds)
     for r in closed:
         if len(r) > s.bound_k + 1:
             raise StructureError(f"relator {r} longer than k+1 = {s.bound_k + 1}")

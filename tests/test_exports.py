@@ -1,9 +1,11 @@
 """Every exported name exists, and the package re-exports only exported
-names, so a deleted name cannot linger in an ``__all__`` or an import."""
+names, so a deleted name cannot linger in an ``__all__`` or an import.
+Importing the package loads nothing from outside the standard library."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,30 @@ def test_no_unread_private_names():
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert unread == []
+
+
+def imports_by_function(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(enclosing function or None, top-level module) of each absolute
+    import; relative imports are the package's own."""
+    found = []
+    todo: list[tuple[ast.AST, str | None]] = [(tree, None)]
+    while todo:
+        node, fn = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [(fn, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((fn, node.module.split(".")[0]))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        todo += [(child, fn) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_imports_at_load_are_stdlib_or_own(name):
+    # importing the package loads nothing from outside the standard library;
+    # numpy, the one dependency, is imported where an svg is drawn
+    path = Path(stackings.__file__).with_name(f"{name}.py")
+    found = imports_by_function(ast.parse(path.read_text(encoding="utf-8")))
+    outside = [(fn, m) for fn, m in found if m not in sys.stdlib_module_names and m != "stackings"]
+    assert outside == ([("_render_svg", "numpy")] if name == "vankampen" else [])

@@ -83,8 +83,10 @@ class TestStackingReduce:
             lambda y, a: al.word("a a A"),
             bound_k=4,
         )
-        with pytest.raises((BudgetExceededError, StructureError)):
-            stacking_reduce_steps(bad, al.word("t a"), budget=50)
+        # a cyclic flow completes no reduction, so none is kept
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                stacking_reduce_steps(bad, al.word("t a"), budget=50)
 
     def test_phi_image_longer_than_k_rejected(self, bs2):
         al = bs2.alphabet
@@ -414,15 +416,23 @@ class TestGeodesicVerification:
 
 
 @pytest.fixture(scope="module")
-def warm():
-    """One structure of each kind, kept across examples, so that its memo of
-    word-level normal forms fills up."""
+def fresh():
+    """Makers of a new structure of each kind; a crs one steps on its
+    system's shared trie."""
+    z2, bs12 = z2_system(), bs12_system()
     return {
-        "bs1p:2": bs1p_structure(2),
-        "bs1p:3": bs1p_structure(3),
-        "z2": crs_structure(z2_system()),
-        "bs12": crs_structure(bs12_system()),
+        "bs1p:2": lambda: bs1p_structure(2),
+        "bs1p:3": lambda: bs1p_structure(3),
+        "z2": lambda: crs_structure(z2),
+        "bs12": lambda: crs_structure(bs12),
     }
+
+
+@pytest.fixture(scope="module")
+def warm(fresh):
+    """One structure of each kind, kept across examples, so that its memo of
+    word-level normal forms and its kept reduction steps fill up."""
+    return {name: make() for name, make in fresh.items()}
 
 
 def longest_prefix_normal_form(s, w):
@@ -440,13 +450,16 @@ class TestReductionAgainstWordReference:
     @pytest.mark.parametrize("name", ["bs1p:2", "bs1p:3", "z2", "bs12"])
     @settings(max_examples=60, deadline=None)
     @given(data=hs.data())
-    def test_hypothesis_words(self, warm, name, data):
+    def test_hypothesis_words(self, fresh, warm, name, data):
         s = warm[name]
         n = len(s.alphabet)
         w = Word(s.alphabet, tuple(data.draw(hs.lists(hs.integers(0, n - 1), max_size=40))))
         # the reference copies the whole letter list at each step
         assume(longest_prefix_normal_form(s, w) <= 400)
-        assert stacking_reduce_steps(s, w) == stacking_reduce_reference(s, w)
+        expected = stacking_reduce_reference(s, w)
+        # kept reduction steps change nothing: a cold structure and a warm one agree
+        assert stacking_reduce_steps(fresh[name](), w) == expected
+        assert stacking_reduce_steps(s, w) == expected
 
     @pytest.mark.parametrize(
         "name, relators",
@@ -473,6 +486,81 @@ class TestReductionAgainstWordReference:
         assert stacking_reduce_steps(s, w) == stacking_reduce_reference(s, w)
 
 
+class TestKeptSteps:
+    """A structure keeps each completed reduction of a recursive edge, and
+    what it kept cannot be seen in a count, a budget boundary or an error."""
+
+    COMMUTATOR = "t t t t a T T T T a t t t t A T T T T A"  # [t^4 a T^4, a]
+
+    @staticmethod
+    def budget_boundary(s, w, n):
+        with pytest.raises(BudgetExceededError, match="well-foundedness"):
+            stacking_reduce_steps(s, w, budget=n - 1)
+        assert stacking_reduce_steps(s, w, budget=n) == (s.alphabet.empty(), n)
+
+    @pytest.mark.parametrize("warm_up", ["", "t t t t a T T T T", "t t t a T T T"])
+    def test_budget_boundary(self, warm_up):
+        s = bs1p_structure(2)
+        al = s.alphabet
+        w = al.word(self.COMMUTATOR)
+        n = stacking_reduce_reference(s, w)[1]
+        # a kept step for t^4 a T^4 is taken whole, and one for t^3 a T^3
+        # inside the image of (t^4, a): each spends its count at once
+        stacking_reduce_steps(s, al.word(warm_up))
+        self.budget_boundary(s, w, n)
+        self.budget_boundary(s, w, n)  # every step of w kept
+
+    def test_each_budget_on_a_warm_structure(self):
+        s = bs1p_structure(2)
+        w = s.alphabet.word(self.COMMUTATOR)
+        n = stacking_reduce_steps(s, w)[1]
+        for budget in range(n + 1):
+            outcomes = []
+            for t in (s, bs1p_structure(2)):
+                try:
+                    outcomes.append(stacking_reduce_steps(t, w, budget=budget))
+                except BudgetExceededError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], str) == (budget < n)
+
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: bs1p_structure(3), "t a T a t A T A"),
+            (lambda: crs_structure(bs12_system()), "t a T A A t d T"),
+        ],
+        ids=["bs1p:3", "bs12"],
+    )
+    def test_repeated_word_asks_no_phi(self, make, text):
+        s = make()
+        w = s.alphabet.word(text)
+        first = stacking_reduce_steps(s, w)
+        calls, phi = [], s.phi_fn
+        s.phi_fn = lambda y, a: calls.append((y, a)) or phi(y, a)
+        assert stacking_reduce_steps(s, w) == first and first[1] > 0
+        assert calls == []
+
+    def test_first_structure_error_again(self, bs2):
+        al = bs2.alphabet
+        # phi's images from a node that ends t t are too long
+        phi = lambda y, a: bs2.phi_fn(y, a) if y.k < 2 else al.word("T a a t a A")  # noqa: E731
+        s = StackingStructure(al, bs2.normal_form, phi, bound_k=4, tree=bs2.tree)
+        w = al.word("t a T t t a T T")
+        for _ in range(2):  # the second time, the reduction of (t, a) is kept
+            with pytest.raises(StructureError, match=r"phi on \(a a t t, a\) .* longer than k"):
+                stacking_reduce_steps(s, w)
+        assert s._steps
+
+    def test_run_that_ends_off_target_is_not_kept(self):
+        s = defective("F1")  # the image of (t, a) runs to t t, not to a a t
+        al = s.alphabet
+        for _ in range(2):
+            with pytest.raises(StructureError, match="produced t but oracle says a a"):
+                stacking_reduce_steps(s, al.word("t a T"))
+        assert s._steps == {}
+
+
 class TestLinearWork:
     """Reduction costs O(steps * k): it steps once per letter read, and
     spells one word, however long the prefix normal forms get."""
@@ -497,7 +585,7 @@ class TestLinearWork:
     def test_step_and_word_calls(self, make, words):
         s = make()
         calls: Counter = Counter()
-        for name in ("step", "word"):
+        for name in ("step", "move", "word"):
             fn = getattr(s.tree, name)
             setattr(s.tree, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
         for text in words:
@@ -505,4 +593,7 @@ class TestLinearWork:
             calls.clear()
             _, steps = stacking_reduce_steps(s, w)
             assert calls["step"] <= 2 * len(w) + steps * (s.bound_k + 1)
+            # the check's walk moves at most once per letter, and the loop
+            # once per letter read: w's, and at most k for each step
+            assert calls["move"] <= 2 * len(w) + steps * s.bound_k
             assert calls["word"] == 1

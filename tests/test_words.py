@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from oracles import free_reduce_all_orders, is_symmetrized
+from oracles import free_reduce_all_orders, is_symmetrized, symmetrized_closure_reference
 from stackings import (
     Alphabet,
     FormatError,
@@ -108,6 +108,17 @@ class TestSymmetrize:
         assert all(len(r) > 0 and r.is_freely_reduced() for r in closed)
         # a a A b A B a A freely reduces to the commutator a b A B
         assert w("a b A B") in closed
+
+    @given(
+        hs.lists(
+            hs.lists(hs.integers(0, 3), max_size=8).map(lambda ls: Word(AB, tuple(ls))),
+            max_size=6,
+        )
+    )
+    def test_matches_reference(self, seed):
+        closed = symmetrized_closure(seed)
+        # the same members, added in the same order, so a set iterates alike
+        assert list(closed) == list(symmetrized_closure_reference(seed))
 
     def test_cyclic_rotations(self):
         assert [str(c) for c in cyclic_rotations(w("a b B"))] == [
