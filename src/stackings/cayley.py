@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceededError, StackingsError, StructureError
 from .words import Alphabet, Word
@@ -171,8 +171,7 @@ class FunctionOracle(NormalFormTree):
         return y
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     canonical: Word
     distance: int
 
@@ -182,8 +181,7 @@ class EdgeKind(enum.Enum):
     RECURSIVE = "recursive"
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     source: GroupElement
     label: int
     target: GroupElement
@@ -246,52 +244,53 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     """
     tree = getattr(oracle, "tree", oracle)
     alphabet = tree.alphabet
-    move, word = tree.move, tree.word
+    move, word, parent, last_letter = tree.move, tree.word, tree.parent, tree.last
     letters = range(len(alphabet))
+    record = tuple.__new__  # a record without the Python-level __new__ of its class
+    degenerate, recursive = EdgeKind.DEGENERATE, EdgeKind.RECURSIVE
 
     def shortlex(found: tuple[Hashable, GroupElement]) -> tuple[int, tuple[int, ...]]:
         return found[1].canonical.shortlex_key()
 
     # The element of each node found, in the order of discovery; and the
-    # moves by each letter of every node, as their elements and edge kinds.
-    # The last pass moves from the last sphere and finds no element.
-    element = {tree.root: GroupElement(word(tree.root), 0)}
-    steps: dict[Hashable, list[tuple[GroupElement | None, bool]]] = {}
+    # edges from every node by each letter, None where the move leaves the
+    # ball.  The last pass moves from the last sphere and finds no element.
+    element = {tree.root: record(GroupElement, (word(tree.root), 0))}
+    steps: dict[Hashable, list[DirectedEdge | None]] = {}
     frontier = list(element.items())
     last = max(n, 0) + 1
     for dist in range(1, last + 1):
         nxt = []
-        for y, _ in sorted(frontier, key=shortlex):
-            targets = steps[y] = []
+        for y, g in sorted(frontier, key=shortlex):
+            out = steps[y] = []
             for a in letters:
                 t, tree_edge = move(y, a)
                 h = element.get(t)
                 if h is None and dist < last:
                     if len(element) >= max_elements:
-                        raise BudgetExceededError(
-                            f"memory cap of {max_elements} elements exceeded"
-                        )
-                    h = element[t] = GroupElement(word(t), dist)
+                        raise BudgetExceededError(f"memory cap of {max_elements} elements exceeded")
+                    h = element[t] = record(GroupElement, (word(t), dist))
                     nxt.append((t, h))
-                targets.append((h, tree_edge))
+                kind = degenerate if tree_edge else recursive
+                out.append(None if h is None else record(DirectedEdge, (g, a, h, kind)))
         frontier = nxt
+
+    # The tree's edge from each element's parent, where both lie in the
+    # ball, must be degenerate; the root's parent is None, which has no steps.
+    for y in element:
+        out = steps.get(parent(y))
+        e = out[last_letter(y)] if out is not None else None
+        if e is not None and e.classification is recursive:
+            raise StructureError(f"prefix edge {e} is not degenerate")
 
     edges: list[DirectedEdge] = []
     edge_index: dict[tuple[tuple[int, ...], int], DirectedEdge] = {}
     for y, g in sorted(element.items(), key=shortlex):
-        for a, (h, tree_edge) in enumerate(steps[y]):
-            if h is not None:
-                kind = EdgeKind.DEGENERATE if tree_edge else EdgeKind.RECURSIVE
-                e = edge_index[g.canonical.letters, a] = DirectedEdge(g, a, h, kind)
+        key = g.canonical.letters
+        for a, e in enumerate(steps[y]):
+            if e is not None:
                 edges.append(e)
-
-    # The tree's edge from each element's parent, where both lie in the
-    # ball, must be degenerate.
-    for y, g in element.items():
-        p = element.get(tree.parent(y)) if g.distance else None
-        e = edge_index.get((p.canonical.letters, tree.last(y))) if p is not None else None
-        if e is not None and e.classification is not EdgeKind.DEGENERATE:
-            raise StructureError(f"prefix edge {e} is not degenerate")
+                edge_index[key, a] = e
 
     elements = {g.canonical.letters: g for g in element.values()}
     return Ball(n, alphabet, elements, edges, edge_index)

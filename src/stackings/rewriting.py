@@ -115,9 +115,11 @@ class Irreducible:
     nodes of its one-letter extensions met so far.  ``steps``, made on first
     use, maps each letter whose reducible extension has been rewritten to
     the node of its irreducible form and the rewrites taken; ``images``
-    maps a letter to the phi image of its recursive edge, once read."""
+    maps a letter to the phi image of its recursive edge, once read.  A node
+    keeps its ``letters`` once spelled, extending its nearest spelled
+    ancestor's."""
 
-    __slots__ = ("parent", "letter", "depth", "children", "steps", "images")
+    __slots__ = ("parent", "letter", "depth", "children", "steps", "images", "spelled")
 
     def __init__(self, parent: "Irreducible | None" = None, letter: int = -1) -> None:
         self.parent = parent
@@ -126,15 +128,18 @@ class Irreducible:
         self.children: dict[int, Irreducible] = {}
         self.steps: dict[int, tuple[Irreducible, int]] | None = None
         self.images: dict[int, Word] | None = None
+        self.spelled: tuple[int, ...] | None = () if parent is None else None
 
     @property
     def letters(self) -> tuple[int, ...]:
-        out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.letter)
-            node = node.parent
-        return tuple(reversed(out))
+        spelled = self.spelled
+        if spelled is None:
+            out, node = [], self
+            while node.spelled is None:
+                out.append(node.letter)
+                node = node.parent
+            spelled = self.spelled = node.spelled + tuple(reversed(out))
+        return spelled
 
 
 def _ends_with(y: Irreducible, rest: tuple[int, ...]) -> Irreducible | None:
@@ -220,7 +225,8 @@ def _prefix_rewrite(S: RewritingSystem, w: Word, budget: int) -> tuple[Word, int
     y: Irreducible | None = S._trie
     steps = 0
     for a in w.letters:
-        y, steps = _rewrite(S, y, a, budget, steps)
+        child = y.children.get(a)  # fires no rule
+        y, steps = (child, steps) if child is not None else _rewrite(S, y, a, budget, steps)
         if y is None:
             raise BudgetExceededError(f"system not terminating within budget on {w!r}")
     return Word(S.alphabet, y.letters), steps
@@ -261,13 +267,17 @@ class IrreducibleTree(NormalFormTree):
         self._images = {rule: rule.lhs[:-1].inverse() * rule.rhs for rule in S.rules}
 
     def step(self, y: Irreducible, a: int) -> Irreducible:
-        node, _ = _rewrite(self.S, y, a, self.budget, 0)
+        # a child fires no rule, so it is taken before any rewriting
+        node = y.children.get(a) or _rewrite(self.S, y, a, self.budget, 0)[0]
         if node is None:
             self._out_of_budget(y, (a,))
         return node
 
     def move(self, y: Irreducible, a: int) -> tuple[Irreducible, bool]:
         # the base class's parent/last test, on the nodes' own fields
+        t = y.children.get(a)
+        if t is not None:
+            return t, True
         t = self.step(y, a)
         return t, (t.parent is y and t.letter == a) or (
             y.parent is t and y.letter == self.alphabet.inverse[a]

@@ -312,25 +312,26 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
     """
     s, labels = flow.structure, flow._labels
     tree, phi_fn = s.tree, s.phi_fn
-    step, move = tree.step, tree.move
+    step, move, tree_node = tree.step, tree.move, tree.node
     letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
-    node = {key: tree.node(g.canonical) for key, g in region.elements.items()}
-    steps = {
-        (node[e.source.canonical.letters], e.label): (e, node[e.target.canonical.letters])
-        for e in region.edges
-    }
-    flows: dict[tuple[Hashable, int], _FlowEdge] = {}
+    node = {key: tree_node(g.canonical) for key, g in region.elements.items()}
+    steps = {}
+    for e in region.edges:
+        src, a, tgt, _ = e
+        steps[node[src.canonical.letters], a] = e, node[tgt.canonical.letters]
+    flows: dict[tuple[tuple[int, ...], int], _FlowEdge] = {}  # by the source's letters
 
     def node_of(g: GroupElement) -> Hashable:
         y = node.get(g.canonical.letters)
-        return tree.node(g.canonical) if y is None else y
+        return tree_node(g.canonical) if y is None else y
 
     def flow_edge(e: DirectedEdge) -> _FlowEdge:
-        y, a = node_of(e.source), e.label
-        f = flows.get((y, a))
+        src, a, tgt, _ = e
+        key = src.canonical.letters, a
+        f = flows.get(key)
         if f is not None:
             return f
-        t = node_of(e.target)
+        y, t = node_of(src), node_of(tgt)
         label = labels.get((y, a))
         if label is None:
             label = labels[y, a] = letter[a] if move(y, a)[1] else phi_fn(y, a)
@@ -343,7 +344,7 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
             else:
                 path.append(taken[0])
                 end = taken[1]
-        f = flows[y, a] = _FlowEdge(t, label, end, path)
+        f = flows[key] = tuple.__new__(_FlowEdge, (t, label, end, path))  # no Python __new__
         return f
 
     return flow_edge
@@ -362,40 +363,43 @@ def verify_flow_properties(
     balls of the structure's own normal forms.
     """
     s = flow.structure
-    report = FlowReport(radius=ball.radius, k=s.bound_k)
+    k = s.bound_k
+    report = FlowReport(radius=ball.radius, k=k)
     flow_edge = _flow_edges(flow, region)
 
     al = s.alphabet
+    inconclusive = 0
     for e in ball.edges:
-        report.edges_checked += 1
-        src, a = e.source.canonical, e.label
-        f = flow_edge(e)
-        if e.classification is EdgeKind.DEGENERATE:
-            if f.label.letters != (a,):
-                report.f2d_failures.append(_edge_name(al, src, a))
+        src, a, _, kind = e
+        target, label, end, path = flow_edge(e)
+        letters = label.letters
+        if kind is EdgeKind.DEGENERATE:
+            if letters != (a,):
+                report.f2d_failures.append(_edge_name(al, src.canonical, a))
                 continue
         else:
-            if f.label.letters == (a,):
-                report.strictness_failures.append(_edge_name(al, src, a))
-            if len(f.label) > s.bound_k:
-                report.bound_failures.append(_edge_name(al, src, a))
+            if letters == (a,):
+                report.strictness_failures.append(_edge_name(al, src.canonical, a))
+            if len(letters) > k:
+                report.bound_failures.append(_edge_name(al, src.canonical, a))
         # (F1): the path starts at the source and ends at the target.
-        if f.end != f.target:
-            report.f1_failures.append(_edge_name(al, src, a))
-        if f.path is None:
-            report.inconclusive += 1
+        if end != target:
+            report.f1_failures.append(_edge_name(al, src.canonical, a))
+        if path is None:
+            inconclusive += 1
+    report.edges_checked = len(ball.edges)
+    report.inconclusive = inconclusive
 
     # Flow relation restricted to recursive edges explored in the region.
     successors: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
     for e in region.edges:
-        if e.classification is not EdgeKind.RECURSIVE:
-            continue
-        path = flow_edge(e).path
-        successors[e.source.canonical.letters, e.label] = [
-            (p.source.canonical.letters, p.label)
-            for p in path or ()
-            if p.classification is EdgeKind.RECURSIVE
-        ]
+        src, a, _, kind = e
+        if kind is EdgeKind.RECURSIVE:
+            successors[src.canonical.letters, a] = [
+                (p.source.canonical.letters, p.label)
+                for p in flow_edge(e).path or ()
+                if p.classification is EdgeKind.RECURSIVE
+            ]
     cyc = _first_cycle(successors)
     if cyc is not None:
         report.cycle = [_edge_name(al, Word(al, ltrs), a) for ltrs, a in cyc]
@@ -480,29 +484,30 @@ def verify_geodesic_stacking(
     report = GeodesicReport(radius=ball.radius, k=s.bound_k)
     flow_edge = _flow_edges(flow, region)
 
-    for g in ball.sorted_elements():
-        report.elements_checked += 1
-        if len(g.canonical) != g.distance:
+    report.elements_checked = len(ball.elements)
+    for canonical, distance in ball.sorted_elements():
+        if len(canonical) != distance:
             report.nongeodesic.append(
-                f"{g.canonical} has length {len(g.canonical)} but distance {g.distance}"
+                f"{canonical} has length {len(canonical)} but distance {distance}"
             )
 
     for e in ball.edges:
-        if e.classification is not EdgeKind.RECURSIVE:
+        src, a, tgt, kind = e
+        if kind is not EdgeKind.RECURSIVE:
             continue
         report.edges_checked += 1
         path = flow_edge(e).path
         if path is None:
             report.inconclusive += 1
             continue
+        twice = src.distance + tgt.distance  # alpha(e) doubled
         for p in path:
-            if p.classification is EdgeKind.RECURSIVE and not alpha(p) < alpha(e):
+            p_src, _, p_tgt, p_kind = p
+            if p_kind is EdgeKind.RECURSIVE and p_src.distance + p_tgt.distance >= twice:
                 report.alpha_failures.append(
                     {
-                        "edge": _edge_name(s.alphabet, e.source.canonical, e.label),
-                        "path_edge": _edge_name(
-                            s.alphabet, p.source.canonical, p.label
-                        ),
+                        "edge": _edge_name(s.alphabet, src.canonical, a),
+                        "path_edge": _edge_name(s.alphabet, p_src.canonical, p.label),
                         "alpha_edge": str(alpha(e)),
                         "alpha_path_edge": str(alpha(p)),
                     }

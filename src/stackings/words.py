@@ -170,8 +170,9 @@ def cyclic_rotations(w: Word) -> list[Word]:
 
 def symmetrized_closure(seed: Iterable[Word]) -> set[Word]:
     """Closure of a word set over one alphabet under inversion, cyclic
-    conjugation, and free reduction, except the empty word.  The search
-    runs on letter tuples and builds each member's ``Word`` once."""
+    conjugation, and free reduction, except the empty word, searched on
+    letter tuples.  A seed that is not cyclically reduced stays beside the
+    reduced forms of its rotations: [a b A] gives {a b A, a B A, b, B}."""
     seed = list(seed)
     inv = seed[0].alphabet.inverse if seed else ()
     pending = [_free_reduce(w.letters, inv) for w in seed]

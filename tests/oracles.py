@@ -283,6 +283,16 @@ def search_inverse_word_reference(S, b: int, exclude: int, max_len: int) -> Word
     return None
 
 
+def trie_letters_reference(node) -> tuple[int, ...]:
+    """The word of a node of a system's trie of irreducible words, read by
+    walking its parents up to the root."""
+    out = []
+    while node.parent is not None:
+        out.append(node.letter)
+        node = node.parent
+    return tuple(reversed(out))
+
+
 # ---------------------------------------------------------------------------
 # Shortlex representatives: enumerate every word of length <= radius in
 # shortlex order and keep the first one per element.

@@ -10,8 +10,10 @@ from hypothesis import strategies as hs
 from oracles import all_words, ball_json_obj, ball_reference, build_ball_reference, classify
 from stackings import (
     BudgetExceededError,
+    DirectedEdge,
     EdgeKind,
     FunctionOracle,
+    GroupElement,
     StackingsError,
     StructureError,
     alpha,
@@ -304,6 +306,48 @@ class TestAgainstWordLevelReference:
         for build in (build_ball, build_ball_reference):
             with pytest.raises(StackingsError, match="memory cap"):
                 build(oracle, 5, max_elements=50)
+
+
+class TestRecords:
+    """Elements and edges are named tuples with the fields, text and hash
+    that they had as frozen dataclasses."""
+
+    def test_fields_text_hash_and_immutability(self, z2oracle):
+        ball = build_ball(z2oracle, 1)
+        al = ball.alphabet
+        g, h = ball.element(al.empty()), ball.element(al.word("a"))
+        e = ball.edge(g.canonical, al.index("a"))
+        assert GroupElement._fields == ("canonical", "distance")
+        assert DirectedEdge._fields == ("source", "label", "target", "classification")
+        assert tuple(g) == (al.empty(), 0)
+        assert tuple(e) == (g, 0, h, EdgeKind.DEGENERATE)
+        assert repr(h) == "GroupElement(canonical=Word('a'), distance=1)"
+        assert repr(e) == (
+            "DirectedEdge(source=GroupElement(canonical=Word(''), distance=0), label=0, "
+            "target=GroupElement(canonical=Word('a'), distance=1), "
+            "classification=<EdgeKind.DEGENERATE: 'degenerate'>)"
+        )
+        assert str(e) == "( --a--> a)"
+        assert str(ball.edge(h.canonical, al.index("A"))) == "(a --A--> )"
+        assert hash(g) == hash((al.empty(), 0))
+        assert hash(e) == hash((g, 0, h, EdgeKind.DEGENERATE))
+        # the one change from the dataclasses: a record equals its plain tuple
+        assert e == (g, 0, h, EdgeKind.DEGENERATE)
+        for record, name in ((g, "distance"), (e, "label"), (e, "classification")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    @pytest.mark.parametrize("name", sorted(RADII))
+    def test_built_as_records(self, structures, name):
+        # equal to the reference's records, and of the record classes, which
+        # a comparison alone would not tell from plain tuples
+        s = structures[name]()
+        for oracle in (s, FunctionOracle(s.alphabet, s.normal_form)):
+            ball = build_ball(oracle, RADII[name])
+            assert shape(ball) == shape(build_ball_reference(structures[name](), RADII[name]))
+            assert {type(g) for g in ball.elements.values()} == {GroupElement}
+            assert {type(e) for e in ball.edges} == {DirectedEdge}
+            assert {type(e.source) for e in ball.edges} == {GroupElement}
 
 
 class TestRestriction:

@@ -11,6 +11,7 @@ from oracles import (
     leftmost_reduce,
     prefix_rewrite_step_reference,
     search_inverse_word_reference,
+    trie_letters_reference,
 )
 from stackings import (
     BudgetExceededError,
@@ -20,6 +21,7 @@ from stackings import (
     StructureError,
     bs12_system,
     check_complete,
+    crs_structure,
     is_irreducible,
     load_rewriting_system,
     minimize,
@@ -255,6 +257,49 @@ class TestAgainstLeftmostReference:
             hs.lists(hs.integers(0, len(S.alphabet) - 1), max_size=40)
         )
         _agrees_with_reference(S, Word(S.alphabet, tuple(letters)))
+
+
+def trie_nodes(S: RewritingSystem) -> list:
+    """Every node of the system's trie, parents before children."""
+    nodes = [S._trie]
+    for node in nodes:
+        nodes.extend(node.children.values())
+    return nodes
+
+
+class TestTrieSpelling:
+    """A trie node keeps its letters once spelled, as its nearest spelled
+    ancestor's letters followed by the letters below that ancestor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hs.data())
+    def test_every_node_spells_its_parent_walk(self, data):
+        S = data.draw(hs.sampled_from([z2_system, bs12_system]))()  # a fresh trie
+        n = len(S.alphabet)
+        words = data.draw(hs.lists(hs.lists(hs.integers(0, n - 1), max_size=16), max_size=12))
+        for letters in words:
+            w = Word(S.alphabet, tuple(letters))
+            assert reduce_to_irreducible(S, w) == leftmost_reduce(S, w)
+        # spell every node in a random order, so that some are spelled
+        # after their ancestors and some before
+        nodes = data.draw(hs.permutations(trie_nodes(S)))
+        for node in nodes:
+            assert node.letters == trie_letters_reference(node)
+        for node in nodes:
+            assert node.letters == trie_letters_reference(node)
+
+    @pytest.mark.parametrize("system", [z2_system, bs12_system])
+    def test_words_share_the_kept_letters(self, system):
+        S = system()
+        tree = crs_structure(S).tree
+        w = Word(S.alphabet, tuple(random.Random(7).choices(range(len(S.alphabet)), k=40)))
+        reduced = reduce_to_irreducible(S, w)
+        node = tree.node(w)
+        assert reduced.letters is node.letters
+        for node in trie_nodes(S):
+            assert tree.word(node).letters is node.letters
+            # another structure on the same system spells no node again
+            assert crs_structure(S).tree.word(node).letters is node.letters
 
 
 class TestMinimize:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -16,11 +17,14 @@ from oracles import (
 from stackings import (
     Alphabet,
     BudgetExceededError,
+    EdgeKind,
     FlowFunction,
     FunctionOracle,
     StackingStructure,
     StructureError,
     Word,
+    almost_convexity_check,
+    ball_to_json,
     bs1p_structure,
     bs12_system,
     build_ball,
@@ -28,6 +32,7 @@ from stackings import (
     crs_structure,
     edge_diagram,
     reduce_to_irreducible,
+    shortlex_ac_structure,
     stacking_reduce_steps,
     stacking_relation_set,
     verify_flow_properties,
@@ -195,6 +200,24 @@ class TestRelationSet:
         rels = stacking_relation_set(z2struct, [(al.word("b"), al.index("a"))])
         assert len(rels) == 8
         assert al.word("a b A B") in rels
+
+    @pytest.mark.parametrize(
+        "name, radius", [("bs1p:2", 6), ("bs1p:3", 6), ("crs:z2", 20), ("crs:bs12", 5)]
+    )
+    def test_seeds_are_cyclically_reduced(self, structures, name, radius):
+        # every seed phi(e) a^-1 over the recursive edges of the regions that
+        # the verification jobs search, so the closure of these seeds is
+        # closed under rotation (symmetrized_closure's docstring)
+        s = structures[name]()
+        inv = s.alphabet.inverse
+        seeds = {
+            s.phi(e.source.canonical, e.label).append(inv[e.label])
+            for e in build_ball(s, radius + 1).edges
+            if e.classification is EdgeKind.RECURSIVE
+        }
+        assert seeds
+        for r in seeds:
+            assert r.is_freely_reduced() and r.letters[-1] != inv[r.letters[0]], r
 
     def test_oversized_relator_rejected(self, bs2):
         al = bs2.alphabet
@@ -396,6 +419,48 @@ class TestAgainstWordLevelReference:
         make = structures[name] if name in structures else lambda: defective(name)
         radius = data.draw(hs.integers(0, RADII.get(name, 3)))
         self.check(make, radius, own_region=data.draw(hs.booleans()))
+
+
+# The benchmark's verify-balls jobs: a structure and the radius of the ball
+# it is verified on, whose region is one larger; "ac:z2" is an almost
+# convexity check of Z^2 with k = 2 up to the radius.
+VERIFY_JOBS = [("crs:z2", 20), ("crs:bs12", 5), ("bs1p:2", 6), ("shortlex-ac:z2:10:2", 7), ("ac:z2", 10)]
+# The balls and the flow, geodesic and almost convexity reports of those
+# jobs, as their json texts; computed while ball records were frozen
+# dataclasses and flow verification built a Fraction per alpha it compared.
+VERIFY_SHA256 = "39e5556528be2d6a3b94ff7fe7a0e821b97dc3a6f511917674335f20b27ac42e"
+
+
+def test_verification_outputs_pinned():
+    z2, bs12 = z2_system(), bs12_system()
+    z2_oracle = FunctionOracle(z2.alphabet, lambda w: reduce_to_irreducible(z2, w))
+    makers = {
+        "crs:z2": lambda: crs_structure(z2),
+        "crs:bs12": lambda: crs_structure(bs12),
+        "bs1p:2": lambda: bs1p_structure(2),
+        "shortlex-ac:z2:10:2": lambda: shortlex_ac_structure(z2_oracle, 10, 2),
+    }
+    digest = hashlib.sha256()
+    for name, radius in VERIFY_JOBS:
+        if name == "ac:z2":
+            texts = [almost_convexity_check(z2_oracle, radius, 2).to_json()]
+        else:
+            # as the benchmark searches them: on the words of the normal form
+            s = makers[name]()
+            oracle = FunctionOracle(s.alphabet, s.normal_form)
+            region, ball = build_ball(oracle, radius + 1), build_ball(oracle, radius)
+            flow = FlowFunction(s)
+            texts = [
+                ball_to_json(ball),
+                ball_to_json(region),
+                verify_flow_properties(flow, ball, region).to_json(),
+                verify_geodesic_stacking(flow, ball, region).to_json(),
+            ]
+            # and the search on the structure's own tree finds the same ball
+            assert ball_to_json(build_ball(makers[name](), radius)) == texts[0]
+        for text in texts:
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == VERIFY_SHA256
 
 
 class TestGeodesicVerification:

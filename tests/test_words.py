@@ -109,6 +109,12 @@ class TestSymmetrize:
         # a a A b A B a A freely reduces to the commutator a b A B
         assert w("a b A B") in closed
 
+    def test_seed_not_cyclically_reduced(self):
+        # its rotations join only freely reduced, so b A a is not a member
+        closed = symmetrized_closure([w("a b A")])
+        assert closed == {w("a b A"), w("a B A"), w("b"), w("B")}
+        assert not is_symmetrized(closed)
+
     @given(
         hs.lists(
             hs.lists(hs.integers(0, 3), max_size=8).map(lambda ls: Word(AB, tuple(ls))),
