@@ -147,7 +147,7 @@ class FunctionOracle(NormalFormTree):
         return self.move(y, a)[0]
 
     def parent(self, y: Word) -> Word | None:
-        return y[:-1] if y.letters else None
+        return Word(y.alphabet, y.letters[:-1]) if y.letters else None
 
     def last(self, y: Word) -> int:
         return y.letters[-1]

@@ -278,7 +278,9 @@ class IrreducibleTree(NormalFormTree):
         t = y.children.get(a)
         if t is not None:
             return t, True
-        t = self.step(y, a)
+        t = _rewrite(self.S, y, a, self.budget, 0)[0]
+        if t is None:
+            self._out_of_budget(y, (a,))
         return t, (t.parent is y and t.letter == a) or (
             y.parent is t and y.letter == self.alphabet.inverse[a]
         )

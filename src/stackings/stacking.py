@@ -24,7 +24,6 @@ from .cayley import (
     DirectedEdge,
     EdgeKind,
     FunctionOracle,
-    GroupElement,
     NormalFormTree,
     alpha,
 )
@@ -321,17 +320,19 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
         steps[node[src.canonical.letters], a] = e, node[tgt.canonical.letters]
     flows: dict[tuple[tuple[int, ...], int], _FlowEdge] = {}  # by the source's letters
 
-    def node_of(g: GroupElement) -> Hashable:
-        y = node.get(g.canonical.letters)
-        return tree_node(g.canonical) if y is None else y
-
     def flow_edge(e: DirectedEdge) -> _FlowEdge:
         src, a, tgt, _ = e
         key = src.canonical.letters, a
         f = flows.get(key)
         if f is not None:
             return f
-        y, t = node_of(src), node_of(tgt)
+        y = node.get(key[0])
+        if y is None:
+            y = tree_node(src.canonical)
+        taken = steps.get((y, a))  # the region's own step, to the edge's target
+        t = taken[1] if taken is not None else node.get(tgt.canonical.letters)
+        if t is None:
+            t = tree_node(tgt.canonical)
         label = labels.get((y, a))
         if label is None:
             label = labels[y, a] = letter[a] if move(y, a)[1] else phi_fn(y, a)
@@ -363,8 +364,7 @@ def verify_flow_properties(
     balls of the structure's own normal forms.
     """
     s = flow.structure
-    k = s.bound_k
-    report = FlowReport(radius=ball.radius, k=k)
+    report = FlowReport(radius=ball.radius, k=s.bound_k)
     flow_edge = _flow_edges(flow, region)
 
     al = s.alphabet
@@ -380,7 +380,7 @@ def verify_flow_properties(
         else:
             if letters == (a,):
                 report.strictness_failures.append(_edge_name(al, src.canonical, a))
-            if len(letters) > k:
+            if len(letters) > s.bound_k:
                 report.bound_failures.append(_edge_name(al, src.canonical, a))
         # (F1): the path starts at the source and ends at the target.
         if end != target:
@@ -390,19 +390,17 @@ def verify_flow_properties(
     report.edges_checked = len(ball.edges)
     report.inconclusive = inconclusive
 
-    # Flow relation restricted to recursive edges explored in the region.
-    successors: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
-    for e in region.edges:
-        src, a, _, kind = e
-        if kind is EdgeKind.RECURSIVE:
-            successors[src.canonical.letters, a] = [
-                (p.source.canonical.letters, p.label)
-                for p in flow_edge(e).path or ()
-                if p.classification is EdgeKind.RECURSIVE
-            ]
+    # Flow relation restricted to recursive edges explored in the region.  A
+    # flow path holds the region's own edge objects, so edges are keyed by id.
+    recursive = EdgeKind.RECURSIVE
+    edge = {id(e): e for e in region.edges if e.classification is recursive}
+    successors = {
+        i: [id(p) for p in flow_edge(e).path or () if p.classification is recursive]
+        for i, e in edge.items()
+    }
     cyc = _first_cycle(successors)
     if cyc is not None:
-        report.cycle = [_edge_name(al, Word(al, ltrs), a) for ltrs, a in cyc]
+        report.cycle = [_edge_name(al, edge[i].source.canonical, edge[i].label) for i in cyc]
     return report
 
 
