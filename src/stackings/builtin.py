@@ -8,7 +8,7 @@
   rewriting system (normal forms = irreducible words, phi from the unique
   prefix-rewriting rule), stepping the system's own trie.
 * ``shortlex_ac_structure``: the shortlex stacking of an almost convex
-  pair, defined on a precomputed ball.
+  pair, on the tree of the shortlex words of a precomputed ball.
 * ``almost_convexity_check``: check of the almost convexity condition on
   spheres up to a radius, by bounded searches of one ball.
 * ``thompson_f_in_C``: the deterministic PDA recognizer for the normal
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .cayley import Ball, NormalFormTree, build_ball
+from .cayley import Ball, FunctionOracle, NormalFormTree, build_ball
 from .errors import (
     AlmostConvexityError,
     FormatError,
@@ -126,9 +126,6 @@ class _BS1pTree(NormalFormTree):
             return _node(BS1pElement, (i, m + 1 if a == _A else m - 1, 0)), True
         return _bs_normalize(p, i, m + p**k if a == _A else m - p**k, k), False
 
-    def step(self, g: BS1pElement, a: int) -> BS1pElement:
-        return self.move(g, a)[0]
-
     def parent(self, g: BS1pElement) -> BS1pElement | None:
         i, m, k = g
         if k:
@@ -205,20 +202,21 @@ def crs_structure(S: RewritingSystem, budget: int = DEFAULT_BUDGET) -> StackingS
 # Shortlex stacking of an almost convex pair, on a finite ball.
 
 
-class _ShortlexBall:
-    """Shortlex normal forms and distances on B(radius), from a normal-form
-    tree (or anything with a ``tree``) used only for element identity."""
+class _ShortlexTree(FunctionOracle):
+    """The tree of the shortlex normal forms on B(radius), from a normal-form
+    tree (or anything with a ``tree``) used only for element identity: a
+    node is the shortlex least word of its element.  A move inside the
+    ball reads the edge the ball's search took."""
 
-    def __init__(self, oracle, radius: int):
-        self.tree = getattr(oracle, "tree", oracle)
-        self.alphabet = self.tree.alphabet
-        self.radius = radius
-        self.ball = ball = build_ball(self.tree, radius)
+    def __init__(self, oracle, radius: int, k_ac: int):
+        self.base = getattr(oracle, "tree", oracle)
+        self.radius, self.k_ac = radius, k_ac
+        self.ball = ball = build_ball(self.base, radius)
         # slex maps an oracle key to its shortlex word.  The shortlex word of
         # h is the least slex(g) a over the edges g -a-> h that step one
         # sphere out; sources are taken sphere by sphere, so slex(g) is
         # final before its out-edges are read.
-        self.slex: dict[tuple[int, ...], Word] = {(): self.alphabet.empty()}
+        self.slex: dict[tuple[int, ...], Word] = {(): self.base.alphabet.empty()}
         for e in sorted(ball.edges, key=lambda e: e.source.distance):
             g, h = e.source, e.target
             if h.distance != g.distance + 1:
@@ -229,9 +227,10 @@ class _ShortlexBall:
                 self.slex[h.canonical.letters] = z
         # key maps a shortlex word's letters back to the oracle key.
         self.key = {z.letters: key for key, z in self.slex.items()}
+        super().__init__(self.base.alphabet, self.canonical)
 
     def canonical(self, w: Word) -> Word:
-        key = self.tree.normal_form(w).letters
+        key = self.base.normal_form(w).letters
         try:
             return self.slex[key]
         except KeyError:
@@ -239,8 +238,13 @@ class _ShortlexBall:
                 f"{w} leaves the explored ball of radius {self.radius}"
             ) from None
 
-    def distance(self, canonical: Word) -> int:
-        return self.ball.elements[self.key[canonical.letters]].distance
+    def move(self, y: Word, a: int) -> tuple[Word, bool]:
+        e = self.ball.edge_index.get((self.key[y.letters], a))
+        if e is None:  # y a leaves the ball, and canonical raises
+            return super().move(y, a)
+        t = self.slex[e.target.canonical.letters]
+        u, v = y.letters, t.letters
+        return t, v == u + (a,) or u == v + (self.alphabet.inverse[a],)
 
     def least_connecting_word(
         self, start: Word, goal: Word, max_len: int, ball_bound: int
@@ -261,6 +265,28 @@ class _ShortlexBall:
             b, g = way[g]
             letters.append(b)
         return Word(self.alphabet, tuple(letters))
+
+    def phi(self, y: Word, a: int) -> Word:
+        # the distance of an element is the length of its shortlex word
+        alphabet, y_ga = self.alphabet, self.step(y, a)
+        n_g, n_ga = len(y), len(y_ga)
+
+        def search(start: Word, goal: Word, bound: int) -> Word:
+            found = self.least_connecting_word(start, goal, self.k_ac, bound)
+            if found is None:
+                raise AlmostConvexityError(
+                    f"almost convexity refuted at radius {bound} with constant {self.k_ac}"
+                )
+            return found
+
+        if n_g == n_ga:
+            return search(y, y_ga, n_g)
+        if n_ga == n_g + 1:
+            return search(y, y_ga[:-1], n_g).append(y_ga.letters[-1])
+        if n_g == n_ga + 1:
+            c = alphabet.inv(y.letters[-1])
+            return Word(alphabet, (c,)) * search(y[:-1], y_ga, n_ga)
+        raise StructureError("edge endpoints differ in distance by more than one")
 
 
 def _paths_to(
@@ -304,48 +330,19 @@ def shortlex_ac_structure(oracle, ball_radius: int, k_ac: int) -> StackingStruct
 
     ``oracle`` is a normal-form tree, or has one as its ``tree``, of a
     solution to the word problem (its forms are used only to identify
-    elements).  The normal forms of the structure are the shortlex least
-    representatives; phi images are the shortlex least connecting words
-    found by searching the ball, constrained to stay in the right ball.
-    Raises :class:`AlmostConvexityError` when no in-ball connecting word of
-    length <= k_ac exists, refuting almost convexity at this radius.  A
-    negative ``k_ac`` is a :class:`FormatError`.
+    elements).  The normal forms of the structure, its tree's nodes, are
+    the shortlex least representatives; phi images are the shortlex least
+    connecting words found by searching the ball, constrained to stay in
+    the right ball.  Raises :class:`AlmostConvexityError` when no in-ball
+    connecting word of length <= k_ac exists, refuting almost convexity at
+    this radius.  A negative ``k_ac`` is a :class:`FormatError`.
     """
     if k_ac < 0:
         raise FormatError("shortlex-ac requires k >= 0")
-    box = _ShortlexBall(oracle, ball_radius)
-    alphabet = box.alphabet
-
-    def phi(y: Word, a: int) -> Word:
-        y_ga = box.canonical(y.append(a))
-        n_g, n_ga = box.distance(y), box.distance(y_ga)
-
-        def search(start: Word, goal: Word, bound: int) -> Word:
-            found = box.least_connecting_word(start, goal, k_ac, bound)
-            if found is None:
-                raise AlmostConvexityError(
-                    f"almost convexity refuted at radius {bound} with constant {k_ac}"
-                )
-            return found
-
-        if n_g == n_ga:
-            return search(y, y_ga, n_g)
-        if n_ga == n_g + 1:
-            b = y_ga.letters[-1]
-            h = y_ga[: len(y_ga) - 1]
-            return search(y, h, n_g).append(b)
-        if n_g == n_ga + 1:
-            c = y.letters[-1]
-            g_prime = y[: len(y) - 1]
-            return Word(alphabet, (alphabet.inv(c),)) * search(g_prime, y_ga, n_ga)
-        raise StructureError("edge endpoints differ in distance by more than one")
-
+    tree = _ShortlexTree(oracle, ball_radius, k_ac)
+    name = f"shortlex-ac(r={ball_radius},k={k_ac})"
     return StackingStructure(
-        alphabet,
-        box.canonical,
-        phi,
-        bound_k=k_ac + 1,
-        name=f"shortlex-ac(r={ball_radius},k={k_ac})",
+        tree.alphabet, tree.normal_form, tree.phi, bound_k=k_ac + 1, name=name, tree=tree
     )
 
 

@@ -42,10 +42,11 @@ class NormalFormTree:
     Normal forms are prefix-closed, so every node but ``root`` is its
     ``parent`` followed by its ``last`` letter.  A subclass chooses the
     hashable nodes, equal exactly when their normal forms are, and gives
-    ``step(node, a)``, the node of the normal form of ``node`` times ``a``.
-    ``move(node, a)`` is that node with the kind of the edge, so whoever
-    classifies an edge asks the tree once.  Every node spells its normal
-    form as the tuple ``node.letters``.
+    the one primitive ``move(node, a)``: the node of the normal form of
+    ``node`` times ``a``, with the kind of the edge, so whoever classifies
+    an edge asks the tree once.  It also gives ``parent``, ``last`` and
+    ``depth``; ``step(node, a)`` is the node of the move alone.  Every node
+    spells its normal form as the tuple ``node.letters``.
 
     The tree is the memo of its normal forms: it keeps the node of every
     word it resolved or spelled.  ``word`` keeps the ``Word`` of every node
@@ -62,8 +63,14 @@ class NormalFormTree:
         self._nodes: dict[tuple[int, ...], Hashable] = {(): root}
         self._words: dict[Hashable, Word] = {root: alphabet.empty()}
 
-    def step(self, node, a: int):
+    def move(self, y, a: int) -> tuple:
+        """``(node, tree_edge)``: the node of ``y`` times ``a``, and whether
+        the edge is a tree (degenerate) edge, that node being the child of
+        ``y`` by ``a`` or ``y`` the child of it by the inverse of ``a``."""
         raise NotImplementedError
+
+    def step(self, y, a: int):
+        return self.move(y, a)[0]
 
     def parent(self, node):
         """The node one letter shorter; None at the root."""
@@ -74,18 +81,6 @@ class NormalFormTree:
 
     def depth(self, node) -> int:
         raise NotImplementedError
-
-    def move(self, y, a: int) -> tuple:
-        """``(step(y, a), tree_edge)``: the node of ``y`` times ``a``, and
-        whether the edge is a tree (degenerate) edge, that node being the
-        child of ``y`` by ``a`` or ``y`` the child of it by the inverse of
-        ``a``.  A subclass whose step already knows the edge's kind gives
-        both at once."""
-        t = self.step(y, a)
-        parent, last = self.parent, self.last
-        return t, (parent(t) == y and last(t) == a) or (
-            parent(y) == t and last(y) == self.alphabet.inverse[a]
-        )
 
     def walk(self, node, letters: Iterable[int]) -> Iterator:
         """The nodes of ``node`` followed by each nonempty prefix of
@@ -123,7 +118,7 @@ class NormalFormTree:
 
 class FunctionOracle(NormalFormTree):
     """The tree of the normal-form words of ``fn``, a pure function from a
-    word to the normal form of its element: a node is such a word.  A step
+    word to the normal form of its element: a node is such a word.  A move
     looks its letters up, and builds a ``Word`` only for a word not met
     before.
 
@@ -142,9 +137,6 @@ class FunctionOracle(NormalFormTree):
         if y is None:
             y = self._nodes[w.letters] = self.fn(w)
         return y
-
-    def step(self, y: Word, a: int) -> Word:
-        return self.move(y, a)[0]
 
     def parent(self, y: Word) -> Word | None:
         return Word(y.alphabet, y.letters[:-1]) if y.letters else None

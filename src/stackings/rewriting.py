@@ -254,7 +254,7 @@ def prefix_rewrite_length(S: RewritingSystem, w: Word, budget: int = DEFAULT_BUD
 class IrreducibleTree(NormalFormTree):
     """The normal-form tree of ``builtin.crs_structure(S)``: the system's
     own trie of irreducible words, stepped by its prefix rewriting.
-    ``step(y, a)`` tries only the rules ending in ``a`` against the last
+    ``move(y, a)`` tries only the rules ending in ``a`` against the last
     letters of ``y``; on a match it climbs ``|lhs| - 1`` parents and steps
     through the rhs.  A step spends at most ``budget`` rewrites, and so does
     a walk, as rewriting its whole word would.
@@ -266,15 +266,9 @@ class IrreducibleTree(NormalFormTree):
         self.budget = budget
         self._images = {rule: rule.lhs[:-1].inverse() * rule.rhs for rule in S.rules}
 
-    def step(self, y: Irreducible, a: int) -> Irreducible:
-        # a child fires no rule, so it is taken before any rewriting
-        node = y.children.get(a) or _rewrite(self.S, y, a, self.budget, 0)[0]
-        if node is None:
-            self._out_of_budget(y, (a,))
-        return node
-
     def move(self, y: Irreducible, a: int) -> tuple[Irreducible, bool]:
-        # the base class's parent/last test, on the nodes' own fields
+        # a child fires no rule, so it is taken before any rewriting; else
+        # the edge is a tree edge when y is the child of its target
         t = y.children.get(a)
         if t is not None:
             return t, True

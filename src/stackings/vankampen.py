@@ -786,7 +786,7 @@ def import_diagram(data: bytes | str, alphabet: Alphabet) -> VanKampenDiagram:
         return VanKampenDiagram(
             alphabet, vertices, edges, faces, obj["basepoint"], tuple(obj["boundary"])
         )
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed diagram json: {exc}") from None
 
 

@@ -60,6 +60,8 @@ class Alphabet:
         for s, t in pairs:
             if s not in index or t not in index:
                 raise FormatError(f"inverse pair ({s}, {t}) uses undeclared token")
+            if inv[index[s]] not in (None, index[t]) or inv[index[t]] not in (None, index[s]):
+                raise FormatError(f"inverse pair ({s}, {t}) contradicts an earlier pair")
             inv[index[s]] = index[t]
             inv[index[t]] = index[s]
         missing = [toks[i] for i, j in enumerate(inv) if j is None]
@@ -222,7 +224,5 @@ def alphabet_from_sections(sections: dict[str, list[str]]) -> Alphabet:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"[inverses] line must have exactly two tokens: {line!r}")
-        if parts[0] == parts[1]:
-            raise FormatError(f"self-inverse generator not allowed: {parts[0]!r}")
         pairs.append((parts[0], parts[1]))
     return Alphabet.from_pairs(tokens, pairs)

@@ -15,7 +15,8 @@ letter from whole diagrams, with its own segments, mirror and gluing,
 the basepoint-path check of a diagram's vertex words walked from the
 basepoint one vertex at a time, the five validation checks of a diagram
 on words, a structure's normal-form tree stepped
-from its root, stacking reduction on whole words, and Cayley balls and
+from its root, the kind of a tree's edge read off its parent and last
+letter, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
 the objects a diagram's and a ball's json exports encode, almost convexity by trying
 every word and searching every pair, symmetrized relator sets by
@@ -679,7 +680,8 @@ def basepoint_path_details(d: VanKampenDiagram, s) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # The node of a word in a structure's normal-form tree, stepped from the
-# root, past the memo that word-level requests go through.
+# root, past the memo that word-level requests go through; and the kind of
+# a tree's edge, read off its parent and last letter.
 
 
 def fold(s, w: Word):
@@ -687,6 +689,17 @@ def fold(s, w: Word):
     for a in w:
         node = s.tree.step(node, a)
     return node
+
+
+def move_reference(tree, y, a: int) -> tuple:
+    """``(step(y, a), tree_edge)`` by the tree's shape alone: the edge is a
+    tree edge when its target is the child of ``y`` by ``a``, or ``y`` the
+    child of its target by the inverse of ``a``."""
+    t = tree.step(y, a)
+    parent, last = tree.parent, tree.last
+    return t, (parent(t) == y and last(t) == a) or (
+        parent(y) == t and last(y) == tree.alphabet.inverse[a]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -919,17 +932,18 @@ def least_connecting_word_reference(
     box, start: Word, goal: Word, max_len: int, ball_bound: int
 ) -> Word | None:
     """Shortlex least word of length <= max_len labeling a path from start
-    to goal in B(ball_bound) of ``box`` (a shortlex ball), never along an
-    edge with both ends on the bounding sphere."""
+    to goal in B(ball_bound) of ``box`` (a shortlex tree), never along an
+    edge with both ends on the bounding sphere.  A shortlex word is
+    geodesic, so its length is its element's distance."""
     for w in all_words(box.alphabet, max_len):
-        cur, prev_dist, ok = start, box.distance(start), True
+        cur, prev_dist, ok = start, len(start), True
         for b in w.letters:
             try:
                 cur = box.canonical(cur.append(b))
             except OutsideExploredRegionError:
                 ok = False
                 break
-            d = box.distance(cur)
+            d = len(cur)
             if d > ball_bound or (d == ball_bound and prev_dist == ball_bound):
                 ok = False
                 break

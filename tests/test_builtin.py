@@ -10,6 +10,7 @@ from oracles import (
     fold,
     least_connecting_word_reference,
     leftmost_reduce,
+    move_reference,
     shortlex_representatives,
     thompson_f_direct,
 )
@@ -20,7 +21,6 @@ from stackings import (
     EdgeKind,
     FormatError,
     FunctionOracle,
-    NormalFormTree,
     OutsideExploredRegionError,
     RewriteRule,
     RewritingSystem,
@@ -42,7 +42,7 @@ from stackings import (
     z2_system,
 )
 from stackings import builtin
-from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexBall
+from stackings.builtin import BS1pElement, _bs_normalize, _ShortlexTree
 
 
 class TestBS1p:
@@ -380,6 +380,15 @@ TREES = {
 }
 
 
+# The trees whose shape is checked: the four builtin ones, and the shortlex
+# trees of Z^2 over its two letter orders on a ball that holds every move.
+SHAPE_TREES = {
+    **{name: lambda make=make: make().tree for name, (make, _) in TREES.items()},
+    "shortlex-ac:z2": lambda: _ShortlexTree(crs_structure(Z2), 4, 2),
+    "shortlex-ac:z2-reordered": lambda: _ShortlexTree(z2_reordered_oracle(), 4, 2),
+}
+
+
 @pytest.fixture(scope="module")
 def trees():
     return {name: make() for name, (make, _) in TREES.items()}
@@ -433,10 +442,10 @@ class TestNormalFormTree:
         assume(deepest <= 400)
         self.check_fold(s, name, w, node, {}, {})
 
-    @pytest.mark.parametrize("name", sorted(TREES))
+    @pytest.mark.parametrize("name", sorted(SHAPE_TREES))
     def test_shape(self, name):
-        s = TREES[name][0]()
-        tree, al = s.tree, s.alphabet
+        tree = SHAPE_TREES[name]()
+        al = tree.alphabet
         assert tree.parent(tree.root) is None and tree.depth(tree.root) == 0
         frontier, seen = [tree.root], {tree.root}
         for _ in range(4):  # the ball of radius 4 around the root, by steps
@@ -454,7 +463,7 @@ class TestNormalFormTree:
                         assert tree.last(y_a) == word[-1]
                     # the kind the tree's move gives is the parent/last one,
                     # which is the comparison of the words
-                    assert NormalFormTree.move(tree, y, a) == (y_a, tree_edge)
+                    assert move_reference(tree, y, a) == (y_a, tree_edge)
                     kind = classify(tree.word(y), a, tree.word(y_a))
                     assert tree_edge == (kind is EdgeKind.DEGENERATE)
                     if y_a not in seen:
@@ -482,14 +491,17 @@ def bs1p_nodes(p: int):
 F2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
 
 # Trees whose move is checked against the word comparison, with nodes to
-# check it at: BS(1,p) nodes by their coordinates, the others by a word.
+# check it at: BS(1,p) nodes by their coordinates, the others as the nodes
+# of words up to a length, for a shortlex tree one less than its radius.
 MOVE_TREES = {
     "bs1p:2": (lambda: bs1p_structure(2).tree, bs1p_nodes(2)),
     "bs1p:3": (lambda: bs1p_structure(3).tree, bs1p_nodes(3)),
     "bs1p:5": (lambda: bs1p_structure(5).tree, bs1p_nodes(5)),
-    "crs:z2": (lambda: crs_structure(Z2).tree, None),
-    "crs:bs12": (lambda: crs_structure(BS12).tree, None),
-    "free": (lambda: FunctionOracle(F2, Word.free_reduce), None),
+    "crs:z2": (lambda: crs_structure(Z2).tree, 20),
+    "crs:bs12": (lambda: crs_structure(BS12).tree, 20),
+    "free": (lambda: FunctionOracle(F2, Word.free_reduce), 20),
+    "shortlex-ac:z2": (lambda: _ShortlexTree(crs_structure(Z2), 6, 2), 5),
+    "shortlex-ac:z2-reordered": (lambda: _ShortlexTree(z2_reordered_oracle(), 6, 2), 5),
 }
 
 
@@ -508,8 +520,8 @@ class TestMove:
     def test_move_is_step_and_word_comparison(self, move_trees, name, data):
         tree, nodes = move_trees[name], MOVE_TREES[name][1]
         n = len(tree.alphabet)
-        if nodes is None:
-            w = data.draw(hs.lists(hs.integers(0, n - 1), max_size=20))
+        if isinstance(nodes, int):
+            w = data.draw(hs.lists(hs.integers(0, n - 1), max_size=nodes))
             y = tree.node(Word(tree.alphabet, tuple(w)))
         else:
             y = data.draw(nodes)
@@ -529,12 +541,12 @@ class TestShortlexAC:
     def test_shortlex_ball_matches_enumeration(self, group, radius, z2oracle, bs2):
         f2 = Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "A"), ("b", "B")])
         oracle = {"z2": z2oracle, "bs12": bs2, "f2": FunctionOracle(f2, Word.free_reduce)}[group]
-        box = _ShortlexBall(oracle, radius)
+        tree = _ShortlexTree(oracle, radius, 2)
         expected = shortlex_representatives(
             oracle.alphabet, lambda w: oracle.normal_form(w).letters, radius
         )
-        assert box.slex == expected
-        assert {z.letters: box.distance(z) for z in box.slex.values()} == {
+        assert tree.slex == expected
+        assert {tree.slex[key].letters: g.distance for key, g in tree.ball.elements.items()} == {
             w.letters: len(w) for w in expected.values()
         }
 
@@ -625,16 +637,54 @@ class TestLeastConnectingWord:
             "z2": z2oracle, "z2-reordered": z2_reordered_oracle(), "bs12": bs2,
             "f2": FunctionOracle(f2, Word.free_reduce), "c3": c3_oracle, "c5": c5_oracle,
         }[group]
-        box = _ShortlexBall(oracle, radius)
+        box = _ShortlexTree(oracle, radius, 2)
         words = sorted(box.slex.values(), key=Word.shortlex_key)
         for bound in range(radius + 1):
-            inside = [z for z in words if box.distance(z) <= bound]
+            inside = [z for z in words if len(z) <= bound]
             for k in (1, 2, 3):
                 for start in inside:
                     for goal in inside:
                         assert box.least_connecting_word(
                             start, goal, k, bound
                         ) == least_connecting_word_reference(box, start, goal, k, bound)
+
+
+class TestShortlexTree:
+    """The shortlex tree moves inside its ball along the edges the ball's
+    search took.  Its moves are those of the tree of its own ``canonical``,
+    which resolves every word through the base oracle, and those its shape
+    gives; off the ball, both raise alike."""
+
+    @pytest.mark.parametrize("group", ["z2", "z2-reordered"])
+    def test_moves_are_the_function_oracle_moves(self, group, z2oracle):
+        oracle = {"z2": z2oracle, "z2-reordered": z2_reordered_oracle()}[group]
+        tree = _ShortlexTree(oracle, 5, 2)
+        old = FunctionOracle(tree.alphabet, tree.canonical)
+        # over the reordered Z^2 the shortlex words are not the base forms
+        assert any(z != key for z, key in tree.key.items()) == (group == "z2-reordered")
+        for y in sorted(tree.slex.values(), key=Word.shortlex_key):
+            for a in range(len(tree.alphabet)):
+                try:
+                    want = old.move(y, a)
+                except OutsideExploredRegionError as exc:
+                    assert len(y) == 5
+                    with pytest.raises(OutsideExploredRegionError) as got:
+                        tree.move(y, a)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert tree.move(y, a) == want == move_reference(tree, y, a)
+                assert tree.step(y, a) == want[0]
+
+    def test_moves_inside_the_ball_ask_no_oracle(self):
+        # its shortlex words are not its base forms, so asking the base
+        # oracle for y a would ask it words the ball's search did not
+        base, asked = z2_reordered_oracle(), []
+        nf = base.fn
+        base.fn = lambda w: asked.append(w) or nf(w)
+        tree = _ShortlexTree(base, 4, 2)
+        before = len(asked)
+        moves = [tree.move(y, a) for y in tree.slex.values() if len(y) < 4 for a in range(4)]
+        assert len(moves) == 4 * 25 and len(asked) == before
 
 
 class TestAlmostConvexityCheck:

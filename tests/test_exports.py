@@ -123,3 +123,28 @@ def test_imports_at_load_are_stdlib_or_own(name):
     found = imports_by_function(ast.parse(path.read_text(encoding="utf-8")))
     outside = [(fn, m) for fn, m in found if m not in sys.stdlib_module_names and m != "stackings"]
     assert outside == ([("_render_svg", "numpy")] if name == "vankampen" else [])
+
+
+def test_trees_define_move_not_step():
+    # ``move`` is a tree's one primitive and ``step`` is derived from it, so
+    # no class below ``NormalFormTree``, in any module, defines ``step``
+    classes = [
+        node
+        for path in Path(stackings.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    trees, grown = {"NormalFormTree"}, True
+    while grown:
+        below = {c.name for c in classes for b in c.bases if getattr(b, "id", None) in trees}
+        grown = not below <= trees
+        trees |= below
+    assert {"FunctionOracle", "IrreducibleTree"} < trees
+    defining = [
+        c.name
+        for c in classes
+        if c.name in trees - {"NormalFormTree"}
+        for f in c.body
+        if isinstance(f, ast.FunctionDef) and f.name == "step"
+    ]
+    assert defining == []

@@ -379,13 +379,20 @@ class TestAgainstWordLevelReference:
     on whole words, on balls built by the word-level search."""
 
     @staticmethod
-    def check(make, radius, own_region=False):
+    def check(make, radius, region_radius=None):
+        # the region is B(radius + 1) unless its radius is given
+        if region_radius is None:
+            region_radius = radius + 1
         ref = make()
         ref_ball = build_ball_reference(ref, radius)
-        ref_region = ref_ball if own_region else build_ball_reference(ref, radius + 1)
+        ref_region = (
+            ref_ball if region_radius == radius else build_ball_reference(ref, region_radius)
+        )
         s = make()
-        region = build_ball(s, radius if own_region else radius + 1)
+        region = build_ball(s, max(radius, region_radius))
         ball = region.restricted(radius)
+        if region_radius < radius:
+            region = region.restricted(region_radius)
         flow, ref_flow = FlowFunction(s), FlowFunction(ref)
         report = verify_flow_properties(flow, ball, region)
         assert report.to_json() == verify_flow_reference(ref_flow, ref_ball, ref_region).to_json()
@@ -400,9 +407,15 @@ class TestAgainstWordLevelReference:
 
     @pytest.mark.parametrize("name", ["crs:z2", "crs:bs12", "bs1p:2"])
     def test_region_is_the_ball(self, structures, name):
-        report = self.check(structures[name], RADII[name], own_region=True)
+        report = self.check(structures[name], RADII[name], RADII[name])
         # flow paths from the sphere of BS(1,2) leave the ball
         assert report.inconclusive > 0 or name != "bs1p:2"
+
+    @pytest.mark.parametrize("name", ["crs:z2", "bs1p:2"])
+    def test_region_inside_the_ball(self, structures, name):
+        # the edges from the ball's sphere have ends outside the region
+        for radius in range(1, RADII[name] + 1):
+            assert self.check(structures[name], radius, radius - 1).inconclusive > 0
 
     @pytest.mark.parametrize(
         "name, failures", [("F1", "f1_failures"), ("bound", "bound_failures"), ("cycle", "cycle")]
@@ -418,7 +431,7 @@ class TestAgainstWordLevelReference:
         name = data.draw(hs.sampled_from(sorted(RADII) + ["F1", "bound", "cycle"]))
         make = structures[name] if name in structures else lambda: defective(name)
         radius = data.draw(hs.integers(0, RADII.get(name, 3)))
-        self.check(make, radius, own_region=data.draw(hs.booleans()))
+        self.check(make, radius, radius + data.draw(hs.integers(-1, 1)))
 
 
 # The benchmark's verify-balls jobs: a structure and the radius of the ball

@@ -867,14 +867,15 @@ class TestExportImport:
         pytest.param("vertices", 1, "word", "z", id="vertices-1-word"),
         pytest.param("edges", 0, "label", "z", id="edges-0-label"),
         pytest.param("vertices", 1, "word", 5, id="vertices-1-word-not-text"),
-        pytest.param(None, None, None, None, id="not-json"),
+        pytest.param(None, None, None, "{not json", id="not-json"),
+        pytest.param(None, None, None, b"\xff", id="not-utf-8"),
     ])
     def test_import_rejects_unknown_token(self, bs2, field, index, key, value):
         al = bs2.alphabet
         d = build_filling_diagram(bs2, al.word("t a T A A"))
         obj = json.loads(export_diagram(d, "json"))
         if field is None:
-            text = "{not json"
+            text = value
         else:
             obj[field][index][key] = value
             text = json.dumps(obj)

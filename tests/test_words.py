@@ -162,5 +162,12 @@ class TestFileFormat:
         assert [(str(r.lhs), str(r.rhs)) for r in S.rules] == [("b a", "a b")]
 
     def test_self_inverse_generator_rejected(self):
-        with pytest.raises(FormatError):
+        # the alphabet refuses it, with the text it gives any inverse table
+        with pytest.raises(FormatError, match="^token 's' declared self-inverse$"):
             load_rewriting_system("[generators]\ns\n[inverses]\ns s\n")
+
+    @pytest.mark.parametrize("pairs", ["a a\na A", "a A\na a", "a b\na A\nb B"])
+    def test_contradicting_inverse_pairs_rejected(self, pairs):
+        # a later pair may not redeclare a token's inverse
+        with pytest.raises(FormatError, match="contradicts an earlier pair"):
+            load_rewriting_system(f"[generators]\na A b B\n[inverses]\n{pairs}\nb B\n")
