@@ -227,16 +227,20 @@ class _ShortlexTree(FunctionOracle):
                 self.slex[h.canonical.letters] = z
         # key maps a shortlex word's letters back to the oracle key.
         self.key = {z.letters: key for key, z in self.slex.items()}
-        super().__init__(self.base.alphabet, self.canonical)
+        base, slex = self.base, self.slex
 
-    def canonical(self, w: Word) -> Word:
-        key = self.base.normal_form(w).letters
-        try:
-            return self.slex[key]
-        except KeyError:
-            raise OutsideExploredRegionError(
-                f"{w} leaves the explored ball of radius {self.radius}"
-            ) from None
+        # canonical holds the base tree and slex, not the tree itself, so
+        # that the tree, whose fn it is, is freed by reference count
+        def canonical(w: Word) -> Word:
+            try:
+                return slex[base.normal_form(w).letters]
+            except KeyError:
+                raise OutsideExploredRegionError(
+                    f"{w} leaves the explored ball of radius {radius}"
+                ) from None
+
+        self.canonical = canonical
+        super().__init__(base.alphabet, canonical)
 
     def move(self, y: Word, a: int) -> tuple[Word, bool]:
         e = self.ball.edge_index.get((self.key[y.letters], a))

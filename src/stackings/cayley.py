@@ -48,13 +48,17 @@ class NormalFormTree:
     ``depth``; ``step(node, a)`` is the node of the move alone.  Every node
     spells its normal form as the tuple ``node.letters``.
 
-    The tree is the memo of its normal forms: it keeps the node of every
-    word it resolved or spelled.  ``word`` keeps the ``Word`` of every node
-    it spelled, so it spells each node once.  The node of a new word is one
-    ``step`` from the node of its prefix one letter shorter if that is kept,
-    and a fold of ``step`` from the root otherwise, so the normal form of
-    ``y a`` for a kept ``y`` costs one step.  A tree whose steps spend a
-    budget spends one budget on a whole ``walk``.
+    The tree is the memo of its normal forms.  ``word`` keeps the ``Word``
+    of every node it spelled, so it spells each node once, and the node of
+    that normal form; ``node`` keeps the node of each word it walked from
+    the root.  The node of ``y a`` for a kept ``y`` is one ``step`` and is
+    not kept, so a caller that keeps the words it asks (a
+    :class:`FunctionOracle` over ``normal_form``) finds each kept once.  A
+    tree whose steps spend a budget spends one budget on a whole ``walk``;
+    a step from a kept prefix, the last step of that walk, spends no more.
+
+    The tree also keeps, as ``_ball``, the largest ball that
+    :func:`build_ball` searched on it.
     """
 
     def __init__(self, alphabet: Alphabet, root: Hashable) -> None:
@@ -62,6 +66,7 @@ class NormalFormTree:
         self.root = root
         self._nodes: dict[tuple[int, ...], Hashable] = {(): root}
         self._words: dict[Hashable, Word] = {root: alphabet.empty()}
+        self._ball: Ball | None = None
 
     def move(self, y, a: int) -> tuple:
         """``(node, tree_edge)``: the node of ``y`` times ``a``, and whether
@@ -98,22 +103,24 @@ class NormalFormTree:
         return y
 
     def node(self, w: Word):
-        """The node of the element that ``w`` spells, kept for ``w``."""
+        """The node of the element that ``w`` spells: one step from its
+        kept prefix, or a walk from the root, which is kept for ``w``."""
         letters = w.letters
         node = self._nodes.get(letters)
         if node is None:
             node = self._nodes.get(letters[:-1])
-            if node is None:
-                node = self.root
-                for node in self.walk(node, letters):
-                    pass
-            else:
-                node = self.step(node, letters[-1])
+            if node is not None:
+                return self.step(node, letters[-1])
+            node = self.root
+            for node in self.walk(node, letters):
+                pass
             self._nodes[letters] = node
         return node
 
     def normal_form(self, w: Word) -> Word:
-        return self.word(self.node(w))
+        node = self.node(w)
+        y = self._words.get(node)
+        return self.word(node) if y is None else y
 
 
 class FunctionOracle(NormalFormTree):
@@ -161,6 +168,9 @@ class FunctionOracle(NormalFormTree):
 
     def word(self, y: Word) -> Word:
         return y
+
+    def normal_form(self, w: Word) -> Word:
+        return self.node(w)
 
 
 class GroupElement(NamedTuple):
@@ -233,8 +243,20 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     stacking structure).  The search runs over the tree's nodes by its
     ``move``, which classifies each edge as it is found.  Finding more than
     ``max_elements`` elements exceeds the search's budget.
+
+    The tree keeps the largest ball searched on it, and returns that ball
+    itself from the search.  A radius no larger than the kept ball's is its
+    :meth:`Ball.restricted`, with no move: every move of that search was a
+    move of the larger one, so the ball, and any error, is the one a new
+    search would give.  The kept ball lives as long as the tree.
     """
     tree = getattr(oracle, "tree", oracle)
+    kept = tree._ball
+    if kept is not None and n <= kept.radius:
+        ball = kept.restricted(n)
+        if len(ball.elements) > max_elements:
+            raise BudgetExceededError(f"memory cap of {max_elements} elements exceeded")
+        return ball
     alphabet = tree.alphabet
     move, word, parent, last_letter = tree.move, tree.word, tree.parent, tree.last
     letters = range(len(alphabet))
@@ -285,7 +307,8 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
                 edge_index[key, a] = e
 
     elements = {g.canonical.letters: g for g in element.values()}
-    return Ball(n, alphabet, elements, edges, edge_index)
+    ball = tree._ball = Ball(n, alphabet, elements, edges, edge_index)
+    return ball
 
 
 def alpha(e: DirectedEdge) -> Fraction:

@@ -833,16 +833,17 @@ def _render_svg(d: VanKampenDiagram) -> bytes:
             pos[v] = sol[loc[v]]
 
     pad, half = 40, size / 2
-    xy = pos * (half - pad) + half
+    # Python floats format as the numpy scalars do, and faster
+    xy = (pos * (half - pad) + half).tolist()
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
+    # the point each signed edge starts at
+    start = {eid: xy[idx[src]] for eid, src, _, _ in d.edges}
+    start.update((-eid, xy[idx[dst]]) for eid, _, dst, _ in d.edges)
     for fid, walk in sorted(d.faces):
-        pts = " ".join(
-            f"{xy[idx[d.traverse(sg)[0]]][0]:.1f},{xy[idx[d.traverse(sg)[0]]][1]:.1f}"
-            for sg in walk
-        )
+        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(start.__getitem__, walk))
         out.append(f'<polygon points="{pts}" fill="#cfe2ff" stroke="none"/>')
     for eid, src, dst, label in sorted(d.edges):
         x1, y1 = xy[idx[src]]

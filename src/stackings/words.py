@@ -37,8 +37,12 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         n = len(self.tokens)
-        if len(set(self.tokens)) != n:
+        # the index of each token, for parsing; not a field, so equality,
+        # hash and repr are the fields' alone
+        index = {t: i for i, t in enumerate(self.tokens)}
+        if len(index) != n:
             raise FormatError("duplicate tokens in alphabet")
+        object.__setattr__(self, "_index", index)
         for t in self.tokens:
             if not t or any(c.isspace() for c in t) or "#" in t:
                 raise FormatError(f"bad token {t!r}: empty, whitespace, or '#'")
@@ -74,8 +78,8 @@ class Alphabet:
 
     def index(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._index[token]
+        except KeyError:
             raise FormatError(f"unknown token {token!r}") from None
 
     def inv(self, i: int) -> int:
@@ -83,7 +87,10 @@ class Alphabet:
 
     def word(self, text: str) -> "Word":
         """Parse a whitespace-separated token string into a word."""
-        return Word(self, tuple(self.index(t) for t in text.split()))
+        try:
+            return Word(self, tuple([self._index[t] for t in text.split()]))
+        except KeyError as exc:  # the first unknown token
+            raise FormatError(f"unknown token {exc.args[0]!r}") from None
 
     def empty(self) -> "Word":
         return Word(self, ())
@@ -92,13 +99,14 @@ class Alphabet:
         return Word(self, (i,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A sequence of letter indices into an alphabet; may be empty.
 
     Letters are not range-checked here: text is checked where it is parsed
     (:meth:`Alphabet.word`, :meth:`Alphabet.index`), and words built from
-    indices are trusted.
+    indices are trusted.  A word has slots and no ``__dict__``: it is one
+    object of two fields.
     """
 
     alphabet: Alphabet

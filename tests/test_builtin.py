@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
@@ -654,6 +657,21 @@ class TestShortlexTree:
     search took.  Its moves are those of the tree of its own ``canonical``,
     which resolves every word through the base oracle, and those its shape
     gives; off the ball, both raise alike."""
+
+    @pytest.mark.parametrize("name", ["bs1p:2", "crs:z2", "shortlex-ac:z2:8:2"])
+    def test_tree_freed_by_reference_count(self, structures, name):
+        # a tree that is part of no reference cycle dies with its structure,
+        # with no cyclic collection
+        s = structures[name]()
+        build_ball(s, 3)
+        s.normal_form(Word(s.alphabet, (0, 2, 0, 2)))
+        tree = weakref.ref(s.tree)
+        gc.disable()
+        try:
+            del s
+            assert tree() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("group", ["z2", "z2-reordered"])
     def test_moves_are_the_function_oracle_moves(self, group, z2oracle):

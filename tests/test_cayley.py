@@ -213,17 +213,28 @@ class TestEdgesAndAlpha:
         assert calls and len(calls) == len(set(calls))
         asked = len(calls)
         ball = build_ball(oracle, radius)
-        assert len(calls) == asked  # the smaller search finds every word it steps to
-        restricted = region.restricted(radius)
-        assert ball.elements == restricted.elements
-        assert ball.edges == restricted.edges  # the same edges, in the same order
+        assert len(calls) == asked  # the smaller ball is the kept one's restriction
+        fresh = FunctionOracle(s.alphabet, structures[name]().normal_form)
+        assert shape(ball) == shape(build_ball_reference(fresh, radius))
+        assert shape(region) == shape(build_ball_reference(fresh, radius + 1))
+        # every normal form asked for is kept once, in the function oracle:
+        # the structure's tree keeps only the normal forms it spelled
+        tree = s.tree
+        assert set(tree._nodes) == {y.letters for y in tree._words.values()}
 
     def test_tree_keeps_the_node_of_each_word(self):
         s = bs1p_structure(2)
+        moves = TestKeptBall.count_moves(s)
         w = s.alphabet.word("t a T a")
-        nf = s.normal_form(w)
-        s.tree.step = None  # a kept word takes no step
+        nf = s.normal_form(w)  # no prefix of w is kept: a walk, kept for w
+        assert len(moves) == 4
+        t = s.alphabet.index("t")
+        past = s.normal_form(w.append(t))  # one letter past a kept word
+        assert len(moves) == 5
+        assert s.normal_form(w.append(t)) is past and len(moves) == 6  # not kept
+        s.tree.move = None  # a kept word takes no step
         assert s.normal_form(w) is nf
+        assert s.normal_form(past) is past  # nor a normal form it spelled
 
     def test_bad_oracle_rejected(self):
         # the empty word's normal form is asked for once, at construction
@@ -373,3 +384,68 @@ class TestRestriction:
 
     def test_negative_radius_keeps_the_root(self, bs2):
         assert shape(build_ball(bs2, 2).restricted(-1)) == shape(build_ball(bs2, -1))
+
+
+class TestKeptBall:
+    """A tree keeps the largest ball searched on it.  A search of a radius
+    no larger is that ball's restriction: it makes no move, and gives the
+    ball, or the error, that a search on a fresh tree gives."""
+
+    @staticmethod
+    def oracles(structures, name):
+        """A fresh structure, and a function oracle over another one."""
+        s = structures[name]()
+        return [s, FunctionOracle(s.alphabet, structures[name]().normal_form)]
+
+    @staticmethod
+    def count_moves(oracle) -> list:
+        """The letters of the moves made on ``oracle``'s tree from now on."""
+        tree = getattr(oracle, "tree", oracle)
+        moves, move = [], tree.move
+        tree.move = lambda y, a: moves.append(a) or move(y, a)
+        return moves
+
+    @staticmethod
+    def outcome(oracle, radius, max_elements=10**6):
+        try:
+            return shape(build_ball(oracle, radius, max_elements))
+        except StackingsError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("name", sorted(RADII))
+    def test_orders_of_radii(self, structures, name):
+        r = RADII[name] - 1
+        fresh = {n: shape(build_ball(structures[name](), n)) for n in (-1, 2, r, r + 1)}
+        for first, second in ((r + 1, r), (r, r + 1), (r, r), (2, -1)):
+            for oracle in self.oracles(structures, name):
+                ball = build_ball(oracle, first)
+                assert getattr(oracle, "tree", oracle)._ball is ball  # kept, not copied
+                assert shape(ball) == fresh[first]
+                moves = self.count_moves(oracle)
+                assert shape(build_ball(oracle, second)) == fresh[second]
+                assert (moves == []) == (second <= first)
+
+    @pytest.mark.parametrize("name", sorted(RADII))
+    def test_cap_on_a_warm_tree(self, structures, name):
+        r = RADII[name] - 1
+        size = len(build_ball(structures[name](), r).elements)
+        for cap in (size, size - 1):
+            want = self.outcome(structures[name](), r, cap)
+            assert (want[0] is BudgetExceededError) == (cap < size)
+            for oracle in self.oracles(structures, name):
+                build_ball(oracle, r + 1)
+                moves = self.count_moves(oracle)
+                assert self.outcome(oracle, r, cap) == want
+                assert moves == []
+
+    def test_prefix_edge_error_after_a_smaller_search(self, z2S):
+        def bad():
+            return FirstLetterParent(z2S.alphabet, lambda w: reduce_to_irreducible(z2S, w))
+
+        want = self.outcome(bad(), 2)
+        assert want == (StructureError, "prefix edge (b --a--> a b) is not degenerate")
+        oracle = bad()
+        assert self.outcome(oracle, 1) == self.outcome(bad(), 1)
+        assert self.outcome(oracle, 2) == want
+        assert self.outcome(oracle, 1) == self.outcome(bad(), 1)
+        assert self.outcome(oracle, 2) == want

@@ -148,3 +148,24 @@ def test_trees_define_move_not_step():
         if isinstance(f, ast.FunctionDef) and f.name == "step"
     ]
     assert defining == []
+
+
+def test_per_element_records_have_no_dict():
+    # the records made per element, edge, node or letter are slotted or
+    # tuples: one small object each, with no per-instance ``__dict__``
+    from stackings import FlowFunction, bs1p_structure, build_ball, crs_structure, z2_system
+    from stackings.stacking import _flow_edges
+
+    s = bs1p_structure(2)
+    ball = build_ball(s, 2)
+    edge = ball.edges[-1]
+    records = {
+        "Word": edge.source.canonical,
+        "GroupElement": edge.source,
+        "DirectedEdge": edge,
+        "BS1pElement": s.tree.root,
+        "_FlowEdge": _flow_edges(FlowFunction(s), ball)(edge),
+        "Irreducible": crs_structure(z2_system()).tree.root,
+    }
+    assert {name: type(r).__name__ for name, r in records.items()} == {n: n for n in records}
+    assert [name for name, r in records.items() if hasattr(r, "__dict__")] == []

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
@@ -46,8 +48,18 @@ class TestAlphabet:
         assert al.word("x0 X0 x0").letters == (0, 1, 0)
 
     def test_unknown_token(self):
-        with pytest.raises(FormatError):
-            AB.word("a z")
+        # the first unknown token is named, by a parse and by a lookup
+        with pytest.raises(FormatError, match=r"^unknown token 'z'$"):
+            AB.word("a z y")
+        with pytest.raises(FormatError, match=r"^unknown token 'y'$"):
+            AB.index("y")
+        assert [AB.index(t) for t in AB.tokens] == [0, 1, 2, 3]
+
+    def test_index_is_not_a_field(self):
+        # the parse table leaves equality, hash and repr to the fields
+        same = Alphabet(AB.tokens, AB.inverse)
+        assert same == AB and hash(same) == hash(AB)
+        assert repr(AB) == "Alphabet(tokens=('a', 'A', 'b', 'B'), inverse=(1, 0, 3, 2))"
 
 
 class TestWord:
@@ -71,6 +83,19 @@ class TestWord:
     def test_shortlex_key_orders_by_length_then_letters(self):
         assert w("b").shortlex_key() < w("a a").shortlex_key()
         assert w("a b").shortlex_key() < w("b a").shortlex_key()
+
+    def test_slots_frozen_hash_and_equality(self):
+        u = w("a b A")
+        assert not hasattr(u, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            u.letters = ()
+        with pytest.raises(FrozenInstanceError):
+            u.alphabet = AB
+        assert hash(u) == hash((0, 2, 1))
+        assert u == Word(Alphabet(AB.tokens, AB.inverse), (0, 2, 1))
+        assert u != w("a b") and u != (0, 2, 1)
+        assert u != Word(Alphabet.from_pairs(("a", "A", "b", "B"), [("a", "B"), ("b", "A")]), (0, 2, 1))
+        assert repr(u) == "Word('a b A')"
 
 
 @given(
