@@ -19,7 +19,9 @@ Diagrams need not be reduced, and spur edges (bounding no face) are kept.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -753,7 +755,9 @@ def _diagram_json(d: VanKampenDiagram) -> str:
 
 def export_diagram(d: VanKampenDiagram, format: str = "json") -> bytes:
     """Serialize: full combinatorial map (json), labeled 1-skeleton (dot),
-    or a Tutte-style planar drawing with shaded faces (svg)."""
+    or a Tutte-style planar drawing with shaded faces (svg).  The svg of a
+    diagram that ``_tutte_layout`` cannot lay out, or with a face walk over
+    a missing edge, is a ``DiagramError``."""
     if format == "json":
         return _diagram_json(d).encode()
     if format == "dot":
@@ -790,64 +794,119 @@ def import_diagram(data: bytes | str, alphabet: Alphabet) -> VanKampenDiagram:
         raise FormatError(f"malformed diagram json: {exc}") from None
 
 
-def _render_svg(d: VanKampenDiagram) -> bytes:
-    import numpy as np
+def _tutte_layout(d: VanKampenDiagram) -> dict[int, tuple[float, float]]:
+    """Tutte's barycentric layout (Tutte, "How to draw a graph", 1963): the
+    boundary walk's vertices on the unit circle in walk order, and every
+    other vertex at the barycentre of its neighbours, counted with
+    multiplicity (a vertex with none at the origin).
 
-    size = 480  # pixels per side
-    vids = [vid for vid, _ in sorted(d.vertices)]
-    idx = {vid: i for i, vid in enumerate(vids)}
-    n = len(vids)
-    pos = np.zeros((n, 2))
+    The interior positions solve the Dirichlet Laplacian, which is symmetric
+    positive definite once every interior edge reaches the boundary.  It is
+    eliminated without pivoting in minimum-degree order (George & Liu, SIAM
+    Review 1989), one dict per row, the row with the fewest entries first
+    and ties by vertex id, so memory is O(V + fill) and the result is
+    deterministic.  A diagram whose edges name a missing vertex, or with an
+    edge that reaches no boundary vertex, is a ``DiagramError``.
+    """
+    nbrs: dict[int, list[int]] = {vid: [] for vid, _ in d.vertices}
+    for eid, src, dst, _ in d.edges:
+        if src not in nbrs or dst not in nbrs:
+            raise DiagramError(f"edge {eid} has an endpoint that is not a vertex")
+        nbrs[src].append(dst)
+        nbrs[dst].append(src)
+    if d.basepoint not in nbrs or any(abs(sgn) not in d.edge_map for sgn in d.boundary):
+        raise DiagramError("the boundary walk names a missing vertex or edge")
 
     # pin the boundary walk's vertices on a circle, in walk order
     outer: list[int] = [d.basepoint]
     for sgn in d.boundary:
         outer.append(d.traverse(sgn)[1])
     outer = list(dict.fromkeys(outer[:-1] if len(outer) > 1 else outer))
+    pinned = set(outer)
+    pos = dict.fromkeys(nbrs, (0.0, 0.0))
     for j, vid in enumerate(outer):
-        ang = 2 * np.pi * j / max(len(outer), 1)
-        pos[idx[vid]] = (np.cos(ang), np.sin(ang))
+        ang = 2 * math.pi * j / len(outer)
+        pos[vid] = (math.cos(ang), math.sin(ang))
 
-    interior = [i for i in range(n) if vids[i] not in set(outer)]
-    if interior:
-        # Tutte: each interior vertex at the barycenter of its neighbors
-        nbrs: dict[int, list[int]] = {i: [] for i in range(n)}
-        for _, src, dst, _ in d.edges:
-            nbrs[idx[src]].append(idx[dst])
-            nbrs[idx[dst]].append(idx[src])
-        m = len(interior)
-        loc = {v: r for r, v in enumerate(interior)}
-        A = np.zeros((m, m))
-        b = np.zeros((m, 2))
-        for v in interior:
-            r = loc[v]
-            deg = max(len(nbrs[v]), 1)
-            A[r, r] = deg
-            for u in nbrs[v]:
-                if u in loc:
-                    A[r, loc[u]] -= 1
-                else:
-                    b[r] += pos[u]
-        sol = np.linalg.solve(A, b)
-        for v in interior:
-            pos[v] = sol[loc[v]]
+    reached, todo = set(pinned), list(outer)
+    while todo:
+        for u in nbrs[todo.pop()]:
+            if u not in reached:
+                reached.add(u)
+                todo.append(u)
+    if any(vs and v not in reached for v, vs in nbrs.items()):
+        raise DiagramError("an edge of the diagram reaches no boundary vertex")
 
+    # row v: deg(v) x_v - (x_u over interior neighbours u) = sum of pinned neighbours
+    rows: dict[int, dict[int, float]] = {}
+    rhs: dict[int, tuple[float, float]] = {}
+    for v, vs in nbrs.items():
+        if v in pinned:
+            continue
+        row, bx, by = {v: float(max(len(vs), 1))}, 0.0, 0.0
+        for u in vs:
+            if u in pinned:
+                ux, uy = pos[u]
+                bx += ux
+                by += uy
+            else:
+                row[u] = row.get(u, 0.0) - 1.0
+        rows[v], rhs[v] = row, (bx, by)
+
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    eliminated = []
+    while heap:
+        size, p = heapq.heappop(heap)
+        row = rows.get(p)
+        if row is None or len(row) != size:
+            continue  # a stale entry: p was eliminated or its row has changed
+        del rows[p]
+        piv, (px, py) = row[p], rhs[p]
+        for j in row:
+            if j != p:
+                rj = rows[j]
+                f = rj.pop(p) / piv
+                for k, a in row.items():
+                    if k != p:
+                        rj[k] = rj.get(k, 0.0) - f * a
+                jx, jy = rhs[j]
+                rhs[j] = (jx - f * px, jy - f * py)
+                heapq.heappush(heap, (len(rj), j))
+        eliminated.append((p, row))
+    for p, row in reversed(eliminated):
+        x, y = rhs[p]
+        for k, a in row.items():
+            if k != p:
+                kx, ky = pos[k]
+                x -= a * kx
+                y -= a * ky
+        pos[p] = (x / row[p], y / row[p])
+    return pos
+
+
+def _render_svg(d: VanKampenDiagram) -> bytes:
+    size = 480  # pixels per side
     pad, half = 40, size / 2
-    # Python floats format as the numpy scalars do, and faster
-    xy = (pos * (half - pad) + half).tolist()
+    xy = {
+        vid: (x * (half - pad) + half, y * (half - pad) + half)
+        for vid, (x, y) in _tutte_layout(d).items()
+    }
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
     # the point each signed edge starts at
-    start = {eid: xy[idx[src]] for eid, src, _, _ in d.edges}
-    start.update((-eid, xy[idx[dst]]) for eid, _, dst, _ in d.edges)
+    start = {eid: xy[src] for eid, src, _, _ in d.edges}
+    start.update((-eid, xy[dst]) for eid, _, dst, _ in d.edges)
+    if any(sgn not in start for _, walk in d.faces for sgn in walk):
+        raise DiagramError("a face walk names a missing edge")
     for fid, walk in sorted(d.faces):
         pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in map(start.__getitem__, walk))
         out.append(f'<polygon points="{pts}" fill="#cfe2ff" stroke="none"/>')
     for eid, src, dst, label in sorted(d.edges):
-        x1, y1 = xy[idx[src]]
-        x2, y2 = xy[idx[dst]]
+        x1, y1 = xy[src]
+        x2, y2 = xy[dst]
         out.append(
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
             'stroke="#333" stroke-width="1.5"/>'
@@ -856,8 +915,7 @@ def _render_svg(d: VanKampenDiagram) -> bytes:
             f'<text x="{(x1 + x2) / 2:.1f}" y="{(y1 + y2) / 2:.1f}" '
             f'font-size="11" fill="#a33">{d.alphabet.tokens[label]}</text>'
         )
-    for vid in vids:
-        x, y = xy[idx[vid]]
+    for vid, (x, y) in sorted(xy.items()):
         fill = "#000" if vid == d.basepoint else "#666"
         out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="{fill}"/>')
     out.append("</svg>")

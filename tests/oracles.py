@@ -18,13 +18,15 @@ on words, a structure's normal-form tree stepped
 from its root, the kind of a tree's edge read off its parent and last
 letter, stacking reduction on whole words, and Cayley balls and
 flow verification on whole words, edges classified by comparing words,
-the objects a diagram's and a ball's json exports encode, almost convexity by trying
+the objects a diagram's and a ball's json exports encode, Tutte's layout of a
+diagram by exact elimination over the rationals, almost convexity by trying
 every word and searching every pair, symmetrized relator sets by
 their definition on whole words, and a stacking's relator set by one seed per sampled edge.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -525,6 +527,61 @@ def ball_json_obj(ball: Ball) -> dict:
             for e in sorted(ball.edges, key=lambda e: (e.source.canonical.shortlex_key(), e.label))
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Tutte's barycentric layout solved exactly: the boundary walk's distinct
+# vertices on the unit circle in walk order, each other vertex at the mean of
+# its neighbours (with multiplicity), by dense Gauss-Jordan elimination over
+# the rationals, pivoting on the first nonzero entry of each column.
+
+
+def tutte_layout_reference(d: VanKampenDiagram) -> dict[int, tuple[float, float]]:
+    ends = {eid: (src, dst) for eid, src, dst, _ in d.edges}
+    walk = [d.basepoint]
+    for sgn in d.boundary:
+        src, dst = ends[abs(sgn)]
+        walk.append(dst if sgn > 0 else src)
+    ring: list[int] = []
+    for v in walk[:-1] or walk:
+        if v not in ring:
+            ring.append(v)
+    circle = {
+        v: (math.cos(2 * math.pi * j / len(ring)), math.sin(2 * math.pi * j / len(ring)))
+        for j, v in enumerate(ring)
+    }
+    free = sorted(vid for vid, _ in d.vertices if vid not in circle)
+    col = {v: i for i, v in enumerate(free)}
+    m = len(free)
+    # row i: the equation of free[i], with the two right-hand sides in columns m, m + 1
+    rows = [[Fraction(0)] * (m + 2) for _ in range(m)]
+    degree = dict.fromkeys(free, 0)
+    for _, src, dst, _ in d.edges:
+        for v, u in ((src, dst), (dst, src)):
+            if v in col:
+                degree[v] += 1
+                row = rows[col[v]]
+                row[col[v]] += 1
+                if u in col:
+                    row[col[u]] -= 1
+                else:
+                    row[m] += Fraction(circle[u][0])
+                    row[m + 1] += Fraction(circle[u][1])
+    for v in free:
+        if degree[v] == 0:  # no neighbours: the origin
+            rows[col[v]][col[v]] = Fraction(1)
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(m):
+            f = rows[r][c]
+            if r != c and f != 0:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    layout = {v: (float(rows[col[v]][m]), float(rows[col[v]][m + 1])) for v in free}
+    layout.update(circle)
+    return layout
 
 
 # ---------------------------------------------------------------------------

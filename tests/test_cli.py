@@ -356,8 +356,8 @@ class TestErrors:
 
 # Fixed calls covering every subcommand and structure kind, with the files
 # each one writes.  ``{tmp}`` stands for the test's temporary directory and
-# ``{z2}`` for a file holding the Z^2 system.  The svg export is left out:
-# its float layout depends on numpy.
+# ``{z2}`` for a file holding the Z^2 system.  The svg export is pinned
+# apart, by ``SVG_SHA256`` in test_vankampen and a CLI call in test_exports.
 PINNED_CALLS = [
     ("nf", "--structure", "bs1p:2", "--word", "t a T t A t"),
     ("nf", "--structure", "crs:{z2}", "--word", "b a B a b"),

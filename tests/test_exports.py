@@ -3,8 +3,11 @@ names, so a deleted name cannot linger in an ``__all__`` or an import.
 Importing the package loads nothing from outside the standard library."""
 
 import ast
+import hashlib
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -117,12 +120,34 @@ def imports_by_function(tree: ast.Module) -> list[tuple[str | None, str]]:
 
 @pytest.mark.parametrize("name", ["__init__", *MODULES])
 def test_imports_at_load_are_stdlib_or_own(name):
-    # importing the package loads nothing from outside the standard library;
-    # numpy, the one dependency, is imported where an svg is drawn
+    # the package imports nothing from outside the standard library, at load
+    # or inside any function: it has no runtime dependency
     path = Path(stackings.__file__).with_name(f"{name}.py")
     found = imports_by_function(ast.parse(path.read_text(encoding="utf-8")))
     outside = [(fn, m) for fn, m in found if m not in sys.stdlib_module_names and m != "stackings"]
-    assert outside == ([("_render_svg", "numpy")] if name == "vankampen" else [])
+    assert outside == []
+
+
+# The svg export of the filling of t t a T T A A A A over bs1p:2.
+VKD_SVG_SHA256 = "420514bfa1b7a020c7851fca8d8e16d75f64a54012f89f79999134cfc8bbe93e"
+
+
+def test_svg_export_without_numpy(tmp_path):
+    # with numpy unimportable, the CLI still draws an svg, byte for byte
+    target = tmp_path / "d.svg"
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from stackings.cli import main\n"
+        "sys.exit(main(['vkd', '--structure', 'bs1p:2', '--word', 't t a T T A A A A',"
+        f" '--format', 'svg', '--out', {str(target)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stackings.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == VKD_SVG_SHA256
 
 
 def test_trees_define_move_not_step():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     seashell_glue,
     segment,
     stacking_relation_set_reference,
+    tutte_layout_reference,
     validate_reference,
 )
 from stackings import (
@@ -402,6 +404,88 @@ def test_diagram_exports_pinned(structures):
         digest.update(export_diagram(d, "json"))
         digest.update(export_diagram(d, "dot"))
     assert digest.hexdigest() == DIAGRAMS_SHA256
+
+
+# The sha256 over the svg exports of ``pinned_diagrams``, and of the svg
+# export of the commutator fillings: the layout's floats are printed to one
+# decimal, so a change to how it is solved that moves no point past a
+# rounding boundary keeps these bytes.
+SVG_SHA256 = "15c653d3a56a77e9948312582f5a93494b0d031af7ecba76d211f020be556ee7"
+COMMUTATOR_SVG_SHA256 = {
+    9: "961504e1d591be3a5ce53cf5fc953ccf3596a6a4008dc532a852b669b533171a",
+    10: "ce0e90cfad77f3b34876d4fe57fd82cee8706c8bde441b599b42e409a53bb57c",
+}
+
+
+def test_svg_exports_pinned(structures):
+    digest = hashlib.sha256()
+    for d in pinned_diagrams(structures):
+        digest.update(export_diagram(d, "svg"))
+    assert digest.hexdigest() == SVG_SHA256
+
+
+@pytest.mark.parametrize("n", sorted(COMMUTATOR_SVG_SHA256))
+def test_commutator_svg_pinned(bs2, n):
+    d = build_filling_diagram(bs2, commutator(bs2.alphabet, n))
+    assert hashlib.sha256(export_diagram(d, "svg")).hexdigest() == COMMUTATOR_SVG_SHA256[n]
+
+
+class TestTutteLayout:
+    """The svg layout against the exact dense solve of the oracles, and
+    Tutte's barycentre condition read off the layout itself."""
+
+    @staticmethod
+    def assert_tutte_layout(d):
+        got = vankampen._tutte_layout(d)
+        ref = tutte_layout_reference(d)
+        assert got.keys() == ref.keys()
+        assert max(math.dist(got[v], ref[v]) for v in ref) <= 1e-9
+        outer = {d.basepoint} | {d.traverse(sgn)[1] for sgn in d.boundary}
+        nbrs = {v: [] for v in got}
+        for _, src, dst, _ in d.edges:
+            nbrs[src].append(dst)
+            nbrs[dst].append(src)
+        for v, vs in nbrs.items():
+            if v not in outer and vs:
+                centre = [sum(got[u][i] for u in vs) / len(vs) for i in (0, 1)]
+                assert math.dist(got[v], centre) <= 1e-9
+
+    def test_small_pinned_diagrams(self, structures):
+        small = [d for d in pinned_diagrams(structures) if len(d.vertices) <= 64]
+        assert len(small) == 163
+        for d in small:
+            self.assert_tutte_layout(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=hs.sampled_from(sorted(FILL_STRUCTURES)),
+        seed=hs.integers(0, 2**32),
+        i=hs.integers(0, 10**6),
+    )
+    def test_fillings_hypothesis(self, fill_structures, name, seed, i):
+        # a random trivial word or one of the commutators, whose fillings
+        # have vertices off the boundary
+        s = fill_structures[name]
+        words = fill_words(s, name, 1, 24, seed)
+        d = build_filling_diagram(s, words[i % len(words)])
+        assume(len(d.vertices) <= 64)
+        self.assert_tutte_layout(d)
+
+    @pytest.mark.parametrize("vertices, edge, faces", [
+        pytest.param((1, 2), (1, 1, 7), (), id="endpoint-not-a-vertex"),
+        pytest.param((1, 2, 3), (1, 2, 3), (), id="edge-reaches-no-boundary"),
+        pytest.param((1, 2), (1, 1, 2), ((1, (1, 5)),), id="face-walk-missing-edge"),
+    ])
+    def test_malformed_diagram_is_diagram_error(self, bs2, vertices, edge, faces):
+        # json and dot write these diagrams as they are; svg refuses them
+        al = bs2.alphabet
+        d = VanKampenDiagram(
+            al, tuple((v, Word(al, ())) for v in vertices), (edge + (al.index("a"),),), faces, 1, ()
+        )
+        for fmt in ("json", "dot"):
+            export_diagram(d, fmt)
+        with pytest.raises(DiagramError):
+            export_diagram(d, "svg")
 
 
 class TestPiecesAgainstFoldReference:
