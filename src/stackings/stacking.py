@@ -49,9 +49,10 @@ class StackingStructure:
 
     ``phi_fn(node, a)`` receives the ``tree`` node of the source and the
     edge label and is consulted only on recursive edges.  Without a
-    ``tree``, the tree is the :class:`FunctionOracle` of ``normal_form_fn``,
-    looked up on each call.  Oracles must be pure; word-level normal forms
-    are the tree's, and the tree keeps them.
+    ``tree``, the tree is the :class:`FunctionOracle` of ``normal_form_fn``
+    as given at construction, so the structure and its tree form no
+    reference cycle.  Oracles must be pure; word-level normal forms are the
+    tree's, and the tree keeps them.
     """
 
     alphabet: Alphabet
@@ -65,7 +66,7 @@ class StackingStructure:
 
     def __post_init__(self) -> None:
         if self.tree is None:
-            self.tree = FunctionOracle(self.alphabet, lambda w: self.normal_form_fn(w))
+            self.tree = FunctionOracle(self.alphabet, self.normal_form_fn)
 
     def normal_form(self, w: Word) -> Word:
         return self.tree.normal_form(w)
@@ -86,38 +87,42 @@ class StackingStructure:
 
     def phi_at(self, y: Hashable, a: int) -> Word:
         """``phi_fn`` on the recursive edge from the tree node ``y`` by
-        ``a``; an image that is empty or the edge label itself is refused."""
+        ``a``; an image that is empty, the edge label itself, or longer than
+        ``bound_k`` is refused.  Every reader of phi but verification, which
+        reports such images, reads it here."""
         img = self.phi_fn(y, a)
         if img.letters in ((), (a,)):
             got = "the edge label itself" if img.letters else "the empty word"
-            raise StructureError(
-                f"phi on ({self.tree.word(y)}, {self.alphabet.tokens[a]}) returned {got}"
-            )
-        return img
+        elif len(img.letters) > self.bound_k:
+            got = f"{img}, longer than k = {self.bound_k}"
+        else:
+            return img
+        raise StructureError(
+            f"phi on ({self.tree.word(y)}, {self.alphabet.tokens[a]}) returned {got}"
+        )
 
 
 @dataclass
 class FlowFunction:
     """Total extension of the stacking map: identity on tree edges.
 
-    Verification keeps the label of each edge it meets by the source's tree
-    node and the letter, so phi runs once per edge for all the checks made
-    with one flow.
+    ``label`` reads phi through :meth:`StackingStructure.phi_at`, which
+    refuses a bad image.  Verification reads ``phi_fn`` raw, so that it can
+    report one, and keeps the flow record of each edge of the region it last
+    checked, so phi runs once per edge for all the checks made with one flow
+    on one region.
     """
 
     structure: StackingStructure
-    _labels: dict[tuple[Hashable, int], Word] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _region: Ball | None = field(default=None, init=False, repr=False, compare=False)
+    # (source's letters, a) -> _FlowEdge, of the edges of ``_region`` met so far
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def label(self, w: Word, a: int) -> Word:
         """The word labeling the flow path of the edge from rep(w) by a."""
         s = self.structure
-        tree = s.tree
-        y = tree.node(w)
-        if tree.move(y, a)[1]:
-            return s.alphabet.letter(a)
-        return s.phi_at(y, a)
+        y = s.tree.node(w)
+        return s.alphabet.letter(a) if s.tree.move(y, a)[1] else s.phi_at(y, a)
 
     def path(self, w: Word, a: int) -> list[tuple[Word, int]]:
         """Edges of the flow path as (source canonical, label) pairs."""
@@ -189,11 +194,6 @@ def stacking_reduce_steps(
         n = kept.get((y, a))
         if n is None:
             img = phi_at(y, a)
-            if len(img.letters) > k:
-                raise StructureError(
-                    f"phi on ({tree.word(y)}, {s.alphabet.tokens[a]}) returned {img}, "
-                    f"longer than k = {k}"
-                )
             frames.append(((y, a), steps, y_next))
             unread.append(None)
             unread.extend(reversed(img.letters))
@@ -221,15 +221,13 @@ def stacking_relation_set(
     free reduction, except the empty word.
 
     The image set is finite but not effectively enumerable from the oracles
-    alone, hence the explicit sample.  Every member has length <= k + 1.
+    alone, hence the explicit sample.  Every member has length <= k + 1:
+    ``phi`` refuses an image longer than k, and rotation, inversion and free
+    reduction never lengthen a seed.
     """
     # one seed per distinct (image, letter); every sampled edge is still checked
     images = dict.fromkeys((s.phi(src, a), a) for src, a in edge_sample)
-    closed = symmetrized_closure(img.append(s.alphabet.inv(a)) for img, a in images)
-    for r in closed:
-        if len(r) > s.bound_k + 1:
-            raise StructureError(f"relator {r} longer than k+1 = {s.bound_k + 1}")
-    return closed
+    return symmetrized_closure(img.append(s.alphabet.inv(a)) for img, a in images)
 
 
 # ---------------------------------------------------------------------------
@@ -294,58 +292,52 @@ class FlowReport:
 class _FlowEdge(NamedTuple):
     """The flow of one edge, on the structure's normal-form tree."""
 
-    target: Hashable  # the node of its step by the edge's letter
     label: Word  # the letter itself on a degenerate edge, phi on a recursive one
-    end: Hashable  # the node where the flow path from the edge's source ends
+    ends_at_target: bool  # (F1): the flow path from the edge's source ends at its target
     path: list[DirectedEdge] | None  # the flow path's region edges; None if it leaves
 
 
 def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _FlowEdge]:
     """The flow of an edge of ``region``, or of a ball inside it, computed
-    once per edge: the flow path from the source's node takes at most k
-    steps, and the label is the flow's kept one if it has it.
+    once per edge: the flow keeps the records of the region it last
+    checked, so a second check of that region reads phi no more.
 
-    The region must be a ball of the structure's own normal forms.  Its
-    edges are the steps its search took, so the path follows them while it
-    stays in the region and calls ``step`` only beyond it.
+    The region must be a ball of the structure's own normal forms, searched
+    on any tree.  The flow path follows the region's ``edge_index`` by
+    letters while it stays in the region.  A tree node is resolved only for
+    a recursive edge's source, to read phi, and for the last element of a
+    path that leaves the region, from which the path goes on by the tree's
+    steps and its end is spelled.
     """
-    s, labels = flow.structure, flow._labels
-    tree, phi_fn = s.tree, s.phi_fn
-    step, move, tree_node = tree.step, tree.move, tree.node
+    s = flow.structure
+    if flow._region is not region:
+        flow._region, flow._records = region, {}
+    records, edge_index = flow._records, region.edge_index
+    tree, phi_fn, step = s.tree, s.phi_fn, s.tree.step
     letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
-    node = {key: tree_node(g.canonical) for key, g in region.elements.items()}
-    steps = {}
-    for e in region.edges:
-        src, a, tgt, _ = e
-        steps[node[src.canonical.letters], a] = e, node[tgt.canonical.letters]
-    flows: dict[tuple[tuple[int, ...], int], _FlowEdge] = {}  # by the source's letters
+    recursive = EdgeKind.RECURSIVE
 
     def flow_edge(e: DirectedEdge) -> _FlowEdge:
-        src, a, tgt, _ = e
+        src, a, tgt, kind = e
         key = src.canonical.letters, a
-        f = flows.get(key)
+        f = records.get(key)
         if f is not None:
             return f
-        y = node.get(key[0])
-        if y is None:
-            y = tree_node(src.canonical)
-        taken = steps.get((y, a))  # the region's own step, to the edge's target
-        t = taken[1] if taken is not None else node.get(tgt.canonical.letters)
-        if t is None:
-            t = tree_node(tgt.canonical)
-        label = labels.get((y, a))
-        if label is None:
-            label = labels[y, a] = letter[a] if move(y, a)[1] else phi_fn(y, a)
-        end, path = y, []
-        for b in label.letters:
-            taken = steps.get((end, b)) if path is not None else None
-            if taken is None:
-                path = None
-                end = step(end, b)
-            else:
-                path.append(taken[0])
-                end = taken[1]
-        f = flows[key] = tuple.__new__(_FlowEdge, (t, label, end, path))  # no Python __new__
+        label = phi_fn(tree.node(src.canonical), a) if kind is recursive else letter[a]
+        letters, g, path = label.letters, src, []
+        for i, b in enumerate(letters):
+            p = edge_index.get((g.canonical.letters, b))
+            if p is None:
+                end = tree.node(g.canonical)
+                for b in letters[i:]:
+                    end = step(end, b)
+                f = label, tree.word(end).letters == tgt.canonical.letters, None
+                break
+            path.append(p)
+            g = p.target
+        else:
+            f = label, g.canonical.letters == tgt.canonical.letters, path
+        f = records[key] = tuple.__new__(_FlowEdge, f)  # no Python __new__
         return f
 
     return flow_edge
@@ -371,7 +363,7 @@ def verify_flow_properties(
     inconclusive = 0
     for e in ball.edges:
         src, a, _, kind = e
-        target, label, end, path = flow_edge(e)
+        label, ends_at_target, path = flow_edge(e)
         letters = label.letters
         if kind is EdgeKind.DEGENERATE:
             if letters != (a,):
@@ -383,7 +375,7 @@ def verify_flow_properties(
             if len(letters) > s.bound_k:
                 report.bound_failures.append(_edge_name(al, src.canonical, a))
         # (F1): the path starts at the source and ends at the target.
-        if end != target:
+        if not ends_at_target:
             report.f1_failures.append(_edge_name(al, src.canonical, a))
         if path is None:
             inconclusive += 1

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .cayley import _json_list
 from .errors import BudgetExceededError, DiagramError, FormatError
@@ -757,7 +758,11 @@ def export_diagram(d: VanKampenDiagram, format: str = "json") -> bytes:
     """Serialize: full combinatorial map (json), labeled 1-skeleton (dot),
     or a Tutte-style planar drawing with shaded faces (svg).  The svg of a
     diagram that ``_tutte_layout`` cannot lay out, or with a face walk over
-    a missing edge, is a ``DiagramError``."""
+    a missing edge, is a ``DiagramError``; so is, in every format, an edge
+    label outside the alphabet."""
+    bad = set(map(itemgetter(3), d.edges)).difference(range(len(d.alphabet.tokens)))
+    if bad:
+        raise DiagramError(f"edge label {min(bad)} is outside the alphabet")
     if format == "json":
         return _diagram_json(d).encode()
     if format == "dot":

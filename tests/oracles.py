@@ -864,26 +864,35 @@ def _region_path(region: Ball, src: Word, label: Word):
     return edges
 
 
+def _raw_label(s: StackingStructure, e: DirectedEdge) -> Word:
+    """The flow label of ``e`` read as the verifier reads it, with no check
+    of the stacking map's contract, so that a bad image can be reported:
+    the letter on a degenerate edge, else ``phi_fn`` at the source's node."""
+    if e.classification is EdgeKind.DEGENERATE:
+        return s.alphabet.letter(e.label)
+    return s.phi_fn(s.tree.node(e.source.canonical), e.label)
+
+
 def verify_flow_reference(flow, ball: Ball, region: Ball | None = None) -> FlowReport:
-    """The flow report, with each label from ``flow.label`` and (F1) checked
-    by the normal form of the source times the label."""
+    """The flow report, with each label read raw by :func:`_raw_label` and
+    (F1) checked by the normal form of the source times the label."""
     s = flow.structure
     region = region or ball
     report = FlowReport(radius=ball.radius, k=s.bound_k)
     flow_paths = {}
 
-    def label_and_path(src: Word, a: int):
-        key = (src.letters, a)
+    def label_and_path(e: DirectedEdge):
+        key = (e.source.canonical.letters, e.label)
         if key not in flow_paths:
-            label = flow.label(src, a)
-            flow_paths[key] = label, _region_path(region, src, label)
+            label = _raw_label(s, e)
+            flow_paths[key] = label, _region_path(region, e.source.canonical, label)
         return flow_paths[key]
 
     for e in ball.edges:
         report.edges_checked += 1
         src, a = e.source.canonical, e.label
         name = _edge_name(s.alphabet, src, a)
-        label, path = label_and_path(src, a)
+        label, path = label_and_path(e)
         if e.classification is EdgeKind.DEGENERATE:
             if label.letters != (a,):
                 report.f2d_failures.append(name)
@@ -903,7 +912,7 @@ def verify_flow_reference(flow, ball: Ball, region: Ball | None = None) -> FlowR
         if e.classification is not EdgeKind.RECURSIVE:
             continue
         key = (e.source.canonical.letters, e.label)
-        _, path = label_and_path(e.source.canonical, e.label)
+        _, path = label_and_path(e)
         successors[key] = [
             (p.source.canonical.letters, p.label)
             for p in path or ()
@@ -947,7 +956,7 @@ def first_cycle_reference(successors: dict) -> list | None:
 
 
 def verify_geodesic_reference(flow, ball: Ball, region: Ball | None = None) -> GeodesicReport:
-    """The geodesic report, with each label from ``flow.label``."""
+    """The geodesic report, with each label read raw by :func:`_raw_label`."""
     s = flow.structure
     region = region or ball
     report = GeodesicReport(radius=ball.radius, k=s.bound_k)
@@ -962,7 +971,7 @@ def verify_geodesic_reference(flow, ball: Ball, region: Ball | None = None) -> G
             continue
         report.edges_checked += 1
         src = e.source.canonical
-        path = _region_path(region, src, flow.label(src, e.label))
+        path = _region_path(region, src, _raw_label(s, e))
         if path is None:
             report.inconclusive += 1
             continue

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -69,14 +71,20 @@ class TestStackingReduce:
         with pytest.raises(StructureError, match="empty word"):
             StackingStructure(al, lambda w: al.word("a"), bs2.phi, bound_k=4)
 
-    def test_normal_form_fn_looked_up_on_each_call_without_tree(self, bs2):
+    def test_tree_freed_by_reference_count_without_tree(self, bs2):
+        # the tree of a structure built without one holds normal_form_fn
+        # itself, not the structure, so it dies with the structure with no
+        # cyclic collection
         al = bs2.alphabet
         s = StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=4)
-        calls, fn = [], s.normal_form_fn
-        s.normal_form_fn = lambda w: calls.append(w) or fn(w)
-        w = al.word("t a T")
-        assert s.normal_form(w) == s.normal_form(w) == al.word("a a")
-        assert calls == [w]
+        assert s.normal_form(al.word("t a T")) == al.word("a a")
+        tree = weakref.ref(s.tree)
+        gc.disable()
+        try:
+            del s
+            assert tree() is None
+        finally:
+            gc.enable()
 
     def test_budget_raised_on_cyclic_phi(self, bs2):
         al = bs2.alphabet
@@ -132,14 +140,17 @@ class TestPhiAndMembership:
             bad.phi(al.word("t"), al.index("a"))
 
 
-# A stacking map on BS(1,2) whose every image is bad, and the message that
-# refuses it; and the calls that read phi on the recursive edge (t, a).
+# A stacking map on BS(1,2) with k = 4 whose every image is bad, and the
+# message that refuses it; and the calls that read phi on the recursive edge
+# (t, a).
 BAD_IMAGES = {
     "empty": (lambda al, a: al.empty(), "returned the empty word"),
     "label": (lambda al, a: Word(al, (a,)), "returned the edge label itself"),
+    "long": (lambda al, a: Word(al, (a,) * 5), "returned a a a a a, longer than k = 4"),
 }
 PHI_READERS = {
     "phi": lambda s: s.phi(s.alphabet.word("t"), s.alphabet.index("a")),
+    "label": lambda s: FlowFunction(s).label(s.alphabet.word("t"), s.alphabet.index("a")),
     "reduce": lambda s: stacking_reduce_steps(s, s.alphabet.word("t a T A A")),
     "filling": lambda s: build_filling_diagram(s, s.alphabet.word("t a T A A")),
     "recursive": lambda s: edge_diagram(
@@ -149,8 +160,9 @@ PHI_READERS = {
 
 
 class TestStackingMapContract:
-    """Every reader of the stacking map refuses an image that is empty or
-    the edge label itself; verification reports such images instead."""
+    """Every reader of the stacking map refuses an image that is empty, the
+    edge label itself or longer than k; verification reports such images
+    instead."""
 
     @staticmethod
     def bad(bs2, image):
@@ -314,12 +326,12 @@ class TestVerification:
             bad.phi(al.word("t"), al.index("a"))
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: bs1p_structure(2), lambda: crs_structure(z2_system())],
-        ids=["bs12", "z2"],
+        "name",
+        ["bs1p:2", "crs:z2", "shortlex-ac:z2:8:2"],
+        ids=["bs12", "z2", "shortlex-ac"],
     )
-    def test_phi_called_once_per_region_edge(self, make):
-        s = make()
+    def test_phi_called_once_per_region_edge(self, structures, name):
+        s = structures[name]()
         calls: Counter = Counter()
         phi = s.phi_fn
 
@@ -330,10 +342,42 @@ class TestVerification:
         s.phi_fn = counted
         region = build_ball(s, 4)
         ball = build_ball(s, 3)
-        report = verify_flow_properties(FlowFunction(s), ball, region)
+        flow = FlowFunction(s)
+        report = verify_flow_properties(flow, ball, region)
         assert report.passed and calls
         assert max(calls.values()) == 1
         assert set(calls) <= {(e.source.canonical.letters, e.label) for e in region.edges}
+        # the geodesic check of the same region reads the flow's records
+        calls.clear()
+        verify_geodesic_stacking(flow, ball, region)
+        assert not calls
+        # another region starts a new table: the ball's sphere lies outside it
+        inner = ball.restricted(2)
+        fresh = verify_flow_properties(FlowFunction(s), ball, inner)
+        assert verify_flow_properties(flow, ball, inner).to_json() == fresh.to_json()
+        assert fresh.inconclusive > 0
+
+    @pytest.mark.parametrize("name", ["bs1p:2", "crs:z2", "shortlex-ac:z2:8:2", "F1", "bound"])
+    @pytest.mark.parametrize("radius, region_radius", [(3, 4), (3, 3), (3, 2)])
+    def test_region_searched_on_another_tree(self, structures, name, radius, region_radius):
+        # balls searched on the words of the normal form, as the benchmark
+        # searches them, give the reports of restrictions of the structure's
+        # own ball; a larger region is a second search, with its own records
+        make = structures[name] if name in structures else lambda: defective(name)
+
+        def reports(s, ball, region):
+            flow = FlowFunction(s)
+            return [
+                verify_flow_properties(flow, ball, region).to_json(),
+                verify_geodesic_stacking(flow, ball, region).to_json(),
+            ]
+
+        s = make()
+        oracle = FunctionOracle(s.alphabet, s.normal_form)
+        got = reports(s, build_ball(oracle, radius), build_ball(oracle, region_radius))
+        own = make()
+        searched = build_ball(own, max(radius, region_radius))
+        assert got == reports(own, searched.restricted(radius), searched.restricted(region_radius))
 
 
 def long_chain(n: int) -> StackingStructure:
@@ -366,10 +410,22 @@ def defective(name: str) -> StackingStructure:
         return StackingStructure(al, bs2.normal_form, bs2.phi, bound_k=2)
     z2 = z2_system()
     nf = lambda w: reduce_to_irreducible(z2, w)  # noqa: E731
+    if name == "empty":
+        return StackingStructure(al, bs2.normal_form, lambda y, a: al.empty(), bound_k=4)
+    if name == "label":
+        return StackingStructure(al, bs2.normal_form, lambda y, a: Word(al, (a,)), bound_k=4)
     # name == "cycle": the recursive edge (b, a) flows through itself
     return StackingStructure(z2.alphabet, nf, lambda y, a: z2.alphabet.word("a A a"), bound_k=3)
 
 
+# The defects of ``defective``, each with the report field it fails.
+DEFECTS = {
+    "F1": "f1_failures",
+    "bound": "bound_failures",
+    "cycle": "cycle",
+    "empty": "f1_failures",
+    "label": "strictness_failures",
+}
 # The largest radius each structure is verified at.
 RADII = {"bs1p:2": 5, "bs1p:3": 4, "crs:z2": 10, "crs:bs12": 3, "shortlex-ac:z2:8:2": 5}
 
@@ -417,18 +473,18 @@ class TestAgainstWordLevelReference:
         for radius in range(1, RADII[name] + 1):
             assert self.check(structures[name], radius, radius - 1).inconclusive > 0
 
-    @pytest.mark.parametrize(
-        "name, failures", [("F1", "f1_failures"), ("bound", "bound_failures"), ("cycle", "cycle")]
-    )
+    @pytest.mark.parametrize("name, failures", list(DEFECTS.items()))
     def test_defective_structures(self, name, failures):
         for radius in range(4):
             report = self.check(lambda: defective(name), radius)
+            # and on a region inside the ball, which flow paths leave
+            self.check(lambda: defective(name), radius + 1, radius)
         assert getattr(report, failures) and not report.passed
 
     @settings(max_examples=25, deadline=None)
     @given(data=hs.data())
     def test_hypothesis_structures_and_radii(self, structures, data):
-        name = data.draw(hs.sampled_from(sorted(RADII) + ["F1", "bound", "cycle"]))
+        name = data.draw(hs.sampled_from(sorted(RADII) + sorted(DEFECTS)))
         make = structures[name] if name in structures else lambda: defective(name)
         radius = data.draw(hs.integers(0, RADII.get(name, 3)))
         self.check(make, radius, radius + data.draw(hs.integers(-1, 1)))

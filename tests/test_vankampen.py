@@ -487,6 +487,16 @@ class TestTutteLayout:
         with pytest.raises(DiagramError):
             export_diagram(d, "svg")
 
+    @pytest.mark.parametrize("fmt", ["json", "dot", "svg"])
+    @pytest.mark.parametrize("label", [9, -1])
+    def test_label_outside_alphabet_is_diagram_error(self, bs2, label, fmt):
+        # validation reports such a label; export refuses it in every format,
+        # where -1 would otherwise index the last token
+        al = bs2.alphabet
+        d = VanKampenDiagram(al, ((1, al.empty()), (2, al.word("a"))), ((1, 1, 2, label),), (), 1, ())
+        with pytest.raises(DiagramError, match=f"edge label {label} is outside the alphabet"):
+            export_diagram(d, fmt)
+
 
 class TestPiecesAgainstFoldReference:
     """edge_diagram returns the reference fold's memo piece for every
