@@ -239,13 +239,14 @@ class _ShortlexTree(FunctionOracle):
                     f"{w} leaves the explored ball of radius {radius}"
                 ) from None
 
-        self.canonical = canonical
         super().__init__(base.alphabet, canonical)
 
     def move(self, y: Word, a: int) -> tuple[Word, bool]:
         e = self.ball.edge_index.get((self.key[y.letters], a))
-        if e is None:  # y a leaves the ball, and canonical raises
-            return super().move(y, a)
+        if e is None:  # the ball holds every edge between its elements
+            raise OutsideExploredRegionError(
+                f"{y.append(a)} leaves the explored ball of radius {self.radius}"
+            )
         t = self.slex[e.target.canonical.letters]
         u, v = y.letters, t.letters
         return t, v == u + (a,) or u == v + (self.alphabet.inverse[a],)

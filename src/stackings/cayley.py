@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .errors import BudgetExceededError, StackingsError, StructureError
+from .errors import BudgetExceededError, OutsideExploredRegionError, StackingsError, StructureError
 from .words import Alphabet, Word
 
 __all__ = [
@@ -242,7 +242,9 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
     ``oracle`` is a :class:`NormalFormTree`, or has one as its ``tree`` (a
     stacking structure).  The search runs over the tree's nodes by its
     ``move``, which classifies each edge as it is found.  Finding more than
-    ``max_elements`` elements exceeds the search's budget.
+    ``max_elements`` elements exceeds the search's budget.  On the last
+    pass, which finds no element, a move refused as off a finite tree's
+    region (:class:`OutsideExploredRegionError`) leaves the ball.
 
     The tree keeps the largest ball searched on it, and returns that ball
     itself from the search.  A radius no larger than the kept ball's is its
@@ -278,7 +280,13 @@ def build_ball(oracle, n: int, max_elements: int = 10**6) -> Ball:
         for y, g in sorted(frontier, key=shortlex):
             out = steps[y] = []
             for a in letters:
-                t, tree_edge = move(y, a)
+                try:
+                    t, tree_edge = move(y, a)
+                except OutsideExploredRegionError:
+                    if dist < last:
+                        raise
+                    out.append(None)  # the move leaves the ball
+                    continue
                 h = element.get(t)
                 if h is None and dist < last:
                     if len(element) >= max_elements:

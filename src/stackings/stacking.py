@@ -108,14 +108,14 @@ class FlowFunction:
 
     ``label`` reads phi through :meth:`StackingStructure.phi_at`, which
     refuses a bad image.  Verification reads ``phi_fn`` raw, so that it can
-    report one, and keeps the flow record of each edge of the region it last
-    checked, so phi runs once per edge for all the checks made with one flow
-    on one region.
+    report one, and keeps the flow record of each recursive edge of the
+    region it last checked, so phi runs once per edge for all the checks
+    made with one flow on one region.
     """
 
     structure: StackingStructure
     _region: Ball | None = field(default=None, init=False, repr=False, compare=False)
-    # (source's letters, a) -> _FlowEdge, of the edges of ``_region`` met so far
+    # (source's letters, a) -> _FlowEdge, of the recursive edges of ``_region`` met so far
     _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def label(self, w: Word, a: int) -> Word:
@@ -240,6 +240,9 @@ def _edge_name(alphabet: Alphabet, src: Word, a: int) -> dict:
 
 @dataclass
 class FlowReport:
+    """The flow axioms' failures on a ball.  ``f2d_failures`` is always
+    empty, as a tree edge is its own flow path; it keeps the format."""
+
     radius: int
     k: int
     edges_checked: int = 0
@@ -290,40 +293,39 @@ class FlowReport:
 
 
 class _FlowEdge(NamedTuple):
-    """The flow of one edge, on the structure's normal-form tree."""
+    """The flow of one recursive edge, on the structure's normal-form tree."""
 
-    label: Word  # the letter itself on a degenerate edge, phi on a recursive one
+    label: Word  # phi's image
     ends_at_target: bool  # (F1): the flow path from the edge's source ends at its target
-    path: list[DirectedEdge] | None  # the flow path's region edges; None if it leaves
+    path: list[DirectedEdge] | None  # recursive region edges it descends to; None if it leaves
 
 
 def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _FlowEdge]:
-    """The flow of an edge of ``region``, or of a ball inside it, computed
-    once per edge: the flow keeps the records of the region it last
-    checked, so a second check of that region reads phi no more.
+    """The flow of a recursive edge of ``region``, or of a ball inside it,
+    computed once per edge: the flow keeps the records of the region it
+    last checked, so a second check of that region reads phi no more.  A
+    tree edge is its own flow path and is never asked.
 
     The region must be a ball of the structure's own normal forms, searched
     on any tree.  The flow path follows the region's ``edge_index`` by
-    letters while it stays in the region.  A tree node is resolved only for
-    a recursive edge's source, to read phi, and for the last element of a
-    path that leaves the region, from which the path goes on by the tree's
-    steps and its end is spelled.
+    letters while it stays in the region.  A tree node is resolved for the
+    edge's source, to read phi, and for the last element of a path that
+    leaves the region, from which the path goes on by the tree's steps.
     """
     s = flow.structure
     if flow._region is not region:
         flow._region, flow._records = region, {}
     records, edge_index = flow._records, region.edge_index
     tree, phi_fn, step = s.tree, s.phi_fn, s.tree.step
-    letter = [s.alphabet.letter(a) for a in range(len(s.alphabet))]
     recursive = EdgeKind.RECURSIVE
 
     def flow_edge(e: DirectedEdge) -> _FlowEdge:
-        src, a, tgt, kind = e
+        src, a, tgt, _ = e
         key = src.canonical.letters, a
         f = records.get(key)
         if f is not None:
             return f
-        label = phi_fn(tree.node(src.canonical), a) if kind is recursive else letter[a]
+        label = phi_fn(tree.node(src.canonical), a)
         letters, g, path = label.letters, src, []
         for i, b in enumerate(letters):
             p = edge_index.get((g.canonical.letters, b))
@@ -333,7 +335,8 @@ def _flow_edges(flow: FlowFunction, region: Ball) -> Callable[[DirectedEdge], _F
                     end = step(end, b)
                 f = label, tree.word(end).letters == tgt.canonical.letters, None
                 break
-            path.append(p)
+            if p.classification is recursive:
+                path.append(p)
             g = p.target
         else:
             f = label, g.canonical.letters == tgt.canonical.letters, path
@@ -351,47 +354,38 @@ def verify_flow_properties(
 
     ``region`` must be a larger explored ball containing the flow paths of
     the ball's edges; edges whose path escapes it are reported as
-    inconclusive, not failed.  Acyclicity on a finite ball is necessary-only
+    inconclusive, not failed.  A tree edge is its own flow path, so (F1)
+    and (F2d) hold on it by definition, and it is inconclusive only when
+    the region lacks it.  Acyclicity on a finite ball is necessary-only
     evidence for (F2r); a cycle is a definite refutation.  Both balls are
     balls of the structure's own normal forms.
     """
     s = flow.structure
-    report = FlowReport(radius=ball.radius, k=s.bound_k)
-    flow_edge = _flow_edges(flow, region)
+    report = FlowReport(radius=ball.radius, k=s.bound_k, edges_checked=len(ball.edges))
+    flow_edge, edge_index = _flow_edges(flow, region), region.edge_index
 
     al = s.alphabet
-    inconclusive = 0
     for e in ball.edges:
         src, a, _, kind = e
-        label, ends_at_target, path = flow_edge(e)
-        letters = label.letters
         if kind is EdgeKind.DEGENERATE:
-            if letters != (a,):
-                report.f2d_failures.append(_edge_name(al, src.canonical, a))
-                continue
-        else:
-            if letters == (a,):
-                report.strictness_failures.append(_edge_name(al, src.canonical, a))
-            if len(letters) > s.bound_k:
-                report.bound_failures.append(_edge_name(al, src.canonical, a))
+            report.inconclusive += (src.canonical.letters, a) not in edge_index
+            continue
+        label, ends_at_target, path = flow_edge(e)
+        if label.letters == (a,):
+            report.strictness_failures.append(_edge_name(al, src.canonical, a))
+        if len(label) > s.bound_k:
+            report.bound_failures.append(_edge_name(al, src.canonical, a))
         # (F1): the path starts at the source and ends at the target.
         if not ends_at_target:
             report.f1_failures.append(_edge_name(al, src.canonical, a))
         if path is None:
-            inconclusive += 1
-    report.edges_checked = len(ball.edges)
-    report.inconclusive = inconclusive
+            report.inconclusive += 1
 
     # Flow relation restricted to recursive edges explored in the region.  A
     # flow path holds the region's own edge objects, so edges are keyed by id.
-    recursive = EdgeKind.RECURSIVE
-    edge = {id(e): e for e in region.edges if e.classification is recursive}
-    successors = {
-        i: [id(p) for p in flow_edge(e).path or () if p.classification is recursive]
-        for i, e in edge.items()
-    }
-    cyc = _first_cycle(successors)
-    if cyc is not None:
+    edge = {id(e): e for e in region.edges if e.classification is EdgeKind.RECURSIVE}
+    successors = {i: [id(p) for p in flow_edge(e).path or ()] for i, e in edge.items()}
+    if (cyc := _first_cycle(successors)) is not None:
         report.cycle = [_edge_name(al, edge[i].source.canonical, edge[i].label) for i in cyc]
     return report
 
@@ -492,12 +486,11 @@ def verify_geodesic_stacking(
             continue
         twice = src.distance + tgt.distance  # alpha(e) doubled
         for p in path:
-            p_src, _, p_tgt, p_kind = p
-            if p_kind is EdgeKind.RECURSIVE and p_src.distance + p_tgt.distance >= twice:
+            if p.source.distance + p.target.distance >= twice:
                 report.alpha_failures.append(
                     {
                         "edge": _edge_name(s.alphabet, src.canonical, a),
-                        "path_edge": _edge_name(s.alphabet, p_src.canonical, p.label),
+                        "path_edge": _edge_name(s.alphabet, p.source.canonical, p.label),
                         "alpha_edge": str(alpha(e)),
                         "alpha_path_edge": str(alpha(p)),
                     }

@@ -129,8 +129,6 @@ class Word:
         return self.letters[item]
 
     def __mul__(self, other: "Word") -> "Word":
-        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
-            raise FormatError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.letters + other.letters)
 
     def __str__(self) -> str:

@@ -1005,7 +1005,7 @@ def least_connecting_word_reference(
         cur, prev_dist, ok = start, len(start), True
         for b in w.letters:
             try:
-                cur = box.canonical(cur.append(b))
+                cur = box.fn(cur.append(b))
             except OutsideExploredRegionError:
                 ok = False
                 break

@@ -654,7 +654,7 @@ class TestLeastConnectingWord:
 
 class TestShortlexTree:
     """The shortlex tree moves inside its ball along the edges the ball's
-    search took.  Its moves are those of the tree of its own ``canonical``,
+    search took.  Its moves are those of the tree of its own ``fn``,
     which resolves every word through the base oracle, and those its shape
     gives; off the ball, both raise alike."""
 
@@ -677,7 +677,7 @@ class TestShortlexTree:
     def test_moves_are_the_function_oracle_moves(self, group, z2oracle):
         oracle = {"z2": z2oracle, "z2-reordered": z2_reordered_oracle()}[group]
         tree = _ShortlexTree(oracle, 5, 2)
-        old = FunctionOracle(tree.alphabet, tree.canonical)
+        old = FunctionOracle(tree.alphabet, tree.fn)
         # over the reordered Z^2 the shortlex words are not the base forms
         assert any(z != key for z, key in tree.key.items()) == (group == "z2-reordered")
         for y in sorted(tree.slex.values(), key=Word.shortlex_key):
@@ -703,6 +703,39 @@ class TestShortlexTree:
         before = len(asked)
         moves = [tree.move(y, a) for y in tree.slex.values() if len(y) < 4 for a in range(4)]
         assert len(moves) == 4 * 25 and len(asked) == before
+        # a move off the ball is refused by the ball alone, also from a
+        # shortlex word that is not its base form
+        edges = tree.ball.edge_index
+        off = [
+            (y, a) for y in tree.slex.values() for a in range(4)
+            if (tree.key[y.letters], a) not in edges
+        ]
+        assert any(tree.key[y.letters] != y.letters for y, _ in off)
+        for y, a in off:
+            with pytest.raises(OutsideExploredRegionError) as exc:
+                tree.move(y, a)
+            assert str(exc.value) == f"{y.append(a)} leaves the explored ball of radius 4"
+        assert len(asked) == before
+
+    @pytest.mark.parametrize("system, radius, counts, leaving", [
+        ("z2", 2, (13, 32), "a a a"),
+        ("z2", 3, (25, 72), "a a a a"),
+        ("z2", 5, (61, 200), "a a a a a a"),
+        ("bs12", 2, (25, 92), "a d d"),
+        ("bs12", 3, (65, 264), "a d d d"),
+    ])
+    def test_ball_of_its_own_radius(self, system, radius, counts, leaving):
+        # the last pass of the search moves off the ball from its sphere;
+        # those moves leave the ball, which is the base structure's.  One
+        # more radius moves off it before the last pass, and is refused
+        make = {"z2": z2_system, "bs12": bs12_system}[system]
+        base = build_ball(crs_structure(make()), radius)
+        ball = build_ball(_ShortlexTree(crs_structure(make()), radius, 2), radius)
+        assert (len(ball.elements), len(ball.edges)) == counts
+        assert (len(base.elements), len(base.edges)) == counts
+        with pytest.raises(OutsideExploredRegionError) as exc:
+            build_ball(_ShortlexTree(crs_structure(make()), radius, 2), radius + 1)
+        assert str(exc.value) == f"{leaving} leaves the explored ball of radius {radius}"
 
 
 class TestAlmostConvexityCheck:

@@ -78,6 +78,13 @@ class TestBallZ2:
             ball = build_ball(z2oracle, n)
             assert len(ball.elements) == 2 * n * n + 2 * n + 1
 
+    def test_element_outside_the_ball(self, z2oracle):
+        ball = build_ball(z2oracle, 1)
+        with pytest.raises(StackingsError) as exc:
+            ball.element(z2oracle.alphabet.word("a a"))
+        assert type(exc.value) is StackingsError
+        assert str(exc.value) == "element a a not in ball"
+
     def test_sphere_sizes(self, z2oracle):
         ball = build_ball(z2oracle, 3)
         spheres = Counter(g.distance for g in ball.elements.values())

@@ -267,6 +267,44 @@ class TestExportBall:
         assert "budget exceeded: memory cap of 50 elements exceeded" in err
 
 
+class TestShortlexAcAtItsRadius:
+    """A shortlex-ac structure of radius R searches its own B(R): the moves
+    from S(R) off the ball leave it.  B(R+1) moves off it before its last
+    pass, and is refused."""
+
+    COMMANDS = {
+        "export-ball": ("--radius", "{r}"),
+        "verify": ("--radius", "{r_1}"),
+        "ac-check": ("--radius", "{r_1}", "--k", "2"),
+    }
+
+    @pytest.mark.parametrize("radius, counts", [(2, (13, 32)), (3, (25, 72))])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_at_its_radius(self, capsys, tmp_path, z2_rules_file, command, radius, counts):
+        spec = f"shortlex-ac:{z2_rules_file}:{radius}:2"
+        args = [a.format(r=radius, r_1=radius - 1) for a in self.COMMANDS[command]]
+        report = tmp_path / "r.json"
+        code, out, err = run(
+            capsys, command, "--structure", spec, *args, "--report", str(report)
+        )
+        assert code == 0 and err == ""
+        data = json.loads(report.read_text())
+        if command == "export-ball":
+            assert (data["elements"], data["edges"]) == counts
+        else:
+            assert data["passed"] is True and "FAIL" not in out
+
+    @pytest.mark.parametrize("radius", [2, 3])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_beyond_its_radius(self, capsys, z2_rules_file, command, radius):
+        spec = f"shortlex-ac:{z2_rules_file}:{radius}:2"
+        args = [a.format(r=radius + 1, r_1=radius) for a in self.COMMANDS[command]]
+        code, out, err = run(capsys, command, "--structure", spec, *args)
+        leaving = " ".join(["a"] * (radius + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: {leaving} leaves the explored ball of radius {radius}\n"
+
+
 class TestErrors:
     def test_unknown_structure(self, capsys):
         code, _, err = run(capsys, "nf", "--structure", "nope:1", "--word", "a")
@@ -285,6 +323,31 @@ class TestErrors:
         path.write_bytes(b"[generators]\n\xe9 \xc9\n")
         code, _, err = run(capsys, "nf", "--structure", f"crs:{path}", "--word", "a")
         assert code == 2 and err.startswith("error: ") and "UTF-8" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[generators]\na A\n[inverses]\na B\n", "inverse pair (a, B) uses undeclared token"),
+        ("[inverses]\na A\n", "missing [generators] section"),
+        (
+            "[generators]\na A\n[inverses]\na A a\n",
+            "[inverses] line must have exactly two tokens: 'a A a'",
+        ),
+    ], ids=["undeclared", "no-generators", "inverses-line"])
+    def test_malformed_alphabet_in_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.rs"
+        path.write_text(text)
+        code, out, err = run(capsys, "nf", "--structure", f"crs:{path}", "--word", "a")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("parts, expected", [
+        ("3", "; expected shortlex-ac:<file>:<radius>:<k>"),
+        ("3:2:1", "; expected shortlex-ac:<file>:<radius>:<k>"),
+        ("r:2", ""),
+        ("3:k", ""),
+    ])
+    def test_bad_shortlex_ac_spec(self, capsys, z2_rules_file, parts, expected):
+        spec = f"shortlex-ac:{z2_rules_file}:{parts}"
+        code, out, err = run(capsys, "nf", "--structure", spec, "--word", "a")
+        assert (code, out, err) == (2, "", f"error: bad structure spec {spec!r}{expected}\n")
 
     def test_bad_word_token(self, capsys):
         code, _, _ = run(capsys, "nf", "--structure", "bs1p:2", "--word", "q")

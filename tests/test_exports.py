@@ -178,12 +178,20 @@ def test_trees_define_move_not_step():
 def test_per_element_records_have_no_dict():
     # the records made per element, edge, node or letter are slotted or
     # tuples: one small object each, with no per-instance ``__dict__``
-    from stackings import FlowFunction, bs1p_structure, build_ball, crs_structure, z2_system
+    from stackings import (
+        EdgeKind,
+        FlowFunction,
+        bs1p_structure,
+        build_ball,
+        crs_structure,
+        z2_system,
+    )
     from stackings.stacking import _flow_edges
 
     s = bs1p_structure(2)
     ball = build_ball(s, 2)
-    edge = ball.edges[-1]
+    # a flow record is made for a recursive edge only
+    edge = next(e for e in ball.edges if e.classification is EdgeKind.RECURSIVE)
     records = {
         "Word": edge.source.canonical,
         "GroupElement": edge.source,

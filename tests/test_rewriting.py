@@ -318,6 +318,16 @@ class TestMinimize:
         assert tuple(M.alphabet.tokens) == ("a", "A")
         assert all("e" not in str(r.lhs) for r in M.rules)
 
+    def test_identity_letter_without_cancelling_inverse(self):
+        # e -> 1 makes e the identity, and nothing makes E so
+        S = load_rewriting_system(IDENTITY_LETTER.replace("E ->\n", ""))
+        with pytest.raises(StructureError) as exc:
+            minimize(S)
+        assert str(exc.value) == (
+            "letter 'e' represents the identity but its inverse 'E' has no "
+            "cancelling rule; system incomplete"
+        )
+
     def test_inverse_closure_adds_rule(self):
         # cyclic group of order 3 written with only a-rules: A gets A -> a a
         M = minimize(SYSTEMS["c3"]())
@@ -422,6 +432,18 @@ class TestCheckComplete:
     def test_nontermination_detected(self):
         rep = check_complete(nonterminating(), 2, budget=50)
         assert not rep.terminating
+
+    def test_termination_failures_capped_at_five(self):
+        # each letter rewrites to the next of its cycle, so all six words of
+        # one letter loop; the search stops at the fifth
+        S = load_rewriting_system(
+            "[generators]\na A b B c C\n[inverses]\na A\nb B\nc C\n"
+            "[rules]\na -> b\nb -> c\nc -> a\nA -> B\nB -> C\nC -> A\n"
+        )
+        rep = check_complete(S, 3, budget=50)
+        assert rep.termination_failures == ["a", "A", "b", "B", "c"]
+        assert rep.skipped == ["local confluence and uniqueness skipped: not terminating"]
+        assert not (rep.locally_confluent or rep.unique_normal_forms)
 
     def test_report_serializes(self, z2S):
         d = check_complete(z2S, 3).to_dict()

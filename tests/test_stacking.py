@@ -345,8 +345,17 @@ class TestVerification:
         flow = FlowFunction(s)
         report = verify_flow_properties(flow, ball, region)
         assert report.passed and calls
+        # a tree edge is its own flow path: the flow keeps a record, and phi
+        # is read, once per recursive edge of the region and never elsewhere
+        recursive = {
+            (e.source.canonical.letters, e.label)
+            for e in region.edges
+            if e.classification is EdgeKind.RECURSIVE
+        }
+        assert set(flow._records) == recursive == set(calls)
         assert max(calls.values()) == 1
-        assert set(calls) <= {(e.source.canonical.letters, e.label) for e in region.edges}
+        for f in flow._records.values():
+            assert f.path is None or all(p.classification is EdgeKind.RECURSIVE for p in f.path)
         # the geodesic check of the same region reads the flow's records
         calls.clear()
         verify_geodesic_stacking(flow, ball, region)

@@ -487,6 +487,13 @@ class TestTutteLayout:
         with pytest.raises(DiagramError):
             export_diagram(d, "svg")
 
+    def test_boundary_over_a_missing_edge_is_diagram_error(self, bs2):
+        d = build_filling_diagram(bs2, bs2.alphabet.word("t a T A A"))
+        bad = dataclasses.replace(d, boundary=d.boundary + (max(d.edge_map) + 1,))
+        with pytest.raises(DiagramError) as exc:
+            export_diagram(bad, "svg")
+        assert str(exc.value) == "the boundary walk names a missing vertex or edge"
+
     @pytest.mark.parametrize("fmt", ["json", "dot", "svg"])
     @pytest.mark.parametrize("label", [9, -1])
     def test_label_outside_alphabet_is_diagram_error(self, bs2, label, fmt):
@@ -688,6 +695,27 @@ class TestValidation:
         rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
         report = validate_diagram(bad, rels, w, bs2)
         assert not report.passed and not report.incidence_consistent
+
+    def test_basepoint_not_a_vertex_fails_incidence(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t a T A A")
+        d = build_filling_diagram(bs2, w)
+        bad = dataclasses.replace(d, basepoint=max(d.vertex_words) + 1)
+        rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(bad, rels, w, bs2)
+        assert not report.incidence_consistent and not report.passed
+        assert report.details == ["basepoint is not a vertex"]
+
+    def test_missing_face_fails_euler(self, bs2):
+        al = bs2.alphabet
+        w = al.word("t a T A A")
+        d = build_filling_diagram(bs2, w)
+        bad = dataclasses.replace(d, faces=d.faces[1:])
+        rels = stacking_relation_set(bs2, [(al.word("t"), al.index("a"))])
+        report = validate_diagram(bad, rels, w, bs2)
+        assert report.incidence_consistent and not report.euler_and_connected
+        assert report.details == [f"V - E + F = {bad.euler_characteristic()} != 1"]
+        assert bad.euler_characteristic() == 0
 
     def test_wrong_boundary_word_fails(self, bs2):
         al = bs2.alphabet

@@ -39,6 +39,16 @@ class TestAlphabet:
         with pytest.raises(FormatError):
             Alphabet.from_pairs(("a", "a"), [("a", "a")])
 
+    @pytest.mark.parametrize("tokens, inverse, message", [
+        (("a", "a"), (1, 0), "duplicate tokens in alphabet"),
+        (("a", "A"), (1,), "inverse table length mismatch"),
+        (("a", "A"), (2, 0), "inverse index 2 out of range"),
+    ], ids=["duplicate", "length", "range"])
+    def test_bad_inverse_table(self, tokens, inverse, message):
+        with pytest.raises(FormatError) as exc:
+            Alphabet(tokens, inverse)
+        assert str(exc.value) == message
+
     def test_missing_inverse(self):
         with pytest.raises(FormatError):
             Alphabet.from_pairs(("a", "A", "c"), [("a", "A")])
